@@ -179,7 +179,3 @@ class AbstractEngine:
             if m in state.prohibited:
                 return BadState(m.wrap_dis(), state)
         return self.advance(state, m)
-
-
-def engine_for(ground: GroundSpec) -> AbstractEngine:
-    return AbstractEngine(ground)

@@ -129,6 +129,9 @@ def _validate_one(spec, path, timeout):
     except (ValidationTimeout, GroundingError) as e:
         return {"command": "validate", "trace": str(path), "verdict": "unknown",
                 "reason": str(e)}
+    except TraceError as e:
+        return {"command": "validate", "trace": str(path), "verdict": "error",
+                "reason": str(e)}
 
 
 def _cmd_validate(args) -> int:
@@ -247,7 +250,7 @@ def _cmd_ground(args) -> int:
     lines = []
     arrow = {"permit": "->", "prohibit": "-/>"}
     for gr in ground.rules:
-        lines.append(f"{gr.matcher} {arrow[gr.polarity]} {_target_text(gr.target)}")
+        lines.append(f"{gr.matcher} {arrow[gr.polarity]} {format_message(gr.target)}")
     lines.append("")
     lines.append(f"alphabet: {len(ground.alphabet)} messages (+1 OTHER class)")
     lines.append(f"{'rule':>5} {'instances':>10} {'dfa states (per instance)':>28}")
@@ -262,10 +265,6 @@ def _cmd_ground(args) -> int:
               "instance_counts": list(ground.instance_counts), "lines": lines}
     _emit(report, args.report)
     return EXIT_OK
-
-
-def _target_text(message) -> str:
-    return format_message(message)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ indices; the caller reserves the last index for the OTHER class covering
 every message outside the ground alphabet.  Termination of the state
 exploration relies on the smart constructors normalizing union/intersection
 to canonical flat, sorted, duplicate-free forms.
+
+Each build_dfa call memoises nullability and derivatives in its own
+Derivatives object; the module keeps no cache, so memory is released when
+the construction ends and repeated constructions cost the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 
@@ -164,45 +167,72 @@ def mk_not(inner: Re) -> Re:
     return RNot(inner)
 
 
-@lru_cache(maxsize=None)
-def nullable(r: Re) -> bool:
-    if isinstance(r, (REps, RStar)):
-        return True
-    if isinstance(r, (RSym, RAny, REmpty)):
-        return False
-    if isinstance(r, RCat):
-        return nullable(r.left) and nullable(r.right)
-    if isinstance(r, ROr):
-        return any(nullable(i) for i in r.items)
-    if isinstance(r, RAnd):
-        return all(nullable(i) for i in r.items)
-    if isinstance(r, RNot):
-        return not nullable(r.inner)
-    raise TypeError(type(r).__name__)
+class Derivatives:
+    """Nullability and derivatives, memoised for one DFA construction.
+
+    The memo belongs to the instance, so it is freed with it: nothing
+    outlives a build_dfa call, and a construction never depends on what
+    was compiled before it."""
+
+    __slots__ = ("_nullable", "_deriv")
+
+    def __init__(self) -> None:
+        self._nullable: dict[Re, bool] = {}
+        self._deriv: dict[tuple[Re, int], Re] = {}
+
+    def nullable(self, r: Re) -> bool:
+        hit = self._nullable.get(r)
+        if hit is None:
+            hit = self._nullable[r] = self._compute_nullable(r)
+        return hit
+
+    def _compute_nullable(self, r: Re) -> bool:
+        if isinstance(r, (REps, RStar)):
+            return True
+        if isinstance(r, (RSym, RAny, REmpty)):
+            return False
+        if isinstance(r, RCat):
+            return self.nullable(r.left) and self.nullable(r.right)
+        if isinstance(r, ROr):
+            return any(self.nullable(i) for i in r.items)
+        if isinstance(r, RAnd):
+            return all(self.nullable(i) for i in r.items)
+        if isinstance(r, RNot):
+            return not self.nullable(r.inner)
+        raise TypeError(type(r).__name__)
+
+    def deriv(self, r: Re, letter: int) -> Re:
+        key = (r, letter)
+        hit = self._deriv.get(key)
+        if hit is None:
+            hit = self._deriv[key] = self._compute_deriv(r, letter)
+        return hit
+
+    def _compute_deriv(self, r: Re, letter: int) -> Re:
+        if isinstance(r, RSym):
+            return EPS if r.letter == letter else EMPTY
+        if isinstance(r, RAny):
+            return EPS
+        if isinstance(r, (REps, REmpty)):
+            return EMPTY
+        if isinstance(r, RCat):
+            first = mk_cat(self.deriv(r.left, letter), r.right)
+            if self.nullable(r.left):
+                return mk_or((first, self.deriv(r.right, letter)))
+            return first
+        if isinstance(r, RStar):
+            return mk_cat(self.deriv(r.inner, letter), r)
+        if isinstance(r, ROr):
+            return mk_or(self.deriv(i, letter) for i in r.items)
+        if isinstance(r, RAnd):
+            return mk_and(self.deriv(i, letter) for i in r.items)
+        if isinstance(r, RNot):
+            return mk_not(self.deriv(r.inner, letter))
+        raise TypeError(type(r).__name__)
 
 
-@lru_cache(maxsize=None)
-def deriv(r: Re, letter: int) -> Re:
-    if isinstance(r, RSym):
-        return EPS if r.letter == letter else EMPTY
-    if isinstance(r, RAny):
-        return EPS
-    if isinstance(r, (REps, REmpty)):
-        return EMPTY
-    if isinstance(r, RCat):
-        first = mk_cat(deriv(r.left, letter), r.right)
-        if nullable(r.left):
-            return mk_or((first, deriv(r.right, letter)))
-        return first
-    if isinstance(r, RStar):
-        return mk_cat(deriv(r.inner, letter), r)
-    if isinstance(r, ROr):
-        return mk_or(deriv(i, letter) for i in r.items)
-    if isinstance(r, RAnd):
-        return mk_and(deriv(i, letter) for i in r.items)
-    if isinstance(r, RNot):
-        return mk_not(deriv(r.inner, letter))
-    raise TypeError(type(r).__name__)
+class DfaSizeError(RuntimeError):
+    """The construction reached more states than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +259,9 @@ class Dfa:
 
 
 def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000) -> Dfa:
-    """Iterated-derivative construction; states are canonical regexes."""
+    """Iterated-derivative construction; states are canonical regexes.
+    Raises DfaSizeError when more than state_cap states are reachable."""
+    derivatives = Derivatives()
     index: dict[Re, int] = {regex: 0}
     order: list[Re] = [regex]
     transitions: list[tuple[int, ...]] = []
@@ -238,16 +270,16 @@ def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000) -> Dfa:
         current = order[pos]
         row = []
         for letter in range(n_letters):
-            nxt = deriv(current, letter)
+            nxt = derivatives.deriv(current, letter)
             sid = index.get(nxt)
             if sid is None:
                 sid = len(order)
                 if sid > state_cap:
-                    raise RuntimeError(f"DFA construction exceeded {state_cap} states")
+                    raise DfaSizeError(f"DFA construction exceeded {state_cap} states")
                 index[nxt] = sid
                 order.append(nxt)
             row.append(sid)
         transitions.append(tuple(row))
         pos += 1
-    accepting = tuple(nullable(r) for r in order)
+    accepting = tuple(derivatives.nullable(r) for r in order)
     return Dfa(n_letters, tuple(transitions), accepting)

@@ -7,6 +7,15 @@ object identities, untyped ones over every value).  The ground alphabet is
 every message of the trace plus every message occurring in a ground rule;
 one reserved OTHER letter covers all messages outside the alphabet, which
 makes complement and intersection decidable and grounding-stable.
+
+Compilation works per rule shape.  Each ground rule gets a local alphabet:
+its distinct atom messages, numbered in order of first occurrence, plus a
+local OTHER letter.  Instances of one spec rule translate to equal local
+regexes (unless binding makes two of their atoms coincide), so
+compile_spec builds each distinct local regex once and lays the shared
+table out over the global letters per instance.  This is exact: a message
+that is not one of the rule's atoms is rejected by every atom and accepted
+by the wildcard, just as the local OTHER letter is.
 """
 
 from __future__ import annotations
@@ -16,7 +25,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import dfa as _dfa
-from .messages import Message, Trace, Value, value_type_name, values_of_message
+from .messages import (
+    Message,
+    Trace,
+    Value,
+    format_message,
+    value_type_name,
+    values_of_message,
+)
 from .rules import (
     LifestateSpec,
     MAny,
@@ -192,7 +208,9 @@ def ground_spec(
 class CompiledRule:
     """A ground rule with its matcher compiled to a total DFA over the
     alphabet plus the OTHER letter; the DFA accepts a word iff the matcher
-    matches it."""
+    matches it.  Instances of one rule shape share their states, acceptance
+    and local transitions; every letter that is not one of the rule's atoms
+    moves like OTHER."""
 
     dfa: _dfa.Dfa
     polarity: str
@@ -205,10 +223,7 @@ class CompiledRule:
 
 def _translate(m: Matcher, letter_of: dict[Message, int]) -> _dfa.Re:
     if isinstance(m, MAtom):
-        msg = m.message.to_message()
-        if msg not in letter_of:
-            raise GroundingError(f"matcher atom {msg} is outside the ground alphabet")
-        return _dfa.RSym(letter_of[msg])
+        return _dfa.RSym(letter_of[m.message.to_message()])
     if isinstance(m, MAny):
         return _dfa.ANY
     if isinstance(m, MEps):
@@ -232,15 +247,58 @@ def letter_map(alphabet: Iterable[Message]) -> dict[Message, int]:
     return {m: i for i, m in enumerate(alphabet)}
 
 
-def compile_rule(rule: GroundRule, alphabet: tuple[Message, ...]) -> CompiledRule:
-    """Standard regex-to-automaton compilation with complement and
-    intersection; the OTHER letter (last index) covers non-alphabet
-    messages."""
-    letters = letter_map(alphabet)
-    regex = _translate(rule.matcher, letters)
-    automaton = _dfa.build_dfa(regex, n_letters=len(alphabet) + 1)
+def _local_atoms(rule: GroundRule, letter_of: dict[Message, int]) -> tuple[Message, ...]:
+    """The rule's distinct atom messages in order of first occurrence."""
+    atoms: dict[Message, None] = {}
+    for atom in matcher_atoms(rule.matcher):
+        msg = atom.to_message()
+        if msg not in letter_of:
+            raise GroundingError(f"matcher atom {msg} is outside the ground alphabet")
+        atoms[msg] = None
+    return tuple(atoms)
+
+
+def _compile(
+    rule: GroundRule,
+    letter_of: dict[Message, int],
+    shapes: dict[_dfa.Re, _dfa.Dfa],
+) -> CompiledRule:
+    """Compile the matcher over its own atoms plus a local OTHER letter,
+    reusing the DFA of an equal local regex from shapes, then lay the
+    local table out over the global letters."""
+    atoms = _local_atoms(rule, letter_of)
+    regex = _translate(rule.matcher, letter_map(atoms))
+    local = shapes.get(regex)
+    if local is None:
+        try:
+            local = _dfa.build_dfa(regex, n_letters=len(atoms) + 1)
+        except _dfa.DfaSizeError as e:
+            raise GroundingError(
+                f"spec rule #{rule.source_index + 1}, instance {rule.matcher} "
+                f"{rule.polarity} {format_message(rule.target)}: {e}"
+            ) from None
+        shapes[regex] = local
+    n_letters = len(letter_of) + 1
+    columns = [letter_of[m] for m in atoms]
+    transitions = []
+    for local_row in local.transitions:
+        row = [local_row[-1]] * n_letters
+        for column, target in zip(columns, local_row):
+            row[column] = target
+        transitions.append(tuple(row))
+    automaton = _dfa.Dfa(n_letters, tuple(transitions), local.accepting, local.start)
     return CompiledRule(automaton, rule.polarity, rule.target, rule.source_index)
 
 
+def compile_rule(rule: GroundRule, alphabet: tuple[Message, ...]) -> CompiledRule:
+    """Compile one ground rule over the alphabet plus the OTHER letter."""
+    return _compile(rule, letter_map(alphabet), {})
+
+
 def compile_spec(ground: GroundSpec) -> tuple[CompiledRule, ...]:
-    return tuple(compile_rule(r, ground.alphabet) for r in ground.rules)
+    """Compile every ground rule; instances whose local regexes are equal
+    (the same rule shape, whichever objects it binds) share one
+    construction."""
+    letter_of = letter_map(ground.alphabet)
+    shapes: dict[_dfa.Re, _dfa.Dfa] = {}
+    return tuple(_compile(r, letter_of, shapes) for r in ground.rules)

@@ -480,10 +480,6 @@ def serialize_trace(t: Trace) -> str:
     return "\n".join(format_message(m) for m in t.messages) + "\n"
 
 
-def message_sort_key(m: Message) -> tuple:
-    return m.sort_key()
-
-
 def values_of_message(m: Message) -> Iterator[Value]:
     """All values occurring in the message (arguments and return)."""
     yield from m.thunk.args

@@ -102,6 +102,24 @@ class TestValidateCommand:
         assert "prefix_histogram" in doc
         assert doc["prefix_histogram"][">=1"] == 2
 
+    def test_corpus_reports_a_malformed_trace_and_goes_on(self, capsys, fixtures_dir,
+                                                          tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a_bad.trace").write_text("ci execute(t#1:AsyncTask)\n")
+        (corpus / "b_fixed.trace").write_text((fixtures_dir / "trace_fixed.trace").read_text())
+        code, out, _ = run_cli(capsys, "validate",
+                               "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--corpus", str(corpus),
+                               "--report", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["total"] == 2 and doc["valid"] == 1
+        bad, fixed = doc["results"]
+        assert bad["verdict"] == "error" and "line 1" in bad["reason"]
+        assert fixed["verdict"] == "valid"
+        assert doc["prefix_histogram"][">=1"] == 1
+
     def test_needs_exactly_one_input(self, capsys, fixtures_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["validate", "--spec", str(fixtures_dir / "spec_run.ls")])
@@ -195,6 +213,20 @@ class TestErrorPaths:
                                "--trace", str(bad))
         assert code == 2
         assert "line 1" in err
+
+
+    def test_dfa_cap_overflow_is_one_error_line(self, capsys, fixtures_dir, monkeypatch):
+        from lifeguard import dfa
+
+        build = dfa.build_dfa
+        monkeypatch.setattr(dfa, "build_dfa",
+                            lambda regex, n_letters: build(regex, n_letters, 0))
+        code, _, err = run_cli(capsys, "validate",
+                               "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--trace", str(fixtures_dir / "trace_fixed.trace"))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: spec rule #1, ")
+        assert "exceeded 0 states" in err
 
 
 class TestTimeouts:

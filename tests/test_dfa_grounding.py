@@ -282,20 +282,35 @@ class TestGroundSpec:
 
 class TestCompiledRules:
     def test_dfa_oracle_equivalence_per_rule(self, spec_run, trace_fixed):
-        # Every compiled rule agrees with matches() on short words over a
-        # 3-letter sub-alphabet of its own alphabet.
+        # Every compiled rule agrees with matches() on short words over its
+        # own atoms plus one alphabet message that is not among them.
+        from lifeguard.rules import matcher_atoms
+
         g = ground_spec(spec_run, trace_fixed)
         compiled = compile_spec(g)
-        sub = g.alphabet[:3]
+        letter_of = {m: i for i, m in enumerate(g.alphabet)}
         rng = random.Random(5)
         for cr, gr in zip(compiled, g.rules):
-            letter_of = {m: i for i, m in enumerate(g.alphabet)}
+            atoms = list(dict.fromkeys(a.to_message() for a in matcher_atoms(gr.matcher)))
+            pool = atoms + [next(m for m in g.alphabet if m not in atoms)]
             for k in range(0, 5):
                 for _ in range(20):
-                    word = [rng.choice(sub) for _ in range(k)]
+                    word = [rng.choice(pool) for _ in range(k)]
                     expected = matches(word, {}, gr.matcher)
                     got = cr.dfa.accepts(letter_of[m] for m in word)
                     assert got == expected
+
+    def test_repeat_compiles_agree_and_dfa_keeps_no_memo(self, spec_run, trace_fixed):
+        def held_by_module():
+            return {name: len(v) for name, v in vars(D).items()
+                    if isinstance(v, (dict, list, set))}
+
+        g = ground_spec(spec_run, trace_fixed)
+        before = held_by_module()
+        first = compile_spec(g)
+        assert held_by_module() == before
+        assert compile_spec(g) == first
+        assert not any(hasattr(v, "cache_info") for v in vars(D).values())
 
     def test_dfa_total(self, spec_run, trace_fixed):
         g = ground_spec(spec_run, trace_fixed)
