@@ -7,6 +7,12 @@ stepping an in-message that is prohibited ends in the bad state carrying
 the dis-wrapped witness message.  Messages outside the ground alphabet
 advance the rule DFAs through the OTHER letter and are never blocked.
 
+The engine interns every alphabet message as its index (its letter), and
+a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
+the store.  The OTHER letter's bit lies outside both store masks, so OTHER
+is never permitted, prohibited or blocked.  Messages are decoded back to
+dataclasses only for reports (permitted_messages, prohibited_messages).
+
 The consistency check follows the set-disjointness reading: a step is
 inconsistent when some message is simultaneously permitted and prohibited,
 in which case the permitted store collapses to empty and the prohibited
@@ -16,7 +22,9 @@ store to the full in-message alphabet, exactly as the update formulas read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Sequence, Union
+from functools import reduce
+from operator import getitem, itemgetter, or_
+from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
@@ -24,13 +32,14 @@ from .messages import Message
 
 @dataclass(frozen=True)
 class AbstractState:
-    """Permitted back-messages, prohibited in-messages, and the per-rule
-    DFA states summarizing the history.  history_len and the inconsistency
-    flag are diagnostics and excluded from equality."""
+    """The per-rule DFA states summarizing the history, and the
+    permitted-back and prohibited-in stores as letter bitmasks.
+    history_len and the inconsistency flag are diagnostics and excluded
+    from equality."""
 
-    permitted: FrozenSet[Message]
-    prohibited: FrozenSet[Message]
     rule_states: tuple[int, ...]
+    permitted: int
+    prohibited: int
     history_len: int = field(default=0, compare=False)
     inconsistent: bool = field(default=False, compare=False)
 
@@ -56,47 +65,20 @@ class BadState:
 
 StepResult = Union[AbstractState, Blocked, BadState]
 
-
-def consistent(permits: FrozenSet[Message], prohibits: FrozenSet[Message]) -> bool:
-    """No message is both permitted and prohibited by the firing rules."""
-    return permits.isdisjoint(prohibits)
-
-
-def update_back(
-    permitted: FrozenSet[Message],
-    permits: FrozenSet[Message],
-    prohibits: FrozenSet[Message],
-    is_consistent: bool,
-    back_alphabet: Sequence[Message],
-) -> FrozenSet[Message]:
-    """New permitted-back store: on inconsistency nothing is permitted;
-    otherwise a back-message survives if it is not prohibited and is either
-    freshly permitted or was already in the store."""
-    if not is_consistent:
-        return frozenset()
-    return frozenset(
-        m for m in back_alphabet
-        if m not in prohibits and (m in permits or m in permitted)
-    )
+OK = "ok"
+BLOCKED = "blocked"
+BAD = "bad"
 
 
-def update_in(
-    prohibited: FrozenSet[Message],
-    permits: FrozenSet[Message],
-    prohibits: FrozenSet[Message],
-    is_consistent: bool,
-    in_alphabet: Sequence[Message],
-) -> FrozenSet[Message]:
-    """New prohibited-in store: on inconsistency every in-message is
-    prohibited (the implication is vacuous); otherwise an in-message is
-    prohibited if it is not permitted and is either freshly prohibited or
-    was already in the store."""
-    if not is_consistent:
-        return frozenset(in_alphabet)
-    return frozenset(
-        m for m in in_alphabet
-        if m not in permits and (m in prohibits or m in prohibited)
-    )
+class StepEvent(NamedTuple):
+    """One step of a fold: the position of the letter in the folded
+    sequence, the outcome (OK, BLOCKED or BAD), the state the step started
+    from, and for OK the successor state (None otherwise)."""
+
+    index: int
+    outcome: str
+    before: AbstractState
+    after: Optional[AbstractState]
 
 
 @dataclass(frozen=True)
@@ -108,20 +90,50 @@ class FiredRule:
 
 
 class AbstractEngine:
-    """Compiled ground spec plus the stepping logic shared by validation
-    and verification."""
+    """Compiled ground spec plus the stepping fold shared by validation,
+    verification and explain."""
 
     def __init__(self, ground: GroundSpec, compiled: Optional[tuple[CompiledRule, ...]] = None):
         self.ground = ground
         self.rules = compiled if compiled is not None else compile_spec(ground)
+        self.alphabet = ground.alphabet
         self.letters = letter_map(ground.alphabet)
         self.other_letter = len(ground.alphabet)
         self.back_alphabet = ground.back_alphabet()
         self.in_alphabet = ground.in_alphabet()
-        self.alphabet_set = frozenset(ground.alphabet)
+        self.back_mask = sum(1 << self.letters[m] for m in self.back_alphabet)
+        self.in_mask = sum(1 << self.letters[m] for m in self.in_alphabet)
+        self._tables = tuple(rule.dfa.transitions for rule in self.rules)
+        # Per rule and DFA state, what the rule contributes to the firing
+        # word: nothing where the state rejects; else its target bit, moved
+        # above the other_letter + 1 permit bits for a prohibit rule.
+        self._shift = self.other_letter + 1
+        self._fire = tuple(_fire(rule, 0 if rule.is_permit() else self._shift)
+                           for rule in self.rules)
 
     def letter(self, m: Message) -> int:
         return self.letters.get(m, self.other_letter)
+
+    def intern(self, messages: Iterable[Message]) -> tuple[int, ...]:
+        """Letters of the messages.  A dis message is interned as the
+        in-message it wraps: folding it asks whether the spec predicts the
+        violation (the step is BAD) or misses it (OK)."""
+        return tuple(self.letter(m.unwrap() if m.is_dis() else m) for m in messages)
+
+    def decode(self, mask: int) -> tuple[Message, ...]:
+        """The alphabet messages whose bits are set, in alphabet order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.alphabet[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def permitted_messages(self, state: AbstractState) -> FrozenSet[Message]:
+        return frozenset(self.decode(state.permitted))
+
+    def prohibited_messages(self, state: AbstractState) -> FrozenSet[Message]:
+        return frozenset(self.decode(state.prohibited))
 
     def fired_rules(self, rule_states: tuple[int, ...]) -> list[FiredRule]:
         out = []
@@ -130,52 +142,67 @@ class AbstractEngine:
                 out.append(FiredRule(i, rule.source_index, rule.polarity, rule.target))
         return out
 
-    def firing_sets(self, rule_states: tuple[int, ...]) -> tuple[FrozenSet[Message], FrozenSet[Message]]:
-        """Targets of permit rules and prohibit rules whose DFA accepts the
-        history summarized by rule_states."""
-        permits = set()
-        prohibits = set()
-        for rule, sid in zip(self.rules, rule_states):
-            if rule.dfa.accepting[sid]:
-                (permits if rule.is_permit() else prohibits).add(rule.target)
-        return frozenset(permits), frozenset(prohibits)
+    def firing_sets(self, rule_states: tuple[int, ...]) -> tuple[int, int]:
+        """Target bits of the permit rules and of the prohibit rules whose
+        DFA accepts the history summarized by rule_states."""
+        # Few distinct contributions: deduplicate before OR-ing wide ints.
+        fired = reduce(or_, set(map(getitem, self._fire, rule_states)), 0)
+        return fired & ((1 << self._shift) - 1), fired >> self._shift
+
+    def _update(self, rule_states: tuple[int, ...], permitted: int, prohibited: int,
+                history_len: int) -> AbstractState:
+        permits, prohibits = self.firing_sets(rule_states)
+        if permits & prohibits:
+            return AbstractState(rule_states, 0, self.in_mask, history_len, True)
+        return AbstractState(rule_states,
+                             (permitted | permits) & ~prohibits & self.back_mask,
+                             (prohibited | prohibits) & ~permits & self.in_mask,
+                             history_len)
 
     def initial_state(self) -> AbstractState:
         """Start every rule DFA and evaluate the update functions on the
         empty history: the permitted store starts from all back-messages,
         the prohibited store from the empty set."""
         rule_states = tuple(rule.dfa.start for rule in self.rules)
-        permits, prohibits = self.firing_sets(rule_states)
-        cons = consistent(permits, prohibits)
-        permitted = update_back(frozenset(self.back_alphabet), permits, prohibits, cons,
-                                self.back_alphabet)
-        prohibited = update_in(frozenset(), permits, prohibits, cons, self.in_alphabet)
-        return AbstractState(permitted, prohibited, rule_states, 0, not cons)
+        return self._update(rule_states, self.back_mask, 0, 0)
 
-    def advance(self, state: AbstractState, m: Message) -> AbstractState:
-        """Advance rule DFAs by the message and recompute the stores."""
-        letter = self.letter(m)
-        rule_states = tuple(
-            rule.dfa.step(sid, letter) for rule, sid in zip(self.rules, state.rule_states)
-        )
-        permits, prohibits = self.firing_sets(rule_states)
-        cons = consistent(permits, prohibits)
-        permitted = update_back(state.permitted, permits, prohibits, cons, self.back_alphabet)
-        prohibited = update_in(state.prohibited, permits, prohibits, cons, self.in_alphabet)
-        return AbstractState(permitted, prohibited, rule_states,
-                             state.history_len + 1, not cons)
+    def advance(self, state: AbstractState, letter: int) -> AbstractState:
+        """Advance rule DFAs by the letter and recompute the stores."""
+        rows = map(getitem, self._tables, state.rule_states)
+        rule_states = tuple(map(itemgetter(letter), rows))
+        return self._update(rule_states, state.permitted, state.prohibited,
+                            state.history_len + 1)
+
+    def fold(self, state: AbstractState, letters: Iterable[int]) -> Iterator[StepEvent]:
+        """Step through the letters from state, one event per letter; the
+        fold ends after the first BLOCKED or BAD event."""
+        for index, letter in enumerate(letters):
+            bit = 1 << letter
+            if bit & self.back_mask & ~state.permitted:
+                yield StepEvent(index, BLOCKED, state, None)
+                return
+            if bit & state.prohibited:
+                yield StepEvent(index, BAD, state, None)
+                return
+            after = self.advance(state, letter)
+            yield StepEvent(index, OK, state, after)
+            state = after
 
     def step(self, state: AbstractState, m: Message) -> StepResult:
-        """One abstract transition.
+        """One abstract transition on a plain message.
 
         Back-messages must be permitted (unless outside the alphabet);
         prohibited in-messages transition to bad with the dis witness."""
         if m.is_dis():
             raise ValueError("abstract step consumes plain messages, not dis messages")
-        if m.is_back():
-            if m in self.alphabet_set and m not in state.permitted:
-                return Blocked(m, state)
-        else:
-            if m in state.prohibited:
-                return BadState(m.wrap_dis(), state)
-        return self.advance(state, m)
+        event = next(self.fold(state, (self.letter(m),)))
+        if event.outcome == BLOCKED:
+            return Blocked(m, state)
+        if event.outcome == BAD:
+            return BadState(m.wrap_dis(), state)
+        return event.after
+
+
+def _fire(rule: CompiledRule, shift: int) -> tuple[int, ...]:
+    bit = rule.target_bit << shift
+    return tuple(bit if accepting else 0 for accepting in rule.dfa.accepting)

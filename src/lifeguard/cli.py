@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import interp
-from .abstract import AbstractEngine, BadState, Blocked
+from .abstract import BAD, BLOCKED, OK, AbstractEngine
 from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
 from .messages import TraceError, format_message, load_trace, serialize_trace
 from .rules import SpecError, load_spec
@@ -30,6 +30,7 @@ from .verification import (
     STATE_CAP_ENV,
     Safe,
     SubTraceError,
+    Unknown,
     Violation,
     verify,
 )
@@ -234,6 +235,9 @@ def _cmd_verify(args) -> int:
     if isinstance(result, Safe):
         report["certificate_size"] = result.certificate_size
         report["unreachable_units"] = [i + 1 for i in result.unreachable_units]
+    if isinstance(result, Unknown):
+        report["depth_reached"] = result.depth_reached
+        report["frontier"] = result.frontier
     _emit(report, args.report)
     return code
 
@@ -277,48 +281,46 @@ def _cmd_explain(args) -> int:
     ground = ground_spec(spec, trace)
     engine = AbstractEngine(ground)
     state = engine.initial_state()
-    print(f"initial: permitted-back {len(state.permitted)}, "
-          f"prohibited-in {len(state.prohibited)}")
-    for i, m in enumerate(trace.messages, start=1):
+    print(f"initial: permitted-back {state.permitted.bit_count()}, "
+          f"prohibited-in {state.prohibited.bit_count()}")
+    for index, outcome, before, after in engine.fold(state, engine.intern(trace.messages)):
+        m = trace.messages[index]
+        head = f"{index + 1:>4} {format_message(m):<60}"
         if m.is_dis():
-            inner = m.unwrap()
-            predicted = inner in state.prohibited
+            predicted = outcome == BAD
             status = "dis (predicted)" if predicted else "dis (MISSED by the spec)"
-            print(f"{i:>4} {format_message(m):<60} {status}")
+            print(f"{head} {status}")
             return EXIT_OK if predicted else EXIT_FAIL
-        result = engine.step(state, m)
-        if isinstance(result, Blocked):
-            print(f"{i:>4} {format_message(m):<60} BLOCKED (not permitted)")
-            _print_store(state)
+        if outcome != OK:
+            status = "BLOCKED (not permitted)" if outcome == BLOCKED \
+                else "BAD (prohibited in-message)"
+            print(f"{head} {status}")
+            _print_store(engine, before)
             return EXIT_FAIL
-        if isinstance(result, BadState):
-            print(f"{i:>4} {format_message(m):<60} BAD (prohibited in-message)")
-            _print_store(state)
-            return EXIT_FAIL
-        fired = engine.fired_rules(result.rule_states)
+        fired = engine.fired_rules(after.rule_states)
         fired_text = ", ".join(
             f"#{f.source_index + 1}{'->' if f.polarity == 'permit' else '-/>'}"
             f"{format_message(f.target)}"
             for f in fired
         )
-        delta = _store_delta(state, result)
-        line = f"{i:>4} {format_message(m):<60} ok"
+        delta = _store_delta(engine, before, after)
+        line = f"{head} ok"
         if fired_text:
             line += f"  fires [{fired_text}]"
         if delta:
             line += f"  {delta}"
-        if result.inconsistent:
+        if after.inconsistent:
             line += "  (WARNING: permit/prohibit inconsistency)"
         print(line)
-        state = result
     print("trace validated to the end")
     return EXIT_OK
 
 
-def _store_delta(before, after) -> str:
+def _store_delta(engine, before, after) -> str:
     parts = []
-    for name, b, a in (("permitted", before.permitted, after.permitted),
-                       ("prohibited", before.prohibited, after.prohibited)):
+    for name, decode in (("permitted", engine.permitted_messages),
+                         ("prohibited", engine.prohibited_messages)):
+        b, a = decode(before), decode(after)
         added = a - b
         removed = b - a
         for m in sorted(added, key=lambda x: x.sort_key()):
@@ -328,12 +330,12 @@ def _store_delta(before, after) -> str:
     return " ".join(parts)
 
 
-def _print_store(state) -> None:
+def _print_store(engine, state) -> None:
     print("  permitted-back:")
-    for m in sorted(state.permitted, key=lambda x: x.sort_key()):
+    for m in sorted(engine.permitted_messages(state), key=lambda x: x.sort_key()):
         print(f"    {format_message(m)}")
     print("  prohibited-in:")
-    for m in sorted(state.prohibited, key=lambda x: x.sort_key()):
+    for m in sorted(engine.prohibited_messages(state), key=lambda x: x.sort_key()):
         print(f"    {format_message(m)}")
 
 

@@ -210,12 +210,14 @@ class CompiledRule:
     alphabet plus the OTHER letter; the DFA accepts a word iff the matcher
     matches it.  Instances of one rule shape share their states, acceptance
     and local transitions; every letter that is not one of the rule's atoms
-    moves like OTHER."""
+    moves like OTHER.  target_bit is 1 << (the target's letter), the
+    rule's bit in the engine's store bitmasks."""
 
     dfa: _dfa.Dfa
     polarity: str
     target: Message
     source_index: int
+    target_bit: int
 
     def is_permit(self) -> bool:
         return self.polarity == PERMIT
@@ -287,7 +289,8 @@ def _compile(
             row[column] = target
         transitions.append(tuple(row))
     automaton = _dfa.Dfa(n_letters, tuple(transitions), local.accepting, local.start)
-    return CompiledRule(automaton, rule.polarity, rule.target, rule.source_index)
+    return CompiledRule(automaton, rule.polarity, rule.target, rule.source_index,
+                        1 << letter_of[rule.target])
 
 
 def compile_rule(rule: GroundRule, alphabet: tuple[Message, ...]) -> CompiledRule:

@@ -14,10 +14,10 @@ import time
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
-from .abstract import AbstractEngine, BadState, Blocked
+from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
 from .grounding import DEFAULT_INSTANTIATION_CAP, ground_spec
 from .messages import Message, Trace
-from .rules import LifestateSpec
+from .rules import LifestateSpec, matcher_atoms
 
 
 class ValidationTimeout(Exception):
@@ -50,15 +50,35 @@ class ValidationReport:
             assert self.blocking_message is not None
 
 
-def _rule_message_set(engine: AbstractEngine) -> frozenset[Message]:
-    from .rules import matcher_atoms
-
-    out = set()
+def _rule_letters(engine: AbstractEngine) -> int:
+    """Bitmask of the messages that occur in some ground rule (matcher atom
+    or target)."""
+    mask = 0
     for rule in engine.ground.rules:
-        out.add(rule.target)
+        mask |= 1 << engine.letter(rule.target)
         for atom in matcher_atoms(rule.matcher):
-            out.add(atom.to_message())
-    return frozenset(out)
+            mask |= 1 << engine.letter(atom.to_message())
+    return mask
+
+
+def _last_firing_rules(engine: AbstractEngine, letters: tuple[int, ...],
+                       target: int) -> tuple[int, ...]:
+    """Blame for a failure on the target letter after the validated letters:
+    the spec rules targeting it that fired at the last state of the fold
+    (the initial state or the state after a validated message) where any
+    of them fired.  Re-folds the prefix, so a valid trace never pays for it."""
+    bit = 1 << target
+    touching = [(i, rule) for i, rule in enumerate(engine.rules) if rule.target_bit == bit]
+
+    def fired(state: AbstractState) -> tuple[int, ...]:
+        return tuple(rule.source_index for i, rule in touching
+                     if rule.dfa.accepting[state.rule_states[i]])
+
+    state = engine.initial_state()
+    blame = fired(state)
+    for event in engine.fold(state, letters):
+        blame = fired(event.after) or blame
+    return blame
 
 
 def validate_ground(
@@ -67,71 +87,43 @@ def validate_ground(
     deadline: Optional[float] = None,
 ) -> ValidationReport:
     """Fold the abstract step over the trace against a prepared engine."""
-    rule_messages = _rule_message_set(engine)
+    messages = trace.messages
+    letters = engine.intern(messages)
+    relevant = _rule_letters(engine)
     state = engine.initial_state()
-    # For blame reporting: per message, the spec rules that most recently
-    # fired with that message as their target.
-    last_touch: dict[Message, tuple[int, ...]] = {}
     filtered = 0
-    inconsistent_at: list[int] = []
-
-    def note_firings(step_index: int) -> None:
-        fired = engine.fired_rules(state.rule_states)
-        by_target: dict[Message, list[int]] = {}
-        for f in fired:
-            by_target.setdefault(f.target, []).append(f.source_index)
-        for target, indices in by_target.items():
-            last_touch[target] = tuple(indices)
-        if state.inconsistent:
-            inconsistent_at.append(step_index)
-
-    note_firings(0)
-    total = len(trace.messages)
-    for i, m in enumerate(trace.messages):
+    inconsistent_at = [0] if state.inconsistent else []
+    total = len(messages)
+    for i, outcome, before, after in engine.fold(state, letters):
         if deadline is not None and time.monotonic() > deadline:
             raise ValidationTimeout(f"validation exceeded its time budget at step {i}")
+        m = messages[i]
         if m.is_dis():
-            inner = m.unwrap()
-            if inner in state.prohibited:
+            if outcome == BAD:
                 # The model predicts the observed violation: accepted.
-                if inner in rule_messages:
+                if (1 << letters[i]) & relevant:
                     filtered += 1
-                return ValidationReport(True, total, filtered, total,
-                                        inconsistency_steps=tuple(inconsistent_at))
-            return ValidationReport(
-                False, i, filtered, total,
-                blocking_message=m,
-                blocking_permitted=state.permitted,
-                blocking_prohibited=state.prohibited,
-                last_firing_rules=last_touch.get(inner, ()),
-                reason="missed violation: the spec permits the recorded dis step",
-                inconsistency_steps=tuple(inconsistent_at),
-            )
-        result = engine.step(state, m)
-        if isinstance(result, Blocked):
-            return ValidationReport(
-                False, i, filtered, total,
-                blocking_message=m,
-                blocking_permitted=state.permitted,
-                blocking_prohibited=state.prohibited,
-                last_firing_rules=last_touch.get(m, ()),
-                reason="back-message not permitted",
-                inconsistency_steps=tuple(inconsistent_at),
-            )
-        if isinstance(result, BadState):
-            return ValidationReport(
-                False, i, filtered, total,
-                blocking_message=m,
-                blocking_permitted=state.permitted,
-                blocking_prohibited=state.prohibited,
-                last_firing_rules=last_touch.get(m, ()),
-                reason="predicted violation not observed: in-message is prohibited",
-                inconsistency_steps=tuple(inconsistent_at),
-            )
-        state = result
-        if m in rule_messages:
-            filtered += 1
-        note_firings(i + 1)
+                break
+            reason = "missed violation: the spec permits the recorded dis step"
+        elif outcome == BLOCKED:
+            reason = "back-message not permitted"
+        elif outcome == BAD:
+            reason = "predicted violation not observed: in-message is prohibited"
+        else:
+            if (1 << letters[i]) & relevant:
+                filtered += 1
+            if after.inconsistent:
+                inconsistent_at.append(i + 1)
+            continue
+        return ValidationReport(
+            False, i, filtered, total,
+            blocking_message=m,
+            blocking_permitted=engine.permitted_messages(before),
+            blocking_prohibited=engine.prohibited_messages(before),
+            last_firing_rules=_last_firing_rules(engine, letters[:i], letters[i]),
+            reason=reason,
+            inconsistency_steps=tuple(inconsistent_at),
+        )
     return ValidationReport(True, total, filtered, total,
                             inconsistency_steps=tuple(inconsistent_at))
 

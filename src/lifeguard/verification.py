@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .abstract import AbstractEngine, AbstractState, BadState, Blocked
+from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState, StepEvent
 from .grounding import DEFAULT_INSTANTIATION_CAP, ground_spec
 from .messages import CB, CBRET, CI, CIRET, Message, Trace, is_violation
 from .rules import LifestateSpec
@@ -103,6 +103,8 @@ class Unknown:
     bound_hit: bool
     states_explored: int = 0
     reason: str = ""
+    depth_reached: int = 0  # units on the longest path to a discovered state
+    frontier: int = 0  # states still queued when the search stopped
 
 
 VerificationResult = Union[Safe, Violation, Unknown]
@@ -121,19 +123,26 @@ def _parse_mode(mode) -> Optional[int]:
     raise ValueError(f"unknown verification mode {mode!r}")
 
 
-def _replay_unit(engine: AbstractEngine, state: AbstractState, unit: SubTrace):
-    """Fold the unit's messages; returns ('ok', state'), ('blocked', msg at
-    offset), or ('bad', witness prefix messages, dis message)."""
-    consumed: list[Message] = []
-    for m in unit.messages:
-        result = engine.step(state, m)
-        if isinstance(result, Blocked):
-            return ("blocked", consumed, m)
-        if isinstance(result, BadState):
-            return ("bad", consumed, result.witness_suffix)
-        consumed.append(m)
-        state = result
-    return ("ok", state, None)
+def _unit_path(parent: dict, state: AbstractState) -> list[int]:
+    """Unit indices on the path by which BFS first reached state."""
+    path = []
+    while parent[state] is not None:
+        state, unit_index = parent[state]
+        path.append(unit_index)
+    return path[::-1]
+
+
+def _violation(units: list[SubTrace], path: list[int], event: StepEvent,
+               explored: int) -> Violation:
+    """The witness of a BAD step inside the last unit of path: every earlier
+    unit, then that unit's messages before the prohibited one, then the
+    prohibited one dis-wrapped."""
+    unit = units[path[-1]].messages
+    messages = [m for i in path[:-1] for m in units[i].messages]
+    messages += unit[:event.index]
+    messages.append(unit[event.index].wrap_dis())
+    return Violation(witness=Trace(tuple(messages)), subtrace_sequence=tuple(path),
+                     states_explored=explored)
 
 
 def verify(
@@ -149,7 +158,8 @@ def verify(
     BFS order guarantees a witness with the fewest units, ties broken by
     the lowest unit index sequence.  Exhaustive mode terminates because the
     abstract state space is finite; bounded mode caps the number of units
-    per path and may return Unknown."""
+    per path and may return Unknown.  The deadline is checked before every
+    unit replay."""
     if is_violation(trace):
         # The recorded execution already witnesses the violation.
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
@@ -161,55 +171,53 @@ def verify(
     units = split_subtraces(trace)
     ground = ground_spec(spec, trace, cap=grounding_cap)
     engine = AbstractEngine(ground)
+    unit_letters = [engine.intern(u.messages) for u in units]
+    openings = [1 << letters[0] for letters in unit_letters]
 
     init = engine.initial_state()
-    visited: dict[AbstractState, int] = {init: 0}
-    # Queue entries: (state, depth, path, messages-so-far).
-    queue = deque([(init, 0, (), ())])
+    # Every discovered state, with the state and unit it was first reached
+    # by (None for the initial state); witnesses are rebuilt from it.
+    parent: dict[AbstractState, Optional[tuple[AbstractState, int]]] = {init: None}
+    queue = deque([(init, 0)])
     explored = 0
+    depth_reached = 0
     opened_units: set[int] = set()
     truncated = False
 
+    def unknown(bound_hit: bool, reason: str) -> Unknown:
+        return Unknown(bound_hit, explored, reason, depth_reached, len(queue))
+
     while queue:
-        if deadline is not None and time.monotonic() > deadline:
-            return Unknown(bound_hit=False, states_explored=explored, reason="timeout")
-        state, depth, path, history = queue.popleft()
+        state, depth = queue.popleft()
         if bound is not None and depth >= bound:
             # Would this state still have somewhere to go?
-            if any(u.opening() in state.permitted for u in units):
+            if any(opening & state.permitted for opening in openings):
                 truncated = True
             continue
         explored += 1
-        for unit in units:
-            opening = unit.opening()
-            if opening in engine.alphabet_set and opening not in state.permitted:
+        for unit, letters, opening in zip(units, unit_letters, openings):
+            if deadline is not None and time.monotonic() > deadline:
+                return unknown(False, "timeout")
+            if not opening & state.permitted:
                 continue
             opened_units.add(unit.index)
-            outcome = _replay_unit(engine, state, unit)
-            if outcome[0] == "bad":
-                _, consumed, dis_msg = outcome
-                witness_messages = tuple(history) + tuple(consumed) + (dis_msg,)
-                return Violation(
-                    witness=Trace(witness_messages),
-                    subtrace_sequence=path + (unit.index,),
-                    states_explored=explored,
-                )
-            if outcome[0] == "blocked":
+            *_, last = engine.fold(state, letters)
+            if last.outcome == BAD:
+                return _violation(units, _unit_path(parent, state) + [unit.index], last,
+                                  explored)
+            if last.outcome == BLOCKED:
                 # This repetition is not realizable under the spec.
                 continue
-            _, nxt, _ = outcome
-            if nxt not in visited:
-                if len(visited) >= state_cap:
-                    return Unknown(bound_hit=False, states_explored=explored,
-                                   reason=f"state cap {state_cap} exceeded")
-                visited[nxt] = depth + 1
-                queue.append((nxt, depth + 1, path + (unit.index,),
-                              tuple(history) + unit.messages))
+            if last.after not in parent:
+                if len(parent) >= state_cap:
+                    return unknown(False, f"state cap {state_cap} exceeded")
+                parent[last.after] = (state, unit.index)
+                depth_reached = depth + 1
+                queue.append((last.after, depth + 1))
     unreachable = tuple(u.index for u in units if u.index not in opened_units)
     if truncated:
-        return Unknown(bound_hit=True, states_explored=explored,
-                       reason="unit bound reached before closing the state space")
-    return Safe(states_explored=explored, certificate_size=len(visited),
+        return unknown(True, "unit bound reached before closing the state space")
+    return Safe(states_explored=explored, certificate_size=len(parent),
                 unreachable_units=unreachable)
 
 
@@ -232,6 +240,7 @@ def brute_force_verify(
     units = split_subtraces(trace)
     ground = ground_spec(spec, trace, cap=grounding_cap)
     engine = AbstractEngine(ground)
+    unit_letters = [engine.intern(u.messages) for u in units]
     sequences_run = 0
     for length in range(1, k + 1):
         for seq in itertools.product(range(len(units)), repeat=length):
@@ -241,27 +250,12 @@ def brute_force_verify(
                 )
             sequences_run += 1
             state = engine.initial_state()
-            history: list[Message] = []
-            blocked = False
             for pos, ui in enumerate(seq):
-                unit = units[ui]
-                opening = unit.opening()
-                if opening in engine.alphabet_set and opening not in state.permitted:
-                    blocked = True
+                *_, last = engine.fold(state, unit_letters[ui])
+                if last.outcome == BLOCKED:
                     break
-                outcome = _replay_unit(engine, state, unit)
-                if outcome[0] == "blocked":
-                    blocked = True
-                    break
-                if outcome[0] == "bad":
-                    _, consumed, dis_msg = outcome
-                    witness = Trace(tuple(history) + tuple(consumed) + (dis_msg,))
-                    return Violation(witness=witness,
-                                     subtrace_sequence=tuple(seq[: pos + 1]),
-                                     states_explored=sequences_run)
-                _, state, _ = outcome
-                history.extend(unit.messages)
-            if blocked:
-                continue
+                if last.outcome == BAD:
+                    return _violation(units, list(seq[: pos + 1]), last, sequences_run)
+                state = last.after
     return Unknown(bound_hit=True, states_explored=sequences_run,
                    reason=f"no violation within {k} units")

@@ -53,6 +53,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "Unknown" in out
 
+    def test_unknown_json_reports_depth_and_frontier(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(capsys, "verify",
+                               "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--trace", str(fixtures_dir / "trace_buggy.trace"),
+                               "--mode", "bounded:2", "--report", "json")
+        doc = json.loads(out)
+        assert code == 2 and doc["schema"] == 1 and doc["verdict"] == "unknown"
+        assert (doc["depth_reached"], doc["frontier"]) == (2, 0)
+
     def test_text_and_json_verdicts_agree(self, capsys, fixtures_dir):
         _, text_out, _ = run_cli(capsys, "verify",
                                  "--spec", str(fixtures_dir / "spec_run.ls"),

@@ -1,0 +1,154 @@
+"""The interned-integer engine, validate and verify against the frozenset
+reference in reference_engine.py: every step outcome, every decoded store,
+every validation report and every verification result must be equal."""
+
+import itertools
+import random
+
+import pytest
+
+from lifeguard.abstract import OK, AbstractEngine, AbstractState, BadState, Blocked
+from lifeguard.grounding import ground_spec
+from lifeguard.messages import APP, FWK, UNIT, FunctionSymbol, Message, ObjectId, Thunk
+from lifeguard.rules import parse_spec
+from lifeguard.validation import validate
+from lifeguard.verification import verify
+
+from gen import random_spec, random_trace
+from pairs import pair_trace, random_order
+from reference_engine import ReferenceEngine, reference_validate, reference_verify
+
+FIXTURE_SPECS = ("spec_run", "spec_run_noenable", "spec_lifecycle", "spec_top")
+FIXTURE_TRACES = ("trace_fixed", "trace_buggy")
+
+W1 = ObjectId("w", 1, "Widget")
+# Messages outside every generated alphabet: they step by OTHER.
+STRAY = (Message("cb", Thunk(FunctionSymbol("offworld", APP), (W1,))),
+         Message("ci", Thunk(FunctionSymbol("offworld", FWK), (W1,))),
+         Message("ciret", Thunk(FunctionSymbol("offworld", FWK), (W1,)), UNIT))
+
+
+# Starting a task both permits and prohibits starting it again: the
+# stores collapse after every ci init.
+INCONSISTENT = parse_spec(
+    "TRUE* ; ci init(t:AsyncTask) -> ci execute(t)\n"
+    "TRUE* ; ci init(t:AsyncTask) -/> ci execute(t)\n"
+    "TRUE* ; ci execute(t:AsyncTask) -> cb onPostExecute(t)\n"
+)
+
+
+def fixture_pairs(request):
+    specs = [request.getfixturevalue(s) for s in FIXTURE_SPECS] + [INCONSISTENT]
+    return [(spec, request.getfixturevalue(t))
+            for spec, t in itertools.product(specs, FIXTURE_TRACES)]
+
+
+def seeded_pairs(n_pairs=200, seed=2026):
+    rng = random.Random(seed)
+    return [(random_spec(rng), random_trace(rng, max_messages=20, max_objects=3))
+            for _ in range(n_pairs)]
+
+
+def view(engine, state):
+    return (engine.permitted_messages(state), engine.prohibited_messages(state),
+            state.rule_states, state.inconsistent)
+
+
+def ref_view(state):
+    return (state.permitted, state.prohibited, state.rule_states, state.inconsistent)
+
+
+def fold_outcomes(engine, messages):
+    """The initial state, then per step of the shared fold its outcome and
+    for OK the successor's decoded stores."""
+    state = engine.initial_state()
+    out = [(OK, view(engine, state))]
+    for event in engine.fold(state, engine.intern(messages)):
+        out.append((event.outcome, view(engine, event.after) if event.outcome == OK else None))
+    return out
+
+
+def reference_outcomes(ref, messages):
+    state = ref.initial_state()
+    out = [(OK, ref_view(state))]
+    for m in messages:
+        outcome, after = ref.step(state, m)
+        out.append((outcome, ref_view(after) if outcome == OK else None))
+        if outcome != OK:
+            break
+        state = after
+    return out
+
+
+def assert_steps_match(spec, trace, rng):
+    ground = ground_spec(spec, trace)
+    engine, ref = AbstractEngine(ground), ReferenceEngine(ground)
+    assert fold_outcomes(engine, trace.messages) == reference_outcomes(ref, trace.messages)
+    # A random walk over the alphabet and stray messages: every attempt is
+    # compared from the same state, and only OK steps move on.
+    pool = list(ground.alphabet) + list(STRAY)
+    state, ref_state = engine.initial_state(), ref.initial_state()
+    for _ in range(40):
+        m = rng.choice(pool)
+        got, (outcome, ref_after) = engine.step(state, m), ref.step(ref_state, m)
+        if isinstance(got, Blocked):
+            assert outcome == "blocked", m
+        elif isinstance(got, BadState):
+            assert outcome == "bad", m
+        else:
+            assert isinstance(got, AbstractState) and outcome == OK, m
+            assert view(engine, got) == ref_view(ref_after), m
+            state, ref_state = got, ref_after
+
+
+def test_steps_match_reference_on_fixtures(request):
+    rng = random.Random(1)
+    for spec, trace in fixture_pairs(request):
+        assert_steps_match(spec, trace, rng)
+
+
+def test_steps_match_reference_on_seeded_pairs():
+    rng = random.Random(2)
+    for spec, trace in seeded_pairs():
+        assert_steps_match(spec, trace, rng)
+
+
+def test_validate_matches_reference(request, spec_run, trace_buggy):
+    pairs = fixture_pairs(request) + seeded_pairs()
+    # dis-terminated traces: predicted under spec_run, missed without rules
+    witness = verify(spec_run, trace_buggy).witness
+    pairs += [(spec_run, witness), (random_spec(random.Random(3)), witness)]
+    invalid = 0
+    for spec, trace in pairs:
+        report = validate(spec, trace)
+        assert report == reference_validate(spec, trace)
+        invalid += not report.valid
+    assert invalid > 20  # blame and blocking stores are compared, not only verdicts
+
+
+def verify_cases(request):
+    cases = fixture_pairs(request)
+    spec_run, noenable = (request.getfixturevalue(s) for s in ("spec_run", "spec_run_noenable"))
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4, 5, 6):
+        for skip in (frozenset(), frozenset({rng.randint(1, n)})):
+            trace = pair_trace(n, skip, random_order(n, rng))
+            cases += [(spec_run, trace)] if n == 6 else [(spec_run, trace), (noenable, trace)]
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "bounded:1", "bounded:3"])
+def test_verify_matches_reference_bfs(request, mode):
+    kinds = set()
+    for spec, trace in verify_cases(request):
+        result = verify(spec, trace, mode=mode)
+        assert result == reference_verify(spec, trace, mode=mode)
+        kinds.add(type(result).__name__)
+    assert kinds >= ({"Safe", "Violation"} if mode == "exhaustive" else {"Unknown"})
+
+
+def test_verify_matches_reference_at_state_cap(request):
+    for spec, trace in fixture_pairs(request):
+        for cap in (1, 2, 3):
+            assert verify(spec, trace, state_cap=cap) == \
+                reference_verify(spec, trace, state_cap=cap)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from lifeguard.abstract import AbstractEngine, AbstractState, BadState, Blocked
 from lifeguard.grounding import ground_spec
 
 from gen import random_spec, random_trace
+from pairs import pair_trace
 
 T1 = ObjectId("t", 1, "AsyncTask")
 
@@ -201,7 +203,7 @@ class TestSafeSoundness:
         engine = AbstractEngine(ground_spec(spec_run, trace_fixed))
         state = engine.initial_state()
         post = units[2]
-        assert post.opening() not in state.permitted
+        assert post.opening() not in engine.permitted_messages(state)
         assert isinstance(engine.step(state, post.opening()), Blocked)
 
 
@@ -216,3 +218,36 @@ class TestCapsAndTimeouts:
         result = verify(spec_run, trace_fixed, timeout=0.0)
         assert isinstance(result, Unknown)
         assert "timeout" in result.reason
+
+    def test_unknown_says_how_far_it_got(self, spec_run, trace_buggy):
+        result = verify(spec_run, trace_buggy, mode="bounded:2")
+        assert isinstance(result, Unknown) and result.bound_hit
+        assert (result.depth_reached, result.frontier) == (2, 0)
+        # initial, after onCreate, after the first and second clicks: the
+        # third click exceeds the cap with two clicked states queued
+        capped = verify(spec_run, pair_trace(3), state_cap=4)
+        assert isinstance(capped, Unknown) and "state cap" in capped.reason
+        assert (capped.depth_reached, capped.frontier) == (2, 2)
+
+    def test_timeout_is_checked_before_every_unit_replay(self, spec_run, monkeypatch):
+        # One state of the 16-pair trace has 33 units to replay; a deadline
+        # checked only when a state is popped overran by whole expansions.
+        trace = pair_trace(16)
+        starts = []
+        fold = AbstractEngine.fold
+
+        def timed_fold(self, state, letters):
+            starts.append(time.monotonic())
+            return fold(self, state, letters)
+
+        monkeypatch.setattr(AbstractEngine, "fold", timed_fold)
+        begin = time.monotonic()
+        result = verify(spec_run, trace, timeout=1)
+        elapsed = time.monotonic() - begin
+        assert isinstance(result, Unknown) and result.reason == "timeout"
+        assert result.states_explored > 0 and result.depth_reached > 0
+        assert result.frontier > 0
+        # The deadline is begin + 1 or a few microseconds later: at most the
+        # replay in flight and one started in that sliver may follow it.
+        assert sum(t > begin + 1 for t in starts) <= 2
+        assert elapsed < 1.5
