@@ -6,6 +6,9 @@ state space finite.  Stepping a back-message requires it to be permitted;
 stepping an in-message that is prohibited ends in the bad state carrying
 the dis-wrapped witness message.  Messages outside the ground alphabet
 advance the rule DFAs through the OTHER letter and are never blocked.
+Every rule steps by its DFA's OTHER column unless the letter is one of
+its atoms, so a step maps each rule through that column and then patches
+the few rules that mention the letter.
 
 The engine interns every alphabet message as its index (its letter), and
 a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import getitem, itemgetter, or_
+from operator import getitem, or_
 from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
@@ -81,21 +84,12 @@ class StepEvent(NamedTuple):
     after: Optional[AbstractState]
 
 
-@dataclass(frozen=True)
-class FiredRule:
-    index: int  # position in the compiled rule list
-    source_index: int  # originating spec rule
-    polarity: str
-    target: Message
-
-
 class AbstractEngine:
     """Compiled ground spec plus the stepping fold shared by validation,
     verification and explain."""
 
-    def __init__(self, ground: GroundSpec, compiled: Optional[tuple[CompiledRule, ...]] = None):
-        self.ground = ground
-        self.rules = compiled if compiled is not None else compile_spec(ground)
+    def __init__(self, ground: GroundSpec):
+        self.rules = compile_spec(ground)
         self.alphabet = ground.alphabet
         self.letters = letter_map(ground.alphabet)
         self.other_letter = len(ground.alphabet)
@@ -103,7 +97,14 @@ class AbstractEngine:
         self.in_alphabet = ground.in_alphabet()
         self.back_mask = sum(1 << self.letters[m] for m in self.back_alphabet)
         self.in_mask = sum(1 << self.letters[m] for m in self.in_alphabet)
-        self._tables = tuple(rule.dfa.transitions for rule in self.rules)
+        # Per shared DFA and local letter, the next state by state.
+        dfas = {id(rule.dfa): rule.dfa for rule in self.rules}
+        moves = {key: tuple(zip(*dfa.transitions)) for key, dfa in dfas.items()}
+        self._other = tuple(moves[id(rule.dfa)][-1] for rule in self.rules)
+        self._patches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for i, rule in enumerate(self.rules):
+            for move, letter in zip(moves[id(rule.dfa)], rule.columns):
+                self._patches.setdefault(letter, []).append((i, move))
         # Per rule and DFA state, what the rule contributes to the firing
         # word: nothing where the state rejects; else its target bit, moved
         # above the other_letter + 1 permit bits for a prohibit rule.
@@ -135,12 +136,10 @@ class AbstractEngine:
     def prohibited_messages(self, state: AbstractState) -> FrozenSet[Message]:
         return frozenset(self.decode(state.prohibited))
 
-    def fired_rules(self, rule_states: tuple[int, ...]) -> list[FiredRule]:
-        out = []
-        for i, (rule, sid) in enumerate(zip(self.rules, rule_states)):
-            if rule.dfa.accepting[sid]:
-                out.append(FiredRule(i, rule.source_index, rule.polarity, rule.target))
-        return out
+    def fired_rules(self, rule_states: tuple[int, ...]) -> list[CompiledRule]:
+        """The rules whose DFA accepts in rule_states, in rule order."""
+        return [rule for rule, sid in zip(self.rules, rule_states)
+                if rule.dfa.accepting[sid]]
 
     def firing_sets(self, rule_states: tuple[int, ...]) -> tuple[int, int]:
         """Target bits of the permit rules and of the prohibit rules whose
@@ -168,9 +167,11 @@ class AbstractEngine:
 
     def advance(self, state: AbstractState, letter: int) -> AbstractState:
         """Advance rule DFAs by the letter and recompute the stores."""
-        rows = map(getitem, self._tables, state.rule_states)
-        rule_states = tuple(map(itemgetter(letter), rows))
-        return self._update(rule_states, state.permitted, state.prohibited,
+        before = state.rule_states
+        rule_states = list(map(getitem, self._other, before))
+        for i, move in self._patches.get(letter, ()):
+            rule_states[i] = move[before[i]]
+        return self._update(tuple(rule_states), state.permitted, state.prohibited,
                             state.history_len + 1)
 
     def fold(self, state: AbstractState, letters: Iterable[int]) -> Iterator[StepEvent]:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import interp
@@ -25,15 +23,7 @@ from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
 from .messages import TraceError, format_message, load_trace, serialize_trace
 from .rules import SpecError, load_spec
 from .validation import ValidationTimeout, validate
-from .verification import (
-    DEFAULT_STATE_CAP,
-    STATE_CAP_ENV,
-    Safe,
-    SubTraceError,
-    Unknown,
-    Violation,
-    verify,
-)
+from .verification import Safe, SubTraceError, Unknown, Violation, verify
 
 SCHEMA_VERSION = 1
 
@@ -58,12 +48,6 @@ def _emit(report: dict, fmt: str, out=None) -> None:
     else:
         for line in report.get("lines", []):
             print(line, file=out)
-
-
-def _state_cap(args) -> int:
-    if getattr(args, "state_cap", None):
-        return args.state_cap
-    return int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +126,7 @@ def _cmd_validate(args) -> int:
         if not paths:
             print(f"error: no *.trace files under {args.corpus}", file=sys.stderr)
             return EXIT_UNKNOWN
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            results = list(pool.map(lambda p: _validate_one(spec, p, args.timeout), paths))
-        results.sort(key=lambda d: d["trace"])
+        results = [_validate_one(spec, p, args.timeout) for p in paths]
         histogram = {f">={b}": 0 for b in PREFIX_BUCKETS}
         n_valid = 0
         lines = []
@@ -199,7 +181,7 @@ def _cmd_validate(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
-    result = verify(spec, trace, mode=args.mode, state_cap=_state_cap(args),
+    result = verify(spec, trace, mode=args.mode, state_cap=args.state_cap,
                     timeout=args.timeout)
     lines = []
     if isinstance(result, Safe):
@@ -364,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--trace")
     p_val.add_argument("--corpus", help="directory of *.trace files")
     p_val.add_argument("--timeout", type=float, help="seconds per trace")
-    p_val.add_argument("--jobs", type=int, default=1)
     p_val.add_argument("--report", choices=("text", "json"), default="text")
 
     p_ver = sub.add_parser("verify", help="predictive-trace verification")
@@ -396,6 +377,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "timeout", None) is not None and args.timeout < 1:
         parser.error("--timeout must be at least 1 second")
+    if getattr(args, "state_cap", None) is not None and args.state_cap < 1:
+        parser.error("--state-cap must be at least 1")
     try:
         if args.subcommand == "run":
             return _cmd_run(args)

@@ -12,17 +12,17 @@ Compilation works per rule shape.  Each ground rule gets a local alphabet:
 its distinct atom messages, numbered in order of first occurrence, plus a
 local OTHER letter.  Instances of one spec rule translate to equal local
 regexes (unless binding makes two of their atoms coincide), so
-compile_spec builds each distinct local regex once and lays the shared
-table out over the global letters per instance.  This is exact: a message
-that is not one of the rule's atoms is rejected by every atom and accepted
-by the wildcard, just as the local OTHER letter is.
+compile_spec builds each distinct local regex once and every instance
+shares that DFA, keeping only the global letters of its atoms.  This is
+exact: a message that is not one of the rule's atoms is rejected by every
+atom and accepted by the wildcard, just as the local OTHER letter is.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import dfa as _dfa
 from .messages import (
@@ -77,9 +77,6 @@ class ValueUniverse:
         out = [v for _, values in self.by_type for v in values]
         out.extend(self.constants)
         return tuple(sorted(out, key=lambda v: v.sort_key()))
-
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.by_type)
 
 
 def value_universe(t: Trace) -> ValueUniverse:
@@ -207,13 +204,14 @@ def ground_spec(
 @dataclass(frozen=True)
 class CompiledRule:
     """A ground rule with its matcher compiled to a total DFA over the
-    alphabet plus the OTHER letter; the DFA accepts a word iff the matcher
-    matches it.  Instances of one rule shape share their states, acceptance
-    and local transitions; every letter that is not one of the rule's atoms
-    moves like OTHER.  target_bit is 1 << (the target's letter), the
-    rule's bit in the engine's store bitmasks."""
+    rule's own atoms plus a last, OTHER letter; local letter i stands for
+    the global letter columns[i], and every global letter outside columns
+    moves like OTHER.  Instances of one rule shape share the DFA object.
+    target_bit is 1 << (the target's letter), the rule's bit in the
+    engine's store bitmasks."""
 
     dfa: _dfa.Dfa
+    columns: tuple[int, ...]
     polarity: str
     target: Message
     source_index: int
@@ -223,9 +221,9 @@ class CompiledRule:
         return self.polarity == PERMIT
 
 
-def _translate(m: Matcher, letter_of: dict[Message, int]) -> _dfa.Re:
+def _translate(m: Matcher, letter: Callable[[Message], int]) -> _dfa.Re:
     if isinstance(m, MAtom):
-        return _dfa.RSym(letter_of[m.message.to_message()])
+        return _dfa.RSym(letter(m.message.to_message()))
     if isinstance(m, MAny):
         return _dfa.ANY
     if isinstance(m, MEps):
@@ -233,31 +231,20 @@ def _translate(m: Matcher, letter_of: dict[Message, int]) -> _dfa.Re:
     if isinstance(m, MEmpty):
         return _dfa.EMPTY
     if isinstance(m, MConcat):
-        return _dfa.mk_cat(_translate(m.left, letter_of), _translate(m.right, letter_of))
+        return _dfa.mk_cat(_translate(m.left, letter), _translate(m.right, letter))
     if isinstance(m, MStar):
-        return _dfa.mk_star(_translate(m.inner, letter_of))
+        return _dfa.mk_star(_translate(m.inner, letter))
     if isinstance(m, MUnion):
-        return _dfa.mk_or((_translate(m.left, letter_of), _translate(m.right, letter_of)))
+        return _dfa.mk_or((_translate(m.left, letter), _translate(m.right, letter)))
     if isinstance(m, MIntersect):
-        return _dfa.mk_and((_translate(m.left, letter_of), _translate(m.right, letter_of)))
+        return _dfa.mk_and((_translate(m.left, letter), _translate(m.right, letter)))
     if isinstance(m, MNegate):
-        return _dfa.mk_not(_translate(m.inner, letter_of))
+        return _dfa.mk_not(_translate(m.inner, letter))
     raise TypeError(type(m).__name__)
 
 
 def letter_map(alphabet: Iterable[Message]) -> dict[Message, int]:
     return {m: i for i, m in enumerate(alphabet)}
-
-
-def _local_atoms(rule: GroundRule, letter_of: dict[Message, int]) -> tuple[Message, ...]:
-    """The rule's distinct atom messages in order of first occurrence."""
-    atoms: dict[Message, None] = {}
-    for atom in matcher_atoms(rule.matcher):
-        msg = atom.to_message()
-        if msg not in letter_of:
-            raise GroundingError(f"matcher atom {msg} is outside the ground alphabet")
-        atoms[msg] = None
-    return tuple(atoms)
 
 
 def _compile(
@@ -266,42 +253,26 @@ def _compile(
     shapes: dict[_dfa.Re, _dfa.Dfa],
 ) -> CompiledRule:
     """Compile the matcher over its own atoms plus a local OTHER letter,
-    reusing the DFA of an equal local regex from shapes, then lay the
-    local table out over the global letters."""
-    atoms = _local_atoms(rule, letter_of)
-    regex = _translate(rule.matcher, letter_map(atoms))
-    local = shapes.get(regex)
-    if local is None:
+    reusing the DFA of an equal local regex from shapes."""
+    local: dict[int, int] = {}  # global letter -> local letter
+    regex = _translate(rule.matcher, lambda m: local.setdefault(letter_of[m], len(local)))
+    automaton = shapes.get(regex)
+    if automaton is None:
         try:
-            local = _dfa.build_dfa(regex, n_letters=len(atoms) + 1)
+            automaton = _dfa.build_dfa(regex, n_letters=len(local) + 1)
         except _dfa.DfaSizeError as e:
             raise GroundingError(
                 f"spec rule #{rule.source_index + 1}, instance {rule.matcher} "
                 f"{rule.polarity} {format_message(rule.target)}: {e}"
             ) from None
-        shapes[regex] = local
-    n_letters = len(letter_of) + 1
-    columns = [letter_of[m] for m in atoms]
-    transitions = []
-    for local_row in local.transitions:
-        row = [local_row[-1]] * n_letters
-        for column, target in zip(columns, local_row):
-            row[column] = target
-        transitions.append(tuple(row))
-    automaton = _dfa.Dfa(n_letters, tuple(transitions), local.accepting, local.start)
-    return CompiledRule(automaton, rule.polarity, rule.target, rule.source_index,
-                        1 << letter_of[rule.target])
-
-
-def compile_rule(rule: GroundRule, alphabet: tuple[Message, ...]) -> CompiledRule:
-    """Compile one ground rule over the alphabet plus the OTHER letter."""
-    return _compile(rule, letter_map(alphabet), {})
+        shapes[regex] = automaton
+    return CompiledRule(automaton, tuple(local), rule.polarity, rule.target,
+                        rule.source_index, 1 << letter_of[rule.target])
 
 
 def compile_spec(ground: GroundSpec) -> tuple[CompiledRule, ...]:
     """Compile every ground rule; instances whose local regexes are equal
-    (the same rule shape, whichever objects it binds) share one
-    construction."""
+    (the same rule shape, whichever objects it binds) share one DFA."""
     letter_of = letter_map(ground.alphabet)
     shapes: dict[_dfa.Re, _dfa.Dfa] = {}
     return tuple(_compile(r, letter_of, shapes) for r in ground.rules)

@@ -17,7 +17,7 @@ from typing import FrozenSet, Optional
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
 from .grounding import DEFAULT_INSTANTIATION_CAP, ground_spec
 from .messages import Message, Trace
-from .rules import LifestateSpec, matcher_atoms
+from .rules import LifestateSpec
 
 
 class ValidationTimeout(Exception):
@@ -54,10 +54,10 @@ def _rule_letters(engine: AbstractEngine) -> int:
     """Bitmask of the messages that occur in some ground rule (matcher atom
     or target)."""
     mask = 0
-    for rule in engine.ground.rules:
-        mask |= 1 << engine.letter(rule.target)
-        for atom in matcher_atoms(rule.matcher):
-            mask |= 1 << engine.letter(atom.to_message())
+    for rule in engine.rules:
+        mask |= rule.target_bit
+        for letter in rule.columns:
+            mask |= 1 << letter
     return mask
 
 

@@ -4,9 +4,10 @@ interned-integer engine replaced, kept as the oracle for differential tests.
 Stores are frozensets of Message dataclasses rebuilt over the whole back
 or in alphabet at every step; the validator records blame at every step;
 the verifier carries the unit path and the full message history in every
-queue entry.  They share the compiled rule DFAs with lifeguard.abstract, so
-a disagreement points at the store representation, the stepping fold or
-the search bookkeeping."""
+queue entry.  They share the compiled rule DFAs with lifeguard.abstract but
+step through each rule's table laid out over the whole alphabet, so a
+disagreement points at the per-letter rule index, the store
+representation, the stepping fold or the search bookkeeping."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence
 
-from lifeguard.grounding import compile_spec, ground_spec, letter_map
+from lifeguard.dfa import Dfa
+from lifeguard.grounding import CompiledRule, compile_spec, ground_spec, letter_map
 from lifeguard.messages import Message, Trace, is_violation
 from lifeguard.rules import matcher_atoms
 from lifeguard.validation import ValidationReport
@@ -25,6 +27,19 @@ from lifeguard.verification import (
     _parse_mode,
     split_subtraces,
 )
+
+
+def laid_out(rule: CompiledRule, n_letters: int) -> Dfa:
+    """The rule's shared local DFA as a table over all n_letters global
+    letters: every column starts as the OTHER column, then each atom's
+    column is copied to its global letter."""
+    transitions = []
+    for local_row in rule.dfa.transitions:
+        row = [local_row[-1]] * n_letters
+        for column, target in zip(rule.columns, local_row):
+            row[column] = target
+        transitions.append(tuple(row))
+    return Dfa(n_letters, tuple(transitions), rule.dfa.accepting, rule.dfa.start)
 
 
 def consistent(permits: FrozenSet[Message], prohibits: FrozenSet[Message]) -> bool:
@@ -78,10 +93,12 @@ class RefState:
 
 
 class ReferenceEngine:
-    """Frozenset stores over the ground spec's compiled rules."""
+    """Frozenset stores over the ground spec's compiled rules, stepped
+    through their laid-out tables."""
 
     def __init__(self, ground):
         self.rules = compile_spec(ground)
+        self.tables = tuple(laid_out(rule, len(ground.alphabet) + 1) for rule in self.rules)
         self.letters = letter_map(ground.alphabet)
         self.other_letter = len(ground.alphabet)
         self.back_alphabet = ground.back_alphabet()
@@ -124,8 +141,8 @@ class ReferenceEngine:
         elif m in state.prohibited:
             return ("bad", None)
         letter = self.letters.get(m, self.other_letter)
-        rule_states = tuple(rule.dfa.step(sid, letter)
-                            for rule, sid in zip(self.rules, state.rule_states))
+        rule_states = tuple(table.step(sid, letter)
+                            for table, sid in zip(self.tables, state.rule_states))
         return ("ok", self._update(rule_states, state.permitted, state.prohibited))
 
 

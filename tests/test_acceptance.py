@@ -184,7 +184,7 @@ def test_criterion_8_corpus_histogram_shape(tmp_path, capsys):
         (corpus / f"t{i:03}.trace").write_text(serialize_trace(trace))
 
     code = cli_main(["validate", "--spec", str(spec_path), "--corpus", str(corpus),
-                     "--jobs", "4", "--report", "json"])
+                     "--report", "json"])
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert doc["schema"] == 1

@@ -62,6 +62,23 @@ class TestVerifyCommand:
         assert code == 2 and doc["schema"] == 1 and doc["verdict"] == "unknown"
         assert (doc["depth_reached"], doc["frontier"]) == (2, 0)
 
+    def test_state_cap_below_one_is_a_usage_error(self, capsys, fixtures_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify",
+                  "--spec", str(fixtures_dir / "spec_run.ls"),
+                  "--trace", str(fixtures_dir / "trace_fixed.trace"),
+                  "--state-cap", "0"])
+        assert exc.value.code == 2
+        assert "--state-cap must be at least 1" in capsys.readouterr().err
+
+    def test_state_cap_flag_reaches_verify(self, capsys, fixtures_dir):
+        code, out, _ = run_cli(capsys, "verify",
+                               "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--trace", str(fixtures_dir / "trace_fixed.trace"),
+                               "--state-cap", "1")
+        assert code == 2
+        assert "state cap 1 exceeded" in out
+
     def test_text_and_json_verdicts_agree(self, capsys, fixtures_dir):
         _, text_out, _ = run_cli(capsys, "verify",
                                  "--spec", str(fixtures_dir / "spec_run.ls"),
@@ -100,7 +117,6 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate",
                                "--spec", str(fixtures_dir / "spec_run.ls"),
                                "--corpus", str(corpus),
-                               "--jobs", "2",
                                "--report", "json")
         assert code == 0
         doc = json.loads(out)

@@ -3,9 +3,10 @@
 The reference translates every ground matcher over the global letter map
 and runs the derivative construction over all N+1 letters, one instance at
 a time.  compile_spec builds each rule shape once over the rule's own atoms
-and lays the table out per instance; the two must give isomorphic DFAs:
-a state bijection that maps start to start and preserves acceptance and
-every transition over all N+1 letters."""
+and gives each instance that shared DFA plus its atom columns; laid out
+over the whole alphabet, the two must give isomorphic DFAs: a state
+bijection that maps start to start and preserves acceptance and every
+transition over all N+1 letters."""
 
 import itertools
 import random
@@ -17,6 +18,7 @@ from lifeguard.grounding import _translate, compile_spec, ground_spec, letter_ma
 from lifeguard.rules import parse_spec
 
 from gen import random_spec, random_trace
+from reference_engine import laid_out
 
 # Two-atom matchers whose atoms coincide when the bound objects do
 # (b = c, x = y), next to instances where they differ.
@@ -33,10 +35,13 @@ FIXTURE_TRACES = ("trace_fixed", "trace_buggy")
 
 
 def reference_compile_spec(ground):
-    """Whole-alphabet compilation: one construction per ground instance."""
+    """Whole-alphabet compilation: one construction per ground instance.
+    An atom outside the alphabet fails the lookup instead of getting a
+    letter."""
     letters = letter_map(ground.alphabet)
     return tuple(
-        D.build_dfa(_translate(r.matcher, letters), n_letters=len(ground.alphabet) + 1)
+        D.build_dfa(_translate(r.matcher, letters.__getitem__),
+                    n_letters=len(ground.alphabet) + 1)
         for r in ground.rules
     )
 
@@ -69,7 +74,7 @@ def assert_same_as_reference(spec, trace):
     for cr, gr, want in zip(compiled, ground.rules, reference):
         assert (cr.polarity, cr.target, cr.source_index) == \
             (gr.polarity, gr.target, gr.source_index)
-        assert_isomorphic(cr.dfa, want)
+        assert_isomorphic(laid_out(cr, len(ground.alphabet) + 1), want)
     return ground
 
 

@@ -6,7 +6,6 @@ import pytest
 from lifeguard import dfa as D
 from lifeguard.grounding import (
     GroundingError,
-    compile_rule,
     compile_spec,
     ground_spec,
     value_universe,
@@ -123,7 +122,7 @@ def compile_matcher(matcher, letters):
 def _translate(matcher, letter_of):
     from lifeguard.grounding import _translate as translate
 
-    return translate(matcher, letter_of)
+    return translate(matcher, letter_of.__getitem__)
 
 
 OPERATOR_COVERAGE = [
@@ -238,6 +237,7 @@ class TestGroundSpec:
 
     def test_no_symbolic_leftovers(self, spec_run, trace_fixed):
         from lifeguard.rules import matcher_atoms
+        from reference_engine import laid_out
 
         g = ground_spec(spec_run, trace_fixed)
         for r in g.rules:
@@ -285,6 +285,7 @@ class TestCompiledRules:
         # Every compiled rule agrees with matches() on short words over its
         # own atoms plus one alphabet message that is not among them.
         from lifeguard.rules import matcher_atoms
+        from reference_engine import laid_out
 
         g = ground_spec(spec_run, trace_fixed)
         compiled = compile_spec(g)
@@ -297,7 +298,8 @@ class TestCompiledRules:
                 for _ in range(20):
                     word = [rng.choice(pool) for _ in range(k)]
                     expected = matches(word, {}, gr.matcher)
-                    got = cr.dfa.accepts(letter_of[m] for m in word)
+                    got = laid_out(cr, len(g.alphabet) + 1).accepts(
+                        letter_of[m] for m in word)
                     assert got == expected
 
     def test_repeat_compiles_agree_and_dfa_keeps_no_memo(self, spec_run, trace_fixed):
@@ -315,11 +317,28 @@ class TestCompiledRules:
     def test_dfa_total(self, spec_run, trace_fixed):
         g = ground_spec(spec_run, trace_fixed)
         for cr in compile_spec(g):
-            n_letters = len(g.alphabet) + 1
-            assert cr.dfa.n_letters == n_letters
+            assert cr.dfa.n_letters == len(cr.columns) + 1
+            assert len(set(cr.columns)) == len(cr.columns)
+            assert all(0 <= c < len(g.alphabet) for c in cr.columns)
             for row in cr.dfa.transitions:
-                assert len(row) == n_letters
+                assert len(row) == cr.dfa.n_letters
                 assert all(0 <= s < cr.dfa.n_states for s in row)
+
+    def test_instances_share_one_dfa_per_shape(self, spec_run):
+        import tracemalloc
+
+        from pairs import pair_trace
+
+        g = ground_spec(spec_run, pair_trace(16))
+        tracemalloc.start()
+        try:
+            compiled = compile_spec(g)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(compiled) == 817
+        assert len({id(cr.dfa) for cr in compiled}) == 2
+        assert held < 1_000_000
 
 
 class TestRuleLiteralsVsUniverse:
