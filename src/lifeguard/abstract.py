@@ -15,6 +15,8 @@ a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
 the store.  The OTHER letter's bit lies outside both store masks, so OTHER
 is never permitted, prohibited or blocked.  Messages are decoded back to
 dataclasses only for reports (permitted_messages, prohibited_messages).
+A state is the plain tuple (rule_states, permitted, prohibited,
+inconsistent), so the explorer's visited set keys on the state itself.
 
 The consistency check follows the set-disjointness reading: a step is
 inconsistent when some message is simultaneously permitted and prohibited,
@@ -24,7 +26,7 @@ store to the full in-message alphabet, exactly as the update formulas read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import getitem, or_
 from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional, Union
@@ -33,18 +35,17 @@ from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
 
 
-@dataclass(frozen=True)
-class AbstractState:
-    """The per-rule DFA states summarizing the history, and the
-    permitted-back and prohibited-in stores as letter bitmasks.
-    history_len and the inconsistency flag are diagnostics and excluded
-    from equality."""
+class AbstractState(NamedTuple):
+    """The per-rule DFA states summarizing the history, the
+    permitted-back and prohibited-in stores as letter bitmasks, and whether
+    the last update was inconsistent.  The tuple is the state's identity:
+    inconsistent is a function of rule_states alone, so it never tells two
+    states apart that the other fields equate."""
 
     rule_states: tuple[int, ...]
     permitted: int
     prohibited: int
-    history_len: int = field(default=0, compare=False)
-    inconsistent: bool = field(default=False, compare=False)
+    inconsistent: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,22 +149,21 @@ class AbstractEngine:
         fired = reduce(or_, set(map(getitem, self._fire, rule_states)), 0)
         return fired & ((1 << self._shift) - 1), fired >> self._shift
 
-    def _update(self, rule_states: tuple[int, ...], permitted: int, prohibited: int,
-                history_len: int) -> AbstractState:
+    def _update(self, rule_states: tuple[int, ...], permitted: int,
+                prohibited: int) -> AbstractState:
         permits, prohibits = self.firing_sets(rule_states)
         if permits & prohibits:
-            return AbstractState(rule_states, 0, self.in_mask, history_len, True)
+            return AbstractState(rule_states, 0, self.in_mask, True)
         return AbstractState(rule_states,
                              (permitted | permits) & ~prohibits & self.back_mask,
-                             (prohibited | prohibits) & ~permits & self.in_mask,
-                             history_len)
+                             (prohibited | prohibits) & ~permits & self.in_mask)
 
     def initial_state(self) -> AbstractState:
         """Start every rule DFA and evaluate the update functions on the
         empty history: the permitted store starts from all back-messages,
         the prohibited store from the empty set."""
         rule_states = tuple(rule.dfa.start for rule in self.rules)
-        return self._update(rule_states, self.back_mask, 0, 0)
+        return self._update(rule_states, self.back_mask, 0)
 
     def advance(self, state: AbstractState, letter: int) -> AbstractState:
         """Advance rule DFAs by the letter and recompute the stores."""
@@ -171,8 +171,7 @@ class AbstractEngine:
         rule_states = list(map(getitem, self._other, before))
         for i, move in self._patches.get(letter, ()):
             rule_states[i] = move[before[i]]
-        return self._update(tuple(rule_states), state.permitted, state.prohibited,
-                            state.history_len + 1)
+        return self._update(tuple(rule_states), state.permitted, state.prohibited)
 
     def fold(self, state: AbstractState, letters: Iterable[int]) -> Iterator[StepEvent]:
         """Step through the letters from state, one event per letter; the

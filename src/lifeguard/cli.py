@@ -23,7 +23,7 @@ from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
 from .messages import TraceError, format_message, load_trace, serialize_trace
 from .rules import SpecError, load_spec
 from .validation import ValidationTimeout, validate
-from .verification import Safe, SubTraceError, Unknown, Violation, verify
+from .verification import DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation, verify
 
 SCHEMA_VERSION = 1
 
@@ -34,10 +34,6 @@ EXIT_UNKNOWN = 2
 # Histogram buckets for corpus validation reports: cumulative counts of
 # traces validating at least this many steps.
 PREFIX_BUCKETS = (1, 25, 50, 75)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _emit(report: dict, fmt: str, out=None) -> None:
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--witness-out")
     p_ver.add_argument("--stats", action="store_true")
     p_ver.add_argument("--timeout", type=float)
-    p_ver.add_argument("--state-cap", type=int, dest="state_cap")
+    p_ver.add_argument("--state-cap", type=int, dest="state_cap", default=DEFAULT_STATE_CAP)
     p_ver.add_argument("--report", choices=("text", "json"), default="text")
 
     p_gnd = sub.add_parser("ground", help="dump the ground spec for a trace")
@@ -377,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "timeout", None) is not None and args.timeout < 1:
         parser.error("--timeout must be at least 1 second")
-    if getattr(args, "state_cap", None) is not None and args.state_cap < 1:
+    if getattr(args, "state_cap", 1) < 1:
         parser.error("--state-cap must be at least 1")
     try:
         if args.subcommand == "run":

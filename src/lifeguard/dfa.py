@@ -6,7 +6,8 @@ needs no separate NFA/product/complementation passes.  Letters are integer
 indices; the caller reserves the last index for the OTHER class covering
 every message outside the ground alphabet.  Termination of the state
 exploration relies on the smart constructors normalizing union/intersection
-to canonical flat, sorted, duplicate-free forms.
+to flat frozensets, which equate regexes up to associativity, commutativity
+and idempotence of + and &.
 
 Each build_dfa call memoises nullability and derivatives in its own
 Derivatives object; the module keeps no cache, so memory is released when
@@ -16,7 +17,7 @@ the construction ends and repeated constructions cost the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import FrozenSet, Iterable
 
 
 class Re:
@@ -56,12 +57,12 @@ class RStar(Re):
 
 @dataclass(frozen=True)
 class ROr(Re):
-    items: tuple[Re, ...]  # canonical: sorted, flat, deduplicated, len >= 2
+    items: FrozenSet[Re]  # flat frozensets: no item is itself an ROr; len >= 2
 
 
 @dataclass(frozen=True)
 class RAnd(Re):
-    items: tuple[Re, ...]
+    items: FrozenSet[Re]
 
 
 @dataclass(frozen=True)
@@ -73,28 +74,6 @@ EPS = REps()
 EMPTY = REmpty()
 ANY = RAny()
 UNIVERSAL = RNot(EMPTY)  # accepts every word
-
-
-def _key(r: Re) -> tuple:
-    if isinstance(r, RSym):
-        return (0, r.letter)
-    if isinstance(r, RAny):
-        return (1,)
-    if isinstance(r, REps):
-        return (2,)
-    if isinstance(r, REmpty):
-        return (3,)
-    if isinstance(r, RCat):
-        return (4, _key(r.left), _key(r.right))
-    if isinstance(r, RStar):
-        return (5, _key(r.inner))
-    if isinstance(r, ROr):
-        return (6, tuple(_key(i) for i in r.items))
-    if isinstance(r, RAnd):
-        return (7, tuple(_key(i) for i in r.items))
-    if isinstance(r, RNot):
-        return (8, _key(r.inner))
-    raise TypeError(type(r).__name__)
 
 
 def mk_cat(left: Re, right: Re) -> Re:
@@ -117,48 +96,28 @@ def mk_star(inner: Re) -> Re:
     return RStar(inner)
 
 
+def _flat(items: Iterable[Re], node: type) -> FrozenSet[Re]:
+    """The items as one set, with each node's items in place of the node;
+    those are flat already, so one level suffices."""
+    return frozenset().union(*(r.items if isinstance(r, node) else (r,) for r in items))
+
+
 def mk_or(items: Iterable[Re]) -> Re:
-    flat: list[Re] = []
-
-    def add(r: Re) -> None:
-        if isinstance(r, ROr):
-            for i in r.items:
-                add(i)
-        elif not isinstance(r, REmpty):
-            flat.append(r)
-
-    for r in items:
-        add(r)
-    if any(r == UNIVERSAL for r in flat):
+    flat = _flat(items, ROr) - {EMPTY}
+    if UNIVERSAL in flat:
         return UNIVERSAL
-    unique = sorted(set(flat), key=_key)
-    if not unique:
-        return EMPTY
-    if len(unique) == 1:
-        return unique[0]
-    return ROr(tuple(unique))
+    if len(flat) > 1:
+        return ROr(flat)
+    return next(iter(flat), EMPTY)
 
 
 def mk_and(items: Iterable[Re]) -> Re:
-    flat: list[Re] = []
-
-    def add(r: Re) -> None:
-        if isinstance(r, RAnd):
-            for i in r.items:
-                add(i)
-        elif r != UNIVERSAL:
-            flat.append(r)
-
-    for r in items:
-        add(r)
-    if any(isinstance(r, REmpty) for r in flat):
+    flat = _flat(items, RAnd) - {UNIVERSAL}
+    if EMPTY in flat:
         return EMPTY
-    unique = sorted(set(flat), key=_key)
-    if not unique:
-        return UNIVERSAL
-    if len(unique) == 1:
-        return unique[0]
-    return RAnd(tuple(unique))
+    if len(flat) > 1:
+        return RAnd(flat)
+    return next(iter(flat), UNIVERSAL)
 
 
 def mk_not(inner: Re) -> Re:

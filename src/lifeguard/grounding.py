@@ -46,6 +46,8 @@ from .rules import (
     MUnion,
     Matcher,
     PERMIT,
+    apply_binding,
+    apply_binding_matcher,
     free_vars,
     matcher_atoms,
     rule_annotations,
@@ -124,16 +126,6 @@ class GroundSpec:
         return tuple(m for m in self.alphabet if m.is_in())
 
 
-def _ground_matcher(binding: dict[str, Value], m: Matcher) -> Matcher:
-    from .rules import apply_binding_matcher
-
-    out = apply_binding_matcher(binding, m)
-    for atom in matcher_atoms(out):
-        if not atom.is_ground():
-            raise GroundingError(f"matcher atom {atom} still symbolic after grounding")
-    return out
-
-
 def ground_spec(
     spec: LifestateSpec,
     trace: Trace,
@@ -144,8 +136,6 @@ def ground_spec(
     Deterministic: rules in spec order, assignments in sorted value order.
     Aborts with a diagnostic naming the worst rule when the total instance
     count exceeds the cap."""
-    from .rules import apply_binding
-
     universe = value_universe(trace)
     all_values = universe.all_values()
     ground_rules: list[GroundRule] = []
@@ -175,15 +165,11 @@ def ground_spec(
             )
         for assignment in itertools.product(*domains):
             binding = dict(zip(names, assignment))
-            matcher = _ground_matcher(binding, rule.matcher)
-            target_pm = apply_binding(binding, rule.target)
-            if not target_pm.is_ground():
-                raise GroundingError(f"target {target_pm} still symbolic after grounding")
             ground_rules.append(
                 GroundRule(
-                    matcher,
+                    apply_binding_matcher(binding, rule.matcher),
                     rule.polarity,
-                    target_pm.to_message(),
+                    apply_binding(binding, rule.target).to_message(),
                     idx,
                     tuple(sorted(binding.items())),
                 )

@@ -13,7 +13,6 @@ rearrangement reaches bad.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ class VerificationTimeout(Exception):
 
 
 DEFAULT_STATE_CAP = 5_000_000
-STATE_CAP_ENV = "LIFEGUARD_STATE_CAP"
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ def verify(
     spec: LifestateSpec,
     trace: Trace,
     mode="exhaustive",
-    state_cap: Optional[int] = None,
+    state_cap: int = DEFAULT_STATE_CAP,
     grounding_cap: int = DEFAULT_INSTANTIATION_CAP,
     timeout: Optional[float] = None,
 ) -> VerificationResult:
@@ -164,8 +162,6 @@ def verify(
         # The recorded execution already witnesses the violation.
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
     bound = _parse_mode(mode)
-    if state_cap is None:
-        state_cap = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
     deadline = time.monotonic() + timeout if timeout is not None else None
 
     units = split_subtraces(trace)

@@ -180,14 +180,27 @@ class TestAbsStep:
         assert engine_fixed.permitted_messages(after) == engine_fixed.permitted_messages(s)
         assert engine_fixed.prohibited_messages(after) == engine_fixed.prohibited_messages(s)
 
-    def test_equality_ignores_history_len(self, engine_fixed):
-        import dataclasses
-
-        s = engine_fixed.initial_state()
-        renumbered = dataclasses.replace(s, history_len=17)
-        assert renumbered == s
-        assert hash(renumbered) == hash(s)
-        assert renumbered.history_len == 17
+    def test_state_is_its_own_key(self, spec_run, spec_lifecycle, trace_fixed, trace_buggy):
+        # The inconsistent flag joins the identity: it must be a function of
+        # rule_states, and equal tuples must hash equal.
+        inconsistent = parse_spec(
+            "eps -> ci execute(t#1:AsyncTask)\n"
+            "eps -/> ci execute(t#1:AsyncTask)\n"
+        )
+        for spec in (spec_run, spec_lifecycle, inconsistent):
+            for trace in (trace_fixed, trace_buggy):
+                engine = AbstractEngine(ground_spec(spec, trace))
+                init = engine.initial_state()
+                letters = engine.intern(trace.messages)
+                states = [init] + [e.after for e in engine.fold(init, letters) if e.after]
+                again = [init] + [e.after for e in engine.fold(init, letters) if e.after]
+                for state, twin in zip(states, again, strict=True):
+                    p, q = engine.firing_sets(state.rule_states)
+                    assert state.inconsistent == bool(p & q)
+                    assert state == twin and hash(state) == hash(twin)
+                    assert state == tuple(state) and hash(state) == hash(tuple(state))
+                if spec is inconsistent:
+                    assert init.inconsistent
 
 
 # ---------------------------------------------------------------------------

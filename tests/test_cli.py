@@ -1,7 +1,10 @@
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
+from lifeguard.abstract import AbstractEngine
 from lifeguard.cli import main
 from lifeguard.messages import load_trace, parse_trace, serialize_trace
 
@@ -289,3 +292,16 @@ class TestTimeouts:
         doc = json.loads(out)
         assert doc["results"][0]["verdict"] == "unknown"
         assert code == 1
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 wraps these names; renaming or deleting
+    # one would otherwise break the traced run without failing a test.
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attribute, *_ in tracer.WRAPPED:
+        assert callable(getattr(importlib.import_module(f"lifeguard.{module}"), attribute))
+    for method in tracer.ENGINE_METHODS:
+        assert callable(vars(AbstractEngine).get(method)), method

@@ -186,6 +186,29 @@ class TestDfaMatcherEquivalence:
                 assert auto.accepts(word) == (bool(word) and word[-1] == 0)
 
 
+class TestCanonicalForm:
+    # build_dfa terminates only because derivatives that differ by the
+    # order, nesting or repetition of + and & items compare equal.
+    def test_or_and_ignore_order_nesting_and_duplicates(self):
+        a, b, c = D.RSym(0), D.RSym(1), D.mk_star(D.RSym(2))
+        for mk, node in ((D.mk_or, D.ROr), (D.mk_and, D.RAnd)):
+            flat = mk((a, b, c))
+            assert isinstance(flat, node) and flat.items == {a, b, c}
+            for variant in (mk((c, b, a)), mk((mk((b, a)), c)),
+                            mk((a, mk((c, mk((b, a)))), b, a))):
+                assert variant == flat and hash(variant) == hash(flat)
+            assert mk((a, a)) == mk((a,)) == a
+
+    def test_units_and_absorbers(self):
+        a, b = D.RSym(0), D.RSym(1)
+        assert D.mk_or(()) == D.EMPTY
+        assert D.mk_or((a, D.EMPTY)) == a
+        assert D.mk_or((a, D.mk_or((b, D.UNIVERSAL)))) == D.UNIVERSAL
+        assert D.mk_and(()) == D.UNIVERSAL
+        assert D.mk_and((a, D.UNIVERSAL)) == a
+        assert D.mk_and((a, D.mk_and((b, D.EMPTY)))) == D.EMPTY
+
+
 class TestValueUniverse:
     def test_empty_trace(self):
         u = value_universe(Trace(()))

@@ -208,12 +208,6 @@ class TestSafeSoundness:
 
 
 class TestCapsAndTimeouts:
-    def test_state_cap_env_override(self, spec_lifecycle, trace_fixed, monkeypatch):
-        monkeypatch.setenv("LIFEGUARD_STATE_CAP", "1")
-        result = verify(spec_lifecycle, trace_fixed)
-        assert isinstance(result, (Violation, Unknown))
-        monkeypatch.delenv("LIFEGUARD_STATE_CAP")
-
     def test_verify_timeout_returns_unknown(self, spec_run, trace_fixed):
         result = verify(spec_run, trace_fixed, timeout=0.0)
         assert isinstance(result, Unknown)
