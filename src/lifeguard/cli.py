@@ -20,10 +20,11 @@ from pathlib import Path
 from . import interp
 from .abstract import BAD, BLOCKED, OK, AbstractEngine
 from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
-from .messages import TraceError, format_message, load_trace, serialize_trace
+from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import SpecError, load_spec
 from .validation import ValidationTimeout, validate
-from .verification import DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation, verify
+from .verification import (DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation,
+                           _parse_mode, verify)
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +60,7 @@ def _cmd_run(args) -> int:
     if args.schedule is not None:
         text = args.schedule
         if text.startswith("@"):
-            text = Path(text[1:]).read_text(encoding="utf-8")
+            text = read_source(text[1:], interp.ScheduleError)
         schedule = interp.parse_schedule(text)
     else:
         schedule = interp.Schedule(seed=args.seed)
@@ -110,7 +111,7 @@ def _validate_one(spec, path, timeout):
     except (ValidationTimeout, GroundingError) as e:
         return {"command": "validate", "trace": str(path), "verdict": "unknown",
                 "reason": str(e)}
-    except TraceError as e:
+    except (TraceError, OSError) as e:
         return {"command": "validate", "trace": str(path), "verdict": "error",
                 "reason": str(e)}
 
@@ -375,6 +376,15 @@ def main(argv=None) -> int:
         parser.error("--timeout must be at least 1 second")
     if getattr(args, "state_cap", 1) < 1:
         parser.error("--state-cap must be at least 1")
+    # Checked before any file is read, and reported as one line like a bad file.
+    try:
+        if args.subcommand == "verify":
+            _parse_mode(args.mode)
+        elif args.subcommand == "run" and args.max_steps < 1:
+            raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_UNKNOWN
     try:
         if args.subcommand == "run":
             return _cmd_run(args)
@@ -390,7 +400,7 @@ def main(argv=None) -> int:
             return _cmd_explain(args)
         parser.error(f"unknown subcommand {args.subcommand}")
     except (TraceError, SpecError, SubTraceError, GroundingError,
-            interp.ProgramError, interp.ScheduleError, FileNotFoundError) as e:
+            interp.ProgramError, interp.ScheduleError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     return EXIT_UNKNOWN

@@ -18,8 +18,10 @@ Surface syntax::
     newcell e   get e   set e e
     add e e     eq e e
 
-``#`` starts a comment at the beginning of a line or after whitespace.
-The ``force`` form is machine-internal and rejected in surface programs.
+Literals are the trace values other than strings, and lines are split
+into tokens by ``messages.tokenize``, which specs use too.  ``#`` starts a
+comment at the beginning of a line or after whitespace.  The ``force``
+form is machine-internal and rejected in surface programs.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .messages import (
     CI,
     CIRET,
     DIS_CI,
-    FALSE,
     FWK,
-    TRUE,
+    NAMED_VALUES,
     UNIT,
     Bool,
+    Cursor,
     FunctionSymbol,
     Int,
     Message,
@@ -51,7 +53,10 @@ from .messages import (
     Trace,
     Unit,
     Value,
+    parse_value,
+    read_source,
     strip_comment,
+    tokenize,
 )
 
 
@@ -69,7 +74,8 @@ class StuckError(Exception):
 
 
 class ScheduleError(Exception):
-    """An explicit schedule selected an event index out of range."""
+    """A schedule that does not parse, or that selects an event index out
+    of range."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,76 +145,10 @@ KEYWORDS = {
 
 
 # ---------------------------------------------------------------------------
-# Lexer
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<objlit>[A-Za-z_]\w*\#\d+:[A-Za-z_]\w*)
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<int>-?\d+)
-  | (?P<arrow>=>)
-  | (?P<punct>[()\[\],;=])
-    """,
-    re.VERBOSE,
-)
+# Parser (recursive descent over the shared tokens of ``messages.tokenize``)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-
-
-def _lex(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = strip_comment(raw)
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ProgramError(f"unexpected character {text[pos]!r}", lineno)
-            kind = m.lastgroup or "punct"
-            tokens.append(Token(kind, m.group(0), lineno))
-            pos = m.end()
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser (recursive descent with token-index lookahead)
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, offset: int = 0) -> Optional[Token]:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1].line if self.tokens else None
-            raise ProgramError("unexpected end of program", last)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ProgramError(f"expected {text!r}, got {tok.text!r}", tok.line)
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
-
+class _Parser(Cursor):
     # expr := let | if | seq
     def parse_expr(self) -> Expr:
         tok = self.peek()
@@ -341,24 +281,10 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if tok.kind == "objlit":
+        if tok.kind in ("objlit", "int") or tok.text in NAMED_VALUES:
             self.next()
-            label, rest = tok.text.split("#", 1)
-            index, type_name = rest.split(":", 1)
-            return ELit(ObjectId(label, int(index), type_name))
-        if tok.kind == "int":
-            self.next()
-            return ELit(Int(int(tok.text)))
+            return ELit(parse_value(tok.text))
         if tok.kind == "ident":
-            if tok.text == "unit":
-                self.next()
-                return ELit(UNIT)
-            if tok.text == "true":
-                self.next()
-                return ELit(TRUE)
-            if tok.text == "false":
-                self.next()
-                return ELit(FALSE)
             if tok.text == "thk":
                 self.next()
                 return EThk()
@@ -453,7 +379,9 @@ class _Normalizer:
 
 def parse_program(text: str) -> Expr:
     """Parse, scope-check, and normalize a surface program."""
-    parser = _Parser(_lex(text))
+    tokens = [tok for lineno, raw in enumerate(text.splitlines(), start=1)
+              for tok in tokenize(strip_comment(raw), lineno, ProgramError)]
+    parser = _Parser(tokens, ProgramError)
     expr = parser.parse_expr()
     if parser.peek() is not None:
         tok = parser.peek()
@@ -463,8 +391,7 @@ def parse_program(text: str) -> Expr:
 
 
 def load_program(path) -> Expr:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_program(f.read())
+    return parse_program(read_source(path, ProgramError))
 
 
 # ---------------------------------------------------------------------------
@@ -839,10 +766,13 @@ class Schedule:
 
 def parse_schedule(text: str) -> Schedule:
     text = text.strip()
-    if text.startswith("seed:"):
-        return Schedule(seed=int(text[len("seed:"):]))
-    picks = tuple(int(p) for p in re.split(r"[,\s]+", text) if p)
-    return Schedule(picks=picks)
+    try:
+        if text.startswith("seed:"):
+            return Schedule(seed=int(text[len("seed:"):]))
+        return Schedule(picks=tuple(int(p) for p in re.split(r"[,\s]+", text) if p))
+    except ValueError:
+        raise ScheduleError(f"cannot parse schedule {text!r}: expected comma-separated "
+                            f"event indices or seed:N") from None
 
 
 FINISHED = "finished"

@@ -3,7 +3,9 @@
 This module is the shared vocabulary of the whole toolkit: concrete values
 (object identities and primitive constants), call/return messages exchanged
 across the app-framework interface, and finite observable traces with their
-textual file format.
+textual file format.  It also holds the front end that traces, specs and
+programs share: the value syntax, the comment rule, the lexer and the
+token cursor of the spec and program parsers.
 
 Trace file format (one message per line, ``#`` starts a comment when at the
 beginning of a line or preceded by whitespace -- object identities like
@@ -16,15 +18,16 @@ beginning of a line or preceded by whitespace -- object identities like
     dis ci f(v, ...)        disallowed callin attempt, always last
     dis cbret v = f(v, ...) prohibited callback return, always last
 
-Values are written ``name#n:Type`` (object identity), ``true``, ``false``,
-integers, ``"strings"``, or ``unit``.
+Whitespace may separate any two parts of a line.  Values are written
+``name#n:Type`` (object identity), ``true``, ``false``, integers, ``unit``,
+or ``"strings"``, in which ``\\"`` and ``\\\\`` are the only escapes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class TraceError(Exception):
@@ -317,11 +320,35 @@ def is_violation(t: Trace) -> bool:
 
 # ---------------------------------------------------------------------------
 # Parsing
+#
+# One set of patterns for names, object identities, strings and integers
+# serves all three formats: specs and programs are split into tokens by
+# tokenize, and a trace line is matched whole by _MESSAGE_RE.
 
-_OBJECT_RE = re.compile(r"^([A-Za-z_]\w*)#(\d+):([A-Za-z_]\w*)$")
-_INT_RE = re.compile(r"^-?\d+$")
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
+_NAME = r"[A-Za-z_]\w*"
+_OBJECT = rf"{_NAME}#\d+:{_NAME}"
+_STRING = r'"(?:[^"\\]|\\["\\])*"'
+_INT = r"-?\d+"
+_VALUE = rf"{_OBJECT}|{_STRING}|{_INT}|{_NAME}"
+
+NAMED_VALUES = {"unit": UNIT, "true": TRUE, "false": FALSE}
+
+_OBJECT_RE = re.compile(rf"({_NAME})#(\d+):({_NAME})")
+_STRING_RE = re.compile(_STRING)
+_INT_RE = re.compile(_INT)
+_ESCAPE_RE = re.compile(r"\\(.)")
 _COMMENT_RE = re.compile(r"(?:(?<=\s)|^)#.*$")
+
+_TOKEN_RE = re.compile(
+    rf"(?P<objlit>{_OBJECT})|(?P<string>{_STRING})|(?P<ident>{_NAME})|(?P<int>{_INT})"
+    r"|(?P<punct>-/>|->|=>|[()\[\],;=*+&!:])|(?P<bad>\S)"
+)
+
+_VALUE_RE = re.compile(_VALUE)
+_MESSAGE_RE = re.compile(
+    rf"(?:(?P<dis>dis)\s+)?(?P<kind>cbret|ciret|cb|ci)\s+(?:(?P<ret>{_VALUE})\s*=\s*)?"
+    rf"(?P<fun>{_NAME})\s*\((?P<args>\s*(?:(?:{_VALUE})\s*(?:,\s*(?:{_VALUE})\s*)*)?)\)"
+)
 
 
 def strip_comment(line: str) -> str:
@@ -332,107 +359,84 @@ def strip_comment(line: str) -> str:
 def parse_value(text: str, line: Optional[int] = None) -> Value:
     """Parse one value token (shared with the spec and program parsers)."""
     text = text.strip()
-    if text == "unit":
-        return UNIT
-    if text == "true":
-        return TRUE
-    if text == "false":
-        return FALSE
-    if _INT_RE.match(text):
-        return Int(int(text))
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise TraceParseError(f"unterminated string literal {text!r}", line)
-        body = text[1:-1]
-        out, i = [], 0
-        while i < len(body):
-            c = body[i]
-            if c == "\\":
-                if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                    raise TraceParseError(f"bad escape in string literal {text!r}", line)
-                out.append(body[i + 1])
-                i += 2
-            else:
-                out.append(c)
-                i += 1
-        return Str("".join(out))
-    m = _OBJECT_RE.match(text)
+    if text in NAMED_VALUES:
+        return NAMED_VALUES[text]
+    m = _OBJECT_RE.fullmatch(text)
     if m:
-        return ObjectId(m.group(1), int(m.group(2)), m.group(3))
+        return ObjectId(m[1], int(m[2]), m[3])
+    if _INT_RE.fullmatch(text):
+        return Int(int(text))
+    if _STRING_RE.fullmatch(text):
+        return Str(_ESCAPE_RE.sub(r"\1", text[1:-1]))
     raise TraceParseError(f"cannot parse value {text!r}", line)
 
 
-def split_args(text: str, line: Optional[int] = None) -> list[str]:
-    """Split a comma-separated argument list, respecting string literals."""
-    text = text.strip()
-    if not text:
-        return []
-    parts, buf, in_str, escaped = [], [], False, False
-    for c in text:
-        if in_str:
-            buf.append(c)
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                in_str = False
-        elif c == '"':
-            buf.append(c)
-            in_str = True
-        elif c == ",":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(c)
-    if in_str:
-        raise TraceParseError("unterminated string literal in argument list", line)
-    parts.append("".join(buf))
-    return parts
+class Token(NamedTuple):
+    kind: str  # objlit, string, ident, int or punct
+    text: str
+    line: int
 
 
-def _parse_call(text: str, line: int) -> tuple[str, tuple[Value, ...]]:
-    text = text.strip()
-    if not text.endswith(")") or "(" not in text:
-        raise TraceParseError(f"expected f(args), got {text!r}", line)
-    name, argtext = text[:-1].split("(", 1)
-    name = name.strip()
-    if not _IDENT_RE.match(name):
-        raise TraceParseError(f"bad function name {name!r}", line)
-    args = tuple(parse_value(a, line) for a in split_args(argtext, line))
-    return name, args
+def tokenize(text: str, line: int, error) -> list[Token]:
+    """The tokens of one line of spec or program text; whitespace separates
+    tokens and is dropped.  A character that starts no token raises
+    ``error(message, line)``."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise error(f"unexpected character {m.group()!r}", line)
+        tokens.append(Token(m.lastgroup, m.group(), line))
+    return tokens
 
 
-def parse_message_line(line_text: str, line: int) -> Message:
-    text = line_text.strip()
-    dis = False
-    if text.startswith("dis "):
-        dis = True
-        text = text[4:].strip()
-    for kind in (CBRET, CIRET, CB, CI):
-        if text.startswith(kind + " "):
-            rest = text[len(kind):].strip()
-            break
-    else:
-        raise TraceParseError(f"unknown message form {line_text.strip()!r}", line)
-    ret_value: Optional[Value] = None
-    if kind in (CB, CI):
-        if dis and kind == CB:
+class Cursor:
+    """A position in a token list, for the recursive-descent spec and
+    program parsers; errors are raised as ``error(message, line)``."""
+
+    def __init__(self, tokens: list[Token], error):
+        self.tokens = tokens
+        self.error = error
+        self.pos = 0
+
+    def peek(self, offset: int = 0) -> Optional[Token]:
+        idx = self.pos + offset
+        return self.tokens[idx] if idx < len(self.tokens) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1].line if self.tokens else None
+            raise self.error("unexpected end of input", last)
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> Token:
+        tok = self.next()
+        if tok.text != text:
+            raise self.error(f"expected {text!r}, got {tok.text!r}", tok.line)
+        return tok
+
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
+
+def parse_message_line(text: str, line: int) -> Message:
+    """Parse one trace line (comment and surrounding whitespace removed)."""
+    m = _MESSAGE_RE.fullmatch(text)
+    if m is None:
+        raise TraceParseError(f"expected '[dis] kind [ret =] f(args)', got {text!r}", line)
+    dis, kind, ret, fun, args = m.group("dis", "kind", "ret", "fun", "args")
+    if (ret is not None) != (kind in RETURN_KINDS):
+        form = "<ret> = f(args)" if ret is None else "f(args) without a return value"
+        raise TraceParseError(f"{kind} expects {form}, got {text!r}", line)
+    if dis:
+        if kind not in (CI, CBRET):
             raise TraceParseError("dis wraps in-messages only (ci or cbret)", line)
-        name, args = _parse_call(rest, line)
-        msg_kind = DIS_CI if dis else kind
-    else:
-        if dis and kind == CIRET:
-            raise TraceParseError("dis wraps in-messages only (ci or cbret)", line)
-        if "=" not in rest:
-            raise TraceParseError(f"expected '<ret> = f(args)' in {line_text.strip()!r}", line)
-        ret_text, call_text = rest.split("=", 1)
-        ret_value = parse_value(ret_text, line)
-        name, args = _parse_call(call_text, line)
-        msg_kind = DIS_CBRET if dis else kind
-    package = _KIND_PACKAGE[msg_kind]
-    thunk = Thunk(FunctionSymbol(name, package), args)
-    return Message(msg_kind, thunk, ret_value)
+        kind = DIS_CI if kind == CI else DIS_CBRET
+    values = tuple(parse_value(v, line) for v in _VALUE_RE.findall(args))
+    thunk = Thunk(FunctionSymbol(fun, _KIND_PACKAGE[kind]), values)
+    return Message(kind, thunk, None if ret is None else parse_value(ret, line))
 
 
 def parse_trace(text: str) -> Trace:
@@ -452,6 +456,16 @@ def parse_trace(text: str) -> Trace:
         if e.line is not None and 1 <= e.line <= len(lines_of):
             raise TraceNestingError(str(e).split(": ", 1)[-1], lines_of[e.line - 1]) from None
         raise
+
+
+def read_source(path, error) -> str:
+    """The UTF-8 text of a trace, spec or program file; text that does not
+    decode raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -488,5 +502,4 @@ def values_of_message(m: Message) -> Iterator[Value]:
 
 
 def load_trace(path) -> Trace:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_trace(f.read())
+    return parse_trace(read_source(path, TraceParseError))

@@ -14,12 +14,14 @@ Spec file grammar (one rule per line, ``#`` comments)::
                '!' complement, 'eps', 'empty', 'TRUE' (single-message
                wildcard, alias '_'), parentheses
     atom    := (cb|ci) f(p, ...)  |  (cbret|ciret) p = f(p, ...)
-    p       := x | x:Type | literal value | forall x:Type   (targets only)
+    p       := x | x:Type | value | forall x:Type   (forall in targets only)
+
+Values are written as in traces (``messages.parse_value``); a line is
+split into tokens by ``messages.tokenize``, which programs use too.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -30,13 +32,18 @@ from .messages import (
     CI,
     CIRET,
     FWK,
+    NAMED_VALUES,
+    Cursor,
     FunctionSymbol,
     Message,
     Thunk,
+    Token,
     Trace,
     Value,
     parse_value,
+    read_source,
     strip_comment,
+    tokenize,
     value_type_name,
 )
 
@@ -401,75 +408,18 @@ def matches(trace: Union[Trace, Sequence[Message]], binding: Binding, matcher: M
 # ---------------------------------------------------------------------------
 # Parsing
 
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
-_SPEC_TOKEN_RE = re.compile(
-    r"""
-    (?P<arrow_prohibit>-/>)
-  | (?P<arrow_permit>->)
-  | (?P<objlit>[A-Za-z_]\w*\#\d+:[A-Za-z_]\w*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<int>-?\d+)
-  | (?P<punct>[();,*+&!=:_])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-
-
-def _lex_rule(text: str, line: int) -> list[_Tok]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _SPEC_TOKEN_RE.match(text, pos)
-        if not m:
-            raise SpecError(f"unexpected character {text[pos]!r}", line)
-        tokens.append(_Tok(m.lastgroup or "punct", m.group(0)))
-        pos = m.end()
-    return tokens
-
-
-class _RuleParser:
-    def __init__(self, tokens: list[_Tok], line: int):
-        self.tokens = tokens
-        self.pos = 0
+class _RuleParser(Cursor):
+    def __init__(self, tokens: list[Token], line: int):
+        super().__init__(tokens, SpecError)
         self.line = line
-
-    def peek(self, offset: int = 0) -> Optional[_Tok]:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise SpecError("unexpected end of rule", self.line)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok.text != text:
-            raise SpecError(f"expected {text!r}, got {tok.text!r}", self.line)
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
 
     def parse_rule(self) -> Rule:
         matcher = self.parse_union()
         arrow = self.next()
-        if arrow.kind == "arrow_permit":
+        if arrow.text == "->":
             polarity = PERMIT
-        elif arrow.kind == "arrow_prohibit":
+        elif arrow.text == "-/>":
             polarity = PROHIBIT
         else:
             raise SpecError(f"expected -> or -/>, got {arrow.text!r}", self.line)
@@ -577,13 +527,10 @@ class _RuleParser:
             if ty.kind != "ident":
                 raise SpecError(f"expected type after forall {name.text}:", self.line)
             return SVar(name.text, ty.text, universal=True)
-        if tok.kind in ("objlit", "string", "int"):
+        if tok.kind in ("objlit", "string", "int") or tok.text in NAMED_VALUES:
             self.next()
             return PLit(parse_value(tok.text, self.line))
         if tok.kind == "ident":
-            if tok.text in ("true", "false", "unit"):
-                self.next()
-                return PLit(parse_value(tok.text, self.line))
             self.next()
             if self.at(":"):
                 self.next()
@@ -596,7 +543,7 @@ class _RuleParser:
 
 
 def parse_rule(text: str, line: int = 1) -> Rule:
-    return _RuleParser(_lex_rule(text, line), line).parse_rule()
+    return _RuleParser(tokenize(text, line, SpecError), line).parse_rule()
 
 
 def parse_spec(text: str) -> LifestateSpec:
@@ -611,5 +558,4 @@ def parse_spec(text: str) -> LifestateSpec:
 
 
 def load_spec(path) -> LifestateSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_spec(f.read())
+    return parse_spec(read_source(path, SpecError))

@@ -13,6 +13,7 @@ rearrangement reaches bad.
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -108,17 +109,16 @@ class Unknown:
 VerificationResult = Union[Safe, Violation, Unknown]
 
 
-def _parse_mode(mode) -> Optional[int]:
-    """None for exhaustive, otherwise the unit bound."""
-    if mode in ("exhaustive", None):
+def _parse_mode(mode: str) -> Optional[int]:
+    """None for ``exhaustive``, otherwise the unit bound K >= 1 of
+    ``bounded:K``."""
+    if mode == "exhaustive":
         return None
-    if isinstance(mode, int):
-        return mode
-    if isinstance(mode, tuple) and mode[0] == "bounded":
-        return int(mode[1])
-    if isinstance(mode, str) and mode.startswith("bounded:"):
-        return int(mode.split(":", 1)[1])
-    raise ValueError(f"unknown verification mode {mode!r}")
+    m = re.fullmatch(r"bounded:([0-9]+)", str(mode))
+    if m is None or int(m[1]) < 1:
+        raise ValueError(f"unknown verification mode {mode!r}: expected exhaustive "
+                         f"or bounded:K with K >= 1")
+    return int(m[1])
 
 
 def _unit_path(parent: dict, state: AbstractState) -> list[int]:
@@ -146,7 +146,7 @@ def _violation(units: list[SubTrace], path: list[int], event: StepEvent,
 def verify(
     spec: LifestateSpec,
     trace: Trace,
-    mode="exhaustive",
+    mode: str = "exhaustive",
     state_cap: int = DEFAULT_STATE_CAP,
     grounding_cap: int = DEFAULT_INSTANTIATION_CAP,
     timeout: Optional[float] = None,

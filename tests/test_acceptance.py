@@ -120,7 +120,7 @@ def test_criterion_6_oracle_agreement(spec_run, spec_lifecycle, spec_top,
     violations = 0
     for spec, trace in pairs:
         for k in range(1, 5):
-            bounded = verify(spec, trace, mode=("bounded", k))
+            bounded = verify(spec, trace, mode=f"bounded:{k}")
             brute = brute_force_verify(spec, trace, k)
             assert isinstance(bounded, Violation) == isinstance(brute, Violation)
             agreements += 1

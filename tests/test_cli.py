@@ -148,6 +148,27 @@ class TestValidateCommand:
         assert fixed["verdict"] == "valid"
         assert doc["prefix_histogram"][">=1"] == 1
 
+    def test_corpus_unreadable_entries_are_errors(self, capsys, fixtures_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a_fixed.trace").write_text((fixtures_dir / "trace_fixed.trace").read_text())
+        (corpus / "b_latin1.trace").write_bytes(b"cb onShow(a#1:Activity) # caf\xe9\n")
+        (corpus / "d.trace").mkdir()
+        code, out, _ = run_cli(capsys, "validate",
+                               "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--corpus", str(corpus),
+                               "--report", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["total"] == 3 and doc["valid"] == 1
+        assert [r["verdict"] for r in doc["results"]] == ["valid", "error", "error"]
+        assert "UTF-8" in doc["results"][1]["reason"]
+        for bad in ("b_latin1.trace", "d.trace"):
+            code, _, err = run_cli(capsys, "validate",
+                                   "--spec", str(fixtures_dir / "spec_run.ls"),
+                                   "--trace", str(corpus / bad))
+            assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
+
     def test_needs_exactly_one_input(self, capsys, fixtures_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["validate", "--spec", str(fixtures_dir / "spec_run.ls")])
@@ -255,6 +276,26 @@ class TestErrorPaths:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: spec rule #1, ")
         assert "exceeded 0 states" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "foo"],
+    ["verify", "--mode", "bounded:abc"],
+    ["verify", "--mode", "bounded:0"],
+    ["verify", "--mode", "bounded:-3"],
+    ["run", "--schedule", "seed:abc"],
+    ["run", "--schedule", "1,x"],
+    ["run", "--seed", "1", "--max-steps", "0"],
+], ids=" ".join)
+def test_bad_option_value_is_one_error_line(capsys, fixtures_dir, argv):
+    if argv[0] == "verify":
+        inputs = ["--spec", str(fixtures_dir / "spec_run.ls"),
+                  "--trace", str(fixtures_dir / "trace_fixed.trace")]
+    else:
+        inputs = ["--program", str(fixtures_dir / "program_fixed.ll")]
+    code, out, err = run_cli(capsys, *argv, *inputs)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 class TestTimeouts:

@@ -1,0 +1,37 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+no unused import and no unused module-private top-level name."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lifeguard"
+# __init__.py imports names to re-export them.
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement binds: imports (except __future__),
+    private functions, classes and assignments."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [] if node.module == "__future__" else [a.asname or a.name for a in node.names]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports_or_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = [name for node in tree.body for name in _bound_names(node) if name not in loaded]
+    assert unused == [], f"{path.name}: unused {unused}"

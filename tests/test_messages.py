@@ -90,6 +90,21 @@ class TestParseTrace:
         assert t[1].thunk.args == (Int(42),)
         assert t[2].ret == Str("a,b")
 
+    def test_unescaped_quote_inside_string_is_rejected(self):
+        with pytest.raises(TraceParseError) as e:
+            parse_trace('cb onShow(a#1:Activity)\nci f()\nciret "x "q" = f()\n')
+        assert "line 3" in str(e.value)
+
+    def test_escaped_strings_round_trip(self):
+        text = ('cb show("a\\"b","c\\\\d")\n'
+                'ci put("x = \\"y\\"",-1)\n'
+                'ciret "k=\\"v\\\\\\"" = put("x = \\"y\\"",-1)\n'
+                'cbret unit = show("a\\"b","c\\\\d")\n')
+        t = parse_trace(text)
+        assert t[0].thunk.args == (Str('a"b'), Str("c\\d"))
+        assert t[2].ret == Str('k="v\\"')
+        assert serialize_trace(t) == text
+
 
 class TestSerialize:
     def test_empty(self):

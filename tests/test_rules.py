@@ -94,6 +94,10 @@ class TestParseSpec:
         again = parse_spec(str(spec_run))
         assert again == spec_run
 
+    def test_bad_string_escape_is_a_spec_error(self):
+        with pytest.raises(SpecError):
+            parse_spec('TRUE* ; ci f("a\\n") -> ci g()')
+
 
 class TestApplyBinding:
     def test_identity_on_ground(self):

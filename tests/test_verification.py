@@ -149,7 +149,7 @@ class TestBruteForceOracle:
                                    trace_fixed, trace_buggy):
         for spec in (spec_run, spec_lifecycle, spec_top):
             for trace in (trace_fixed, trace_buggy):
-                bounded = verify(spec, trace, mode=("bounded", k))
+                bounded = verify(spec, trace, mode=f"bounded:{k}")
                 brute = brute_force_verify(spec, trace, k)
                 assert isinstance(bounded, Violation) == isinstance(brute, Violation), \
                     (k, spec.rules[0], len(trace.messages))
@@ -164,7 +164,7 @@ class TestBruteForceOracle:
             trace = random_trace(rng, max_messages=14)
             spec = random_spec(rng)
             for k in (2, 3):
-                bounded = verify(spec, trace, mode=("bounded", k))
+                bounded = verify(spec, trace, mode=f"bounded:{k}")
                 brute = brute_force_verify(spec, trace, k)
                 assert isinstance(bounded, Violation) == isinstance(brute, Violation), i
                 if isinstance(bounded, Violation):
