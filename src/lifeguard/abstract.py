@@ -2,9 +2,9 @@
 
 An abstract state summarizes the message history with one DFA state per
 compiled rule instead of the explicit history, which keeps the reachable
-state space finite.  Stepping a back-message requires it to be permitted;
-stepping an in-message that is prohibited ends in the bad state carrying
-the dis-wrapped witness message.  Messages outside the ground alphabet
+state space finite.  Stepping a back-message requires it to be permitted
+(else the step is BLOCKED); stepping an in-message that is prohibited is
+BAD, a protocol violation.  Messages outside the ground alphabet
 advance the rule DFAs through the OTHER letter and are never blocked.
 Every rule steps by its DFA's OTHER column unless the letter is one of
 its atoms, so a step maps each rule through that column and then patches
@@ -26,10 +26,9 @@ store to the full in-message alphabet, exactly as the update formulas read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import getitem, or_
-from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional
 
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
@@ -47,27 +46,6 @@ class AbstractState(NamedTuple):
     prohibited: int
     inconsistent: bool = False
 
-
-@dataclass(frozen=True)
-class Blocked:
-    """A back-message outside the permitted store: the abstract system has
-    no transition for it."""
-
-    message: Message
-    state: AbstractState
-    reason: str = "back-message not permitted"
-
-
-@dataclass(frozen=True)
-class BadState:
-    """A prohibited in-message was consumed: protocol violation, with the
-    dis-wrapped message as the witness suffix."""
-
-    witness_suffix: Message
-    state: AbstractState
-
-
-StepResult = Union[AbstractState, Blocked, BadState]
 
 OK = "ok"
 BLOCKED = "blocked"
@@ -187,20 +165,6 @@ class AbstractEngine:
             after = self.advance(state, letter)
             yield StepEvent(index, OK, state, after)
             state = after
-
-    def step(self, state: AbstractState, m: Message) -> StepResult:
-        """One abstract transition on a plain message.
-
-        Back-messages must be permitted (unless outside the alphabet);
-        prohibited in-messages transition to bad with the dis witness."""
-        if m.is_dis():
-            raise ValueError("abstract step consumes plain messages, not dis messages")
-        event = next(self.fold(state, (self.letter(m),)))
-        if event.outcome == BLOCKED:
-            return Blocked(m, state)
-        if event.outcome == BAD:
-            return BadState(m.wrap_dis(), state)
-        return event.after
 
 
 def _fire(rule: CompiledRule, shift: int) -> tuple[int, ...]:

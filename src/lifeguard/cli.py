@@ -18,13 +18,13 @@ import sys
 from pathlib import Path
 
 from . import interp
-from .abstract import BAD, BLOCKED, OK, AbstractEngine
+from .abstract import AbstractEngine
 from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import SpecError, load_spec
-from .validation import ValidationTimeout, validate
+from .validation import NOT_PERMITTED, PROHIBITED, ValidationTimeout, validate, walk
 from .verification import (DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation,
-                           _parse_mode, verify)
+                           parse_mode, verify)
 
 SCHEMA_VERSION = 1
 
@@ -254,6 +254,10 @@ def _cmd_ground(args) -> int:
 # explain
 
 
+_FAILURE_LABELS = {NOT_PERMITTED: "BLOCKED (not permitted)",
+                   PROHIBITED: "BAD (prohibited in-message)"}
+
+
 def _cmd_explain(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
@@ -262,19 +266,19 @@ def _cmd_explain(args) -> int:
     state = engine.initial_state()
     print(f"initial: permitted-back {state.permitted.bit_count()}, "
           f"prohibited-in {state.prohibited.bit_count()}")
-    for index, outcome, before, after in engine.fold(state, engine.intern(trace.messages)):
+    for index, _, reason, before, after in walk(engine, state, trace.messages):
         m = trace.messages[index]
         head = f"{index + 1:>4} {format_message(m):<60}"
         if m.is_dis():
-            predicted = outcome == BAD
-            status = "dis (predicted)" if predicted else "dis (MISSED by the spec)"
-            print(f"{head} {status}")
-            return EXIT_OK if predicted else EXIT_FAIL
-        if outcome != OK:
-            status = "BLOCKED (not permitted)" if outcome == BLOCKED \
-                else "BAD (prohibited in-message)"
-            print(f"{head} {status}")
-            _print_store(engine, before)
+            print(f"{head} dis ({'predicted' if reason is None else 'MISSED by the spec'})")
+            return EXIT_OK if reason is None else EXIT_FAIL
+        if reason is not None:
+            print(f"{head} {_FAILURE_LABELS[reason]}")
+            for name, mask in (("permitted-back", before.permitted),
+                               ("prohibited-in", before.prohibited)):
+                print(f"  {name}:")
+                for stored in engine.decode(mask):
+                    print(f"    {format_message(stored)}")
             return EXIT_FAIL
         fired = engine.fired_rules(after.rule_states)
         fired_text = ", ".join(
@@ -282,7 +286,14 @@ def _cmd_explain(args) -> int:
             f"{format_message(f.target)}"
             for f in fired
         )
-        delta = _store_delta(engine, before, after)
+        # Decoded in alphabet order, which is message sort order.
+        delta = " ".join(
+            f"{sign}{name}:{format_message(changed)}"
+            for name, b, a in (("perm", before.permitted, after.permitted),
+                               ("proh", before.prohibited, after.prohibited))
+            for sign, mask in (("+", a & ~b), ("-", b & ~a))
+            for changed in engine.decode(mask)
+        )
         line = f"{head} ok"
         if fired_text:
             line += f"  fires [{fired_text}]"
@@ -293,29 +304,6 @@ def _cmd_explain(args) -> int:
         print(line)
     print("trace validated to the end")
     return EXIT_OK
-
-
-def _store_delta(engine, before, after) -> str:
-    parts = []
-    for name, decode in (("permitted", engine.permitted_messages),
-                         ("prohibited", engine.prohibited_messages)):
-        b, a = decode(before), decode(after)
-        added = a - b
-        removed = b - a
-        for m in sorted(added, key=lambda x: x.sort_key()):
-            parts.append(f"+{name[:4]}:{format_message(m)}")
-        for m in sorted(removed, key=lambda x: x.sort_key()):
-            parts.append(f"-{name[:4]}:{format_message(m)}")
-    return " ".join(parts)
-
-
-def _print_store(engine, state) -> None:
-    print("  permitted-back:")
-    for m in sorted(engine.permitted_messages(state), key=lambda x: x.sort_key()):
-        print(f"    {format_message(m)}")
-    print("  prohibited-in:")
-    for m in sorted(engine.prohibited_messages(state), key=lambda x: x.sort_key()):
-        print(f"    {format_message(m)}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "timeout", None) is not None and args.timeout < 1:
+    # Written with "not >=" so that nan is rejected too.
+    if getattr(args, "timeout", None) is not None and not args.timeout >= 1:
         parser.error("--timeout must be at least 1 second")
     if getattr(args, "state_cap", 1) < 1:
         parser.error("--state-cap must be at least 1")
     # Checked before any file is read, and reported as one line like a bad file.
     try:
         if args.subcommand == "verify":
-            _parse_mode(args.mode)
+            parse_mode(args.mode)
         elif args.subcommand == "run" and args.max_steps < 1:
             raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
     except ValueError as e:

@@ -337,7 +337,7 @@ _OBJECT_RE = re.compile(rf"({_NAME})#(\d+):({_NAME})")
 _STRING_RE = re.compile(_STRING)
 _INT_RE = re.compile(_INT)
 _ESCAPE_RE = re.compile(r"\\(.)")
-_COMMENT_RE = re.compile(r"(?:(?<=\s)|^)#.*$")
+_COMMENT_RE = re.compile(rf"({_STRING})|(?:(?<=\s)|^)#.*$")
 
 _TOKEN_RE = re.compile(
     rf"(?P<objlit>{_OBJECT})|(?P<string>{_STRING})|(?P<ident>{_NAME})|(?P<int>{_INT})"
@@ -352,8 +352,9 @@ _MESSAGE_RE = re.compile(
 
 
 def strip_comment(line: str) -> str:
-    """Drop a ``#`` comment; a ``#`` inside an object identity is kept."""
-    return _COMMENT_RE.sub("", line)
+    """Drop a ``#`` comment; a ``#`` inside an object identity or a string
+    is kept."""
+    return _COMMENT_RE.sub(lambda m: m[1] or "", line)
 
 
 def parse_value(text: str, line: Optional[int] = None) -> Value:

@@ -5,19 +5,25 @@ blocks it.
 A dis-terminated trace validates only if the model predicts the observed
 violation, i.e. the final in-message is prohibited at that point; a spec
 that would have allowed it is reported invalid with reason
-"missed violation".
+"missed violation".  walk judges every step of the fold; validate reports
+from it and the explain command prints it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Iterator, Optional, Sequence
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
-from .grounding import DEFAULT_INSTANTIATION_CAP, ground_spec
+from .grounding import ground_spec
 from .messages import Message, Trace
 from .rules import LifestateSpec
+
+NOT_PERMITTED = "back-message not permitted"
+PROHIBITED = "predicted violation not observed: in-message is prohibited"
+MISSED = "missed violation: the spec permits the recorded dis step"
+_REASONS = {BLOCKED: NOT_PERMITTED, BAD: PROHIBITED}
 
 
 class ValidationTimeout(Exception):
@@ -61,9 +67,9 @@ def _rule_letters(engine: AbstractEngine) -> int:
     return mask
 
 
-def _last_firing_rules(engine: AbstractEngine, letters: tuple[int, ...],
+def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[Message],
                        target: int) -> tuple[int, ...]:
-    """Blame for a failure on the target letter after the validated letters:
+    """Blame for a failure on the target letter after the validated prefix:
     the spec rules targeting it that fired at the last state of the fold
     (the initial state or the state after a validated message) where any
     of them fired.  Re-folds the prefix, so a valid trace never pays for it."""
@@ -76,9 +82,26 @@ def _last_firing_rules(engine: AbstractEngine, letters: tuple[int, ...],
 
     state = engine.initial_state()
     blame = fired(state)
-    for event in engine.fold(state, letters):
+    for event in engine.fold(state, engine.intern(prefix)):
         blame = fired(event.after) or blame
     return blame
+
+
+def walk(engine: AbstractEngine, state: AbstractState, messages: Sequence[Message]
+         ) -> Iterator[tuple[int, int, Optional[str], AbstractState, Optional[AbstractState]]]:
+    """Fold the messages from state and judge every step against the model:
+    yields (index, letter, reason, before, after), where reason is None if
+    the model accepts the step and otherwise says why the trace is invalid
+    there.  A dis step is accepted iff the fold calls it BAD, that is, iff
+    the model predicts the recorded violation.  The walk ends after the
+    first step with a reason (a dis message is always last)."""
+    letters = engine.intern(messages)
+    for index, outcome, before, after in engine.fold(state, letters):
+        if messages[index].is_dis():
+            reason = None if outcome == BAD else MISSED
+        else:
+            reason = _REASONS.get(outcome)
+        yield index, letters[index], reason, before, after
 
 
 def validate_ground(
@@ -86,44 +109,30 @@ def validate_ground(
     trace: Trace,
     deadline: Optional[float] = None,
 ) -> ValidationReport:
-    """Fold the abstract step over the trace against a prepared engine."""
+    """Walk the trace against a prepared engine."""
     messages = trace.messages
-    letters = engine.intern(messages)
     relevant = _rule_letters(engine)
     state = engine.initial_state()
     filtered = 0
     inconsistent_at = [0] if state.inconsistent else []
     total = len(messages)
-    for i, outcome, before, after in engine.fold(state, letters):
+    for i, letter, reason, before, after in walk(engine, state, messages):
         if deadline is not None and time.monotonic() > deadline:
             raise ValidationTimeout(f"validation exceeded its time budget at step {i}")
-        m = messages[i]
-        if m.is_dis():
-            if outcome == BAD:
-                # The model predicts the observed violation: accepted.
-                if (1 << letters[i]) & relevant:
-                    filtered += 1
-                break
-            reason = "missed violation: the spec permits the recorded dis step"
-        elif outcome == BLOCKED:
-            reason = "back-message not permitted"
-        elif outcome == BAD:
-            reason = "predicted violation not observed: in-message is prohibited"
-        else:
-            if (1 << letters[i]) & relevant:
-                filtered += 1
-            if after.inconsistent:
-                inconsistent_at.append(i + 1)
-            continue
-        return ValidationReport(
-            False, i, filtered, total,
-            blocking_message=m,
-            blocking_permitted=engine.permitted_messages(before),
-            blocking_prohibited=engine.prohibited_messages(before),
-            last_firing_rules=_last_firing_rules(engine, letters[:i], letters[i]),
-            reason=reason,
-            inconsistency_steps=tuple(inconsistent_at),
-        )
+        if reason is not None:
+            return ValidationReport(
+                False, i, filtered, total,
+                blocking_message=messages[i],
+                blocking_permitted=engine.permitted_messages(before),
+                blocking_prohibited=engine.prohibited_messages(before),
+                last_firing_rules=_last_firing_rules(engine, messages[:i], letter),
+                reason=reason,
+                inconsistency_steps=tuple(inconsistent_at),
+            )
+        if (1 << letter) & relevant:
+            filtered += 1
+        if after is not None and after.inconsistent:
+            inconsistent_at.append(i + 1)
     return ValidationReport(True, total, filtered, total,
                             inconsistency_steps=tuple(inconsistent_at))
 
@@ -131,12 +140,11 @@ def validate_ground(
 def validate(
     spec: LifestateSpec,
     trace: Trace,
-    cap: int = DEFAULT_INSTANTIATION_CAP,
     timeout: Optional[float] = None,
 ) -> ValidationReport:
     """Ground the spec against the trace and fold the abstract step over
     its messages; valid iff no step is blocked or bad before the end."""
-    ground = ground_spec(spec, trace, cap=cap)
+    ground = ground_spec(spec, trace)
     engine = AbstractEngine(ground)
     deadline = time.monotonic() + timeout if timeout is not None else None
     return validate_ground(engine, trace, deadline)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState, StepEvent
-from .grounding import DEFAULT_INSTANTIATION_CAP, ground_spec
+from .grounding import ground_spec
 from .messages import CB, CBRET, CI, CIRET, Message, Trace, is_violation
 from .rules import LifestateSpec
 
@@ -109,7 +109,7 @@ class Unknown:
 VerificationResult = Union[Safe, Violation, Unknown]
 
 
-def _parse_mode(mode: str) -> Optional[int]:
+def parse_mode(mode: str) -> Optional[int]:
     """None for ``exhaustive``, otherwise the unit bound K >= 1 of
     ``bounded:K``."""
     if mode == "exhaustive":
@@ -148,7 +148,6 @@ def verify(
     trace: Trace,
     mode: str = "exhaustive",
     state_cap: int = DEFAULT_STATE_CAP,
-    grounding_cap: int = DEFAULT_INSTANTIATION_CAP,
     timeout: Optional[float] = None,
 ) -> VerificationResult:
     """Breadth-first reachability over abstract states at unit boundaries.
@@ -161,11 +160,11 @@ def verify(
     if is_violation(trace):
         # The recorded execution already witnesses the violation.
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
-    bound = _parse_mode(mode)
+    bound = parse_mode(mode)
     deadline = time.monotonic() + timeout if timeout is not None else None
 
     units = split_subtraces(trace)
-    ground = ground_spec(spec, trace, cap=grounding_cap)
+    ground = ground_spec(spec, trace)
     engine = AbstractEngine(ground)
     unit_letters = [engine.intern(u.messages) for u in units]
     openings = [1 << letters[0] for letters in unit_letters]
@@ -221,7 +220,6 @@ def brute_force_verify(
     spec: LifestateSpec,
     trace: Trace,
     k: int,
-    grounding_cap: int = DEFAULT_INSTANTIATION_CAP,
     timeout: Optional[float] = None,
 ) -> VerificationResult:
     """Independent oracle: enumerate every sequence of up to k units
@@ -234,7 +232,7 @@ def brute_force_verify(
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
     deadline = time.monotonic() + timeout if timeout is not None else None
     units = split_subtraces(trace)
-    ground = ground_spec(spec, trace, cap=grounding_cap)
+    ground = ground_spec(spec, trace)
     engine = AbstractEngine(ground)
     unit_letters = [engine.intern(u.messages) for u in units]
     sequences_run = 0

@@ -24,7 +24,7 @@ from lifeguard.verification import (
     Safe,
     Unknown,
     Violation,
-    _parse_mode,
+    parse_mode,
     split_subtraces,
 )
 
@@ -146,6 +146,14 @@ class ReferenceEngine:
         return ("ok", self._update(rule_states, state.permitted, state.prohibited))
 
 
+def fold_step(engine, state, m):
+    """One step of the integer engine's fold on a plain message, shaped like
+    ReferenceEngine.step: ("ok", successor), ("blocked", None) or
+    ("bad", None)."""
+    event = next(engine.fold(state, engine.intern((m,))))
+    return event.outcome, event.after
+
+
 def reference_validate(spec, trace) -> ValidationReport:
     """Fold the frozenset step over the trace, noting after every step which
     rules last fired for each target (the blame for a later failure)."""
@@ -201,7 +209,7 @@ def reference_verify(spec, trace, mode="exhaustive", state_cap=5_000_000):
     pointers and integer stores."""
     if is_violation(trace):
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
-    bound = _parse_mode(mode)
+    bound = parse_mode(mode)
     units = split_subtraces(trace)
     engine = ReferenceEngine(ground_spec(spec, trace))
     init = engine.initial_state()

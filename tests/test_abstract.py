@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lifeguard.abstract import AbstractEngine, AbstractState, BadState, Blocked
+from lifeguard.abstract import BAD, BLOCKED, OK, AbstractEngine
 from lifeguard.grounding import ground_spec
 from lifeguard.messages import (
     APP,
@@ -18,7 +18,7 @@ from lifeguard.messages import (
 from lifeguard.rules import matches, parse_spec
 
 from gen import random_spec, random_trace
-from reference_engine import consistent, update_back, update_in
+from reference_engine import consistent, fold_step, update_back, update_in
 
 A1 = ObjectId("a", 1, "Activity")
 T1 = ObjectId("t", 1, "AsyncTask")
@@ -51,8 +51,8 @@ def engine_fixed(spec_run, trace_fixed):
 
 def advance_through(engine, state, messages):
     for m in messages:
-        state = engine.step(state, m)
-        assert isinstance(state, AbstractState), f"unexpected {state} at {m}"
+        outcome, state = fold_step(engine, state, m)
+        assert outcome == OK, f"unexpected {outcome} at {m}"
     return state
 
 
@@ -145,38 +145,31 @@ class TestFiringSets:
 
 class TestAbsStep:
     def test_initial_click_blocked(self, engine_fixed):
-        result = engine_fixed.step(engine_fixed.initial_state(), CB_CLICK)
-        assert isinstance(result, Blocked)
+        assert fold_step(engine_fixed, engine_fixed.initial_state(), CB_CLICK) == (BLOCKED, None)
 
     def test_double_execute_is_bad(self, spec_run, trace_buggy):
         engine = AbstractEngine(ground_spec(spec_run, trace_buggy))
         # Create unit + Click unit of the buggy trace, then a second click
         # reaching execute again.
         state = advance_through(engine, engine.initial_state(), trace_buggy.messages[:10])
-        state = engine.step(state, CB_CLICK)
-        assert isinstance(state, AbstractState)
-        result = engine.step(state, CI_EXEC)
-        assert isinstance(result, BadState)
-        assert str(result.witness_suffix) == "dis ci execute(t#1:AsyncTask)"
+        outcome, state = fold_step(engine, state, CB_CLICK)
+        assert outcome == OK
+        assert fold_step(engine, state, CI_EXEC) == (BAD, None)
 
     def test_other_messages_never_blocked(self, engine_fixed):
         s = engine_fixed.initial_state()
         stray_back = ciret("offworld", A1)
         stray_in = ci("offworld", A1)
-        assert isinstance(engine_fixed.step(s, stray_back), AbstractState)
-        assert isinstance(engine_fixed.step(s, stray_in), AbstractState)
-
-    def test_dis_rejected(self, engine_fixed):
-        with pytest.raises(ValueError):
-            engine_fixed.step(engine_fixed.initial_state(), CI_EXEC.wrap_dis())
+        assert fold_step(engine_fixed, s, stray_back)[0] == OK
+        assert fold_step(engine_fixed, s, stray_in)[0] == OK
 
     def test_frame_property(self, engine_fixed):
         # A message matched by no rule leaves both stores unchanged.
         s = engine_fixed.initial_state()
-        nxt = engine_fixed.step(s, CB_CREATE)
+        nxt = fold_step(engine_fixed, s, CB_CREATE)[1]
         # onCreate is matched by the once-only rule; use an OTHER message
         stray = ci("offworld", A1)
-        after = engine_fixed.step(s, stray)
+        after = fold_step(engine_fixed, s, stray)[1]
         assert engine_fixed.permitted_messages(after) == engine_fixed.permitted_messages(s)
         assert engine_fixed.prohibited_messages(after) == engine_fixed.prohibited_messages(s)
 
@@ -247,12 +240,9 @@ def engine_outcomes(engine, messages):
     state = engine.initial_state()
     outcomes = [("state", engine.permitted_messages(state), engine.prohibited_messages(state))]
     for m in messages:
-        result = engine.step(state, m)
-        if isinstance(result, Blocked):
-            outcomes.append(("blocked", m))
-            return outcomes
-        if isinstance(result, BadState):
-            outcomes.append(("bad", result.witness_suffix.unwrap()))
+        outcome, result = fold_step(engine, state, m)
+        if outcome != OK:
+            outcomes.append((outcome, m))
             return outcomes
         state = result
         outcomes.append(("state", engine.permitted_messages(state),

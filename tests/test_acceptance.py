@@ -6,7 +6,7 @@ import random
 import time
 
 
-from lifeguard.abstract import AbstractEngine, BadState, Blocked
+from lifeguard.abstract import BAD, BLOCKED, AbstractEngine
 from lifeguard.cli import main as cli_main
 from lifeguard.grounding import ground_spec
 from lifeguard.interp import FINISHED, BAD_STATUS, load_program, parse_schedule, run
@@ -22,6 +22,7 @@ from lifeguard.verification import (
 )
 
 from gen import random_spec, random_trace
+from reference_engine import fold_step
 from test_abstract import engine_outcomes, scratch_outcomes
 from test_dfa_grounding import LETTERS, OPERATOR_COVERAGE, brute_language, compile_matcher
 
@@ -139,9 +140,9 @@ def test_criterion_6_oracle_agreement(spec_run, spec_lifecycle, spec_top,
             unit = units[rng.randrange(len(units))]
             blocked = False
             for m in unit.messages:
-                step = engine.step(state, m)
-                assert not isinstance(step, BadState), "Safe verdict refuted by sampling"
-                if isinstance(step, Blocked):
+                outcome, step = fold_step(engine, state, m)
+                assert outcome != BAD, "Safe verdict refuted by sampling"
+                if outcome == BLOCKED:
                     blocked = True
                     break
                 state = step

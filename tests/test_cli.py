@@ -7,6 +7,8 @@ import pytest
 from lifeguard.abstract import AbstractEngine
 from lifeguard.cli import main
 from lifeguard.messages import load_trace, parse_trace, serialize_trace
+from lifeguard.rules import load_spec
+from lifeguard.validation import validate
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +248,33 @@ class TestGroundAndExplain:
         assert "permitted-back" in out
 
 
+def test_explain_agrees_with_validate(capsys, fixtures_dir, tmp_path):
+    # explain fails exactly where validate stops, on every fixture pair and
+    # on a dis-terminated witness, predicted or missed by the spec.
+    witness = tmp_path / "witness.trace"
+    assert run_cli(capsys, "verify", "--spec", str(fixtures_dir / "spec_run.ls"),
+                   "--trace", str(fixtures_dir / "trace_buggy.trace"),
+                   "--witness-out", str(witness))[0] == 1
+    permissive = tmp_path / "permissive.ls"
+    permissive.write_text("")
+    specs = sorted(fixtures_dir.glob("*.ls")) + [permissive]
+    traces = sorted(fixtures_dir.glob("*.trace")) + [witness]
+    failures = ("BLOCKED (not permitted)", "BAD (prohibited in-message)",
+                "dis (MISSED by the spec)")
+    for spec in specs:
+        for trace in traces:
+            report = validate(load_spec(spec), load_trace(trace))
+            code, out, _ = run_cli(capsys, "explain", "--spec", str(spec), "--trace", str(trace))
+            assert code == (0 if report.valid else 1), (spec.name, trace.name)
+            failing = [int(line.split()[0]) for line in out.splitlines()
+                       if line.endswith(failures)]
+            assert failing == ([] if report.valid else [report.prefix_len + 1])
+            if trace == witness and spec.name in ("spec_run.ls", "permissive.ls"):
+                status = "dis (predicted)" if spec.name == "spec_run.ls" \
+                    else "dis (MISSED by the spec)"
+                assert out.splitlines()[-1].endswith(status), spec.name
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys, fixtures_dir):
         code, _, err = run_cli(capsys, "verify",
@@ -300,11 +329,13 @@ def test_bad_option_value_is_one_error_line(capsys, fixtures_dir, argv):
 
 class TestTimeouts:
     def test_sub_second_timeout_is_a_usage_error(self, capsys, fixtures_dir):
-        with pytest.raises(SystemExit):
-            main(["validate",
-                  "--spec", str(fixtures_dir / "spec_run.ls"),
-                  "--trace", str(fixtures_dir / "trace_fixed.trace"),
-                  "--timeout", "0.5"])
+        # nan compares false with everything, so it must not pass as >= 1.
+        for value in ("0.5", "nan"):
+            with pytest.raises(SystemExit):
+                main(["validate",
+                      "--spec", str(fixtures_dir / "spec_run.ls"),
+                      "--trace", str(fixtures_dir / "trace_fixed.trace"),
+                      "--timeout", value])
 
     def test_generous_timeout_still_validates(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "validate",

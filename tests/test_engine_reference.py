@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from lifeguard.abstract import OK, AbstractEngine, AbstractState, BadState, Blocked
+from lifeguard.abstract import OK, AbstractEngine
 from lifeguard.grounding import ground_spec
 from lifeguard.messages import APP, FWK, UNIT, FunctionSymbol, Message, ObjectId, Thunk
 from lifeguard.rules import parse_spec
@@ -16,7 +16,7 @@ from lifeguard.verification import verify
 
 from gen import random_spec, random_trace
 from pairs import pair_trace, random_order
-from reference_engine import ReferenceEngine, reference_validate, reference_verify
+from reference_engine import ReferenceEngine, fold_step, reference_validate, reference_verify
 
 FIXTURE_SPECS = ("spec_run", "spec_run_noenable", "spec_lifecycle", "spec_top")
 FIXTURE_TRACES = ("trace_fixed", "trace_buggy")
@@ -90,15 +90,12 @@ def assert_steps_match(spec, trace, rng):
     state, ref_state = engine.initial_state(), ref.initial_state()
     for _ in range(40):
         m = rng.choice(pool)
-        got, (outcome, ref_after) = engine.step(state, m), ref.step(ref_state, m)
-        if isinstance(got, Blocked):
-            assert outcome == "blocked", m
-        elif isinstance(got, BadState):
-            assert outcome == "bad", m
-        else:
-            assert isinstance(got, AbstractState) and outcome == OK, m
-            assert view(engine, got) == ref_view(ref_after), m
-            state, ref_state = got, ref_after
+        (outcome, after), (ref_outcome, ref_after) = (fold_step(engine, state, m),
+                                                      ref.step(ref_state, m))
+        assert outcome == ref_outcome, m
+        if outcome == OK:
+            assert view(engine, after) == ref_view(ref_after), m
+            state, ref_state = after, ref_after
 
 
 def test_steps_match_reference_on_fixtures(request):

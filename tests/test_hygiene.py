@@ -1,5 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no unused import and no unused module-private top-level name."""
+no unused import, no unused module-private top-level name, and no import
+of another module's private name."""
 
 import ast
 import pathlib
@@ -35,3 +36,7 @@ def test_no_unused_imports_or_private_names(path):
               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unused = [name for node in tree.body for name in _bound_names(node) if name not in loaded]
     assert unused == [], f"{path.name}: unused {unused}"
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.split(".")[0] == "lifeguard")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"{path.name}: imports another module's private {private}"

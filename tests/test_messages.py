@@ -96,12 +96,12 @@ class TestParseTrace:
         assert "line 3" in str(e.value)
 
     def test_escaped_strings_round_trip(self):
-        text = ('cb show("a\\"b","c\\\\d")\n'
+        text = ('cb show("a\\"b","c\\\\d","a #b")\n'
                 'ci put("x = \\"y\\"",-1)\n'
                 'ciret "k=\\"v\\\\\\"" = put("x = \\"y\\"",-1)\n'
-                'cbret unit = show("a\\"b","c\\\\d")\n')
+                'cbret unit = show("a\\"b","c\\\\d","a #b")\n')
         t = parse_trace(text)
-        assert t[0].thunk.args == (Str('a"b'), Str("c\\d"))
+        assert t[0].thunk.args == (Str('a"b'), Str("c\\d"), Str("a #b"))
         assert t[2].ret == Str('k="v\\"')
         assert serialize_trace(t) == text
 

@@ -94,6 +94,10 @@ class TestParseSpec:
         again = parse_spec(str(spec_run))
         assert again == spec_run
 
+    def test_hash_inside_a_string_is_not_a_comment(self):
+        spec = parse_spec('TRUE* ; ci f("a #b") -> ci g("#") # a comment')
+        assert str(spec) == 'TRUE* ; ci f("a #b") -> ci g("#")'
+
     def test_bad_string_escape_is_a_spec_error(self):
         with pytest.raises(SpecError):
             parse_spec('TRUE* ; ci f("a\\n") -> ci g()')
