@@ -21,7 +21,7 @@ from . import interp
 from .abstract import AbstractEngine
 from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
-from .rules import SpecError, load_spec
+from .rules import ARROWS, SpecError, load_spec
 from .validation import NOT_PERMITTED, PROHIBITED, ValidationTimeout, validate, walk
 from .verification import (DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation,
                            parse_mode, verify)
@@ -231,9 +231,8 @@ def _cmd_ground(args) -> int:
     ground = ground_spec(spec, trace, cap=args.grounding_cap)
     engine = AbstractEngine(ground)
     lines = []
-    arrow = {"permit": "->", "prohibit": "-/>"}
     for gr in ground.rules:
-        lines.append(f"{gr.matcher} {arrow[gr.polarity]} {format_message(gr.target)}")
+        lines.append(f"{gr.matcher} {ARROWS[gr.polarity]} {format_message(gr.target)}")
     lines.append("")
     lines.append(f"alphabet: {len(ground.alphabet)} messages (+1 OTHER class)")
     lines.append(f"{'rule':>5} {'instances':>10} {'dfa states (per instance)':>28}")
@@ -282,7 +281,7 @@ def _cmd_explain(args) -> int:
             return EXIT_FAIL
         fired = engine.fired_rules(after.rule_states)
         fired_text = ", ".join(
-            f"#{f.source_index + 1}{'->' if f.polarity == 'permit' else '-/>'}"
+            f"#{f.source_index + 1}{ARROWS[f.polarity]}"
             f"{format_message(f.target)}"
             for f in fired
         )

@@ -207,9 +207,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, letter: int) -> int:
-        return self.transitions[state][letter]
-
     def accepts(self, word: Iterable[int]) -> bool:
         state = self.start
         for letter in word:

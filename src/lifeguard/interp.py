@@ -22,6 +22,10 @@ Literals are the trace values other than strings, and lines are split
 into tokens by ``messages.tokenize``, which specs use too.  ``#`` starts a
 comment at the beginning of a line or after whitespace.  The ``force``
 form is machine-internal and rejected in surface programs.
+
+One lowering pass checks scopes and let-normalizes the parsed program, so
+that primitive forms and if-conditions see only atoms.  Cells are numbered
+by allocation order within a run: cell n is the n-th ``newcell``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .messages import (
@@ -149,8 +153,11 @@ KEYWORDS = {
 
 
 class _Parser(Cursor):
-    # expr := let | if | seq
-    def parse_expr(self) -> Expr:
+    # expr := (let | if | prefix) [';' expr]
+    # Without seq a following ';' belongs to the enclosing context (used for
+    # let right-hand sides and if arms, which extend rightwards only via
+    # explicit parentheses).
+    def parse_expr(self, seq: bool = True) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ProgramError("unexpected end of program")
@@ -160,7 +167,7 @@ class _Parser(Cursor):
             if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
                 raise ProgramError(f"bad binder {name_tok.text!r}", name_tok.line)
             self.expect("=")
-            bound = self.parse_expr_no_seq()
+            bound = self.parse_expr(seq=False)
             self.expect("in")
             body = self.parse_expr()
             if isinstance(bound, ELam) and bound.name == "<anon>":
@@ -168,38 +175,16 @@ class _Parser(Cursor):
             return ELet(name_tok.text, bound, body)
         if tok.text == "if":
             self.next()
-            cond = self.parse_expr_no_seq()
+            cond = self.parse_expr(seq=False)
             self.expect("then")
-            then = self.parse_expr_no_seq()
+            then = self.parse_expr(seq=False)
             self.expect("else")
-            orelse = self.parse_expr_no_seq()
-            return self._maybe_seq(EIf(cond, then, orelse))
-        return self._maybe_seq(self.parse_prefix())
-
-    # Like parse_expr but a following ';' belongs to the enclosing context
-    # (used for let right-hand sides and if arms, which extend rightwards
-    # only via explicit parentheses).
-    def parse_expr_no_seq(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ProgramError("unexpected end of program")
-        if tok.text == "let":
-            return self.parse_expr()
-        if tok.text == "if":
+            first: Expr = EIf(cond, then, self.parse_expr(seq=False))
+        else:
+            first = self.parse_prefix()
+        if seq and self.at(";"):
             self.next()
-            cond = self.parse_expr_no_seq()
-            self.expect("then")
-            then = self.parse_expr_no_seq()
-            self.expect("else")
-            orelse = self.parse_expr_no_seq()
-            return EIf(cond, then, orelse)
-        return self.parse_prefix()
-
-    def _maybe_seq(self, first: Expr) -> Expr:
-        if self.at(";"):
-            self.next()
-            rest = self.parse_expr()
-            return ELet("%seq", first, rest)
+            return ELet("%seq", first, self.parse_expr())
         return first
 
     def parse_prefix(self) -> Expr:
@@ -223,40 +208,29 @@ class _Parser(Cursor):
             return False
         i = 1
         while True:
-            tok = self.peek(i)
-            if tok is None or tok.kind != "ident":
+            tok, sep = self.peek(i), self.peek(i + 1)
+            if tok is None or tok.kind != "ident" or sep is None:
                 return False
-            i += 1
-            tok = self.peek(i)
-            if tok is None:
-                return False
-            if tok.text == ",":
-                i += 1
-                continue
-            if tok.text == ")":
-                nxt = self.peek(i + 1)
-                return nxt is not None and nxt.text == "=>"
-            return False
+            if sep.text != ",":
+                nxt = self.peek(i + 2)
+                return sep.text == ")" and nxt is not None and nxt.text == "=>"
+            i += 2
 
     def parse_lambda(self) -> ELam:
         params: list[str] = []
-        if self.at("("):
+        paren = self.at("(")
+        if paren:
             self.next()
-            while True:
-                tok = self.next()
-                if tok.kind != "ident" or tok.text in KEYWORDS:
-                    raise ProgramError(f"bad parameter {tok.text!r}", tok.line)
-                params.append(tok.text)
-                if self.at(","):
-                    self.next()
-                    continue
-                self.expect(")")
-                break
-        else:
+        while True:
             tok = self.next()
             if tok.kind != "ident" or tok.text in KEYWORDS:
                 raise ProgramError(f"bad parameter {tok.text!r}", tok.line)
             params.append(tok.text)
+            if not (paren and self.at(",")):
+                break
+            self.next()
+        if paren:
+            self.expect(")")
         self.expect("=>")
         self.expect("[")
         pkg_tok = self.next()
@@ -298,96 +272,78 @@ class _Parser(Cursor):
 
 
 # ---------------------------------------------------------------------------
-# Static checks and normalization
-
-
-def _check_scopes(expr: Expr, bound: frozenset[str], fun_pkg: Optional[str]) -> None:
-    if isinstance(expr, ELit):
-        return
-    if isinstance(expr, EVar):
-        if expr.name not in bound:
-            raise ProgramError(f"unbound identifier {expr.name!r}")
-        return
-    if isinstance(expr, EThk):
-        if fun_pkg is None:
-            raise ProgramError("'thk' outside a function body")
-        return
-    if isinstance(expr, ELam):
-        _check_scopes(expr.body, bound | set(expr.params), expr.package)
-        return
-    if isinstance(expr, ELet):
-        _check_scopes(expr.bound, bound, fun_pkg)
-        _check_scopes(expr.body, bound | {expr.var}, fun_pkg)
-        return
-    if isinstance(expr, EIf):
-        for sub in (expr.cond, expr.then, expr.orelse):
-            _check_scopes(sub, bound, fun_pkg)
-        return
-    if isinstance(expr, EPrim):
-        if expr.op in ("enable", "disable", "allow", "disallow") and fun_pkg == APP:
-            raise ProgramError(f"app code may not use {expr.op!r}")
-        for sub in expr.operands:
-            _check_scopes(sub, bound, fun_pkg)
-        return
-    raise ProgramError(f"unknown expression node {type(expr).__name__}")
+# Lowering: scope checks and let-normalization in one walk
 
 
 def _is_atom(expr: Expr) -> bool:
     return isinstance(expr, (ELit, EVar, EThk, ELam))
 
 
-class _Normalizer:
-    """Rewrite operands of primitive forms and if-conditions into atoms.
+def _lower(program: Expr) -> Expr:
+    """Scope-check a surface program and rewrite the operands of primitive
+    forms and if-conditions into atoms.
 
     Compound operands are let-bound to fresh ``%n`` temporaries so that the
     machine's primitive steps only ever see values, mirroring a let-normal
-    form presentation."""
+    form presentation.  Nodes are visited in source order, so the first
+    scope error in the program is the one reported."""
+    fresh = itertools.count()
 
-    def __init__(self) -> None:
-        self._fresh = itertools.count()
-
-    def normalize(self, expr: Expr) -> Expr:
+    def atomize(expr: Expr, bound: frozenset[str], fun_pkg: Optional[str],
+                lets: list[tuple[str, Expr]]) -> Expr:
+        expr = lower(expr, bound, fun_pkg)
         if _is_atom(expr):
-            if isinstance(expr, ELam):
-                return ELam(expr.params, expr.package, self.normalize(expr.body), expr.name)
             return expr
-        if isinstance(expr, ELet):
-            return ELet(expr.var, self.normalize(expr.bound), self.normalize(expr.body))
-        if isinstance(expr, EIf):
-            cond, wrap = self._atomize(expr.cond)
-            return wrap(EIf(cond, self.normalize(expr.then), self.normalize(expr.orelse)))
-        if isinstance(expr, EPrim):
-            wraps = []
-            atoms = []
-            for operand in expr.operands:
-                atom, wrap = self._atomize(operand)
-                atoms.append(atom)
-                wraps.append(wrap)
-            out: Expr = EPrim(expr.op, tuple(atoms))
-            for wrap in reversed(wraps):
-                out = wrap(out)
-            return out
-        raise ProgramError(f"cannot normalize {type(expr).__name__}")
+        tmp = f"%{next(fresh)}"
+        lets.append((tmp, expr))
+        return EVar(tmp)
 
-    def _atomize(self, expr: Expr):
-        expr = self.normalize(expr)
-        if _is_atom(expr):
-            return expr, lambda e: e
-        tmp = f"%{next(self._fresh)}"
-        return EVar(tmp), (lambda e, tmp=tmp, bound=expr: ELet(tmp, bound, e))
+    def lower(expr: Expr, bound: frozenset[str], fun_pkg: Optional[str]) -> Expr:
+        if isinstance(expr, ELit):
+            return expr
+        if isinstance(expr, EVar):
+            if expr.name not in bound:
+                raise ProgramError(f"unbound identifier {expr.name!r}")
+            return expr
+        if isinstance(expr, EThk):
+            if fun_pkg is None:
+                raise ProgramError("'thk' outside a function body")
+            return expr
+        if isinstance(expr, ELam):
+            body = lower(expr.body, bound | set(expr.params), expr.package)
+            return ELam(expr.params, expr.package, body, expr.name)
+        if isinstance(expr, ELet):
+            return ELet(expr.var, lower(expr.bound, bound, fun_pkg),
+                        lower(expr.body, bound | {expr.var}, fun_pkg))
+        lets: list[tuple[str, Expr]] = []
+        if isinstance(expr, EIf):
+            cond = atomize(expr.cond, bound, fun_pkg, lets)
+            out: Expr = EIf(cond, lower(expr.then, bound, fun_pkg),
+                            lower(expr.orelse, bound, fun_pkg))
+        elif isinstance(expr, EPrim):
+            if expr.op in ("enable", "disable", "allow", "disallow") and fun_pkg == APP:
+                raise ProgramError(f"app code may not use {expr.op!r}")
+            out = EPrim(expr.op, tuple(atomize(sub, bound, fun_pkg, lets)
+                                       for sub in expr.operands))
+        else:
+            raise ProgramError(f"unknown expression node {type(expr).__name__}")
+        for tmp, value in reversed(lets):
+            out = ELet(tmp, value, out)
+        return out
+
+    return lower(program, frozenset(), None)
 
 
 def parse_program(text: str) -> Expr:
     """Parse, scope-check, and normalize a surface program."""
-    tokens = [tok for lineno, raw in enumerate(text.splitlines(), start=1)
+    tokens = [tok for lineno, raw in enumerate(text.split("\n"), start=1)
               for tok in tokenize(strip_comment(raw), lineno, ProgramError)]
     parser = _Parser(tokens, ProgramError)
     expr = parser.parse_expr()
     if parser.peek() is not None:
         tok = parser.peek()
         raise ProgramError(f"trailing tokens starting at {tok.text!r}", tok.line)
-    _check_scopes(expr, frozenset(), None)
-    return _Normalizer().normalize(expr)
+    return _lower(expr)
 
 
 def load_program(path) -> Expr:
@@ -452,12 +408,6 @@ class Env:
         self._frame = frame or {}
         self._parent = parent
 
-    def extend(self, name: str, value: Value) -> "Env":
-        return Env({name: value}, self)
-
-    def extend_many(self, items: dict) -> "Env":
-        return Env(dict(items), self)
-
     def lookup(self, name: str) -> Value:
         env: Optional[Env] = self
         while env is not None:
@@ -511,7 +461,7 @@ class MachineState:
 
     control: object
     env: Env = EMPTY_ENV
-    store: tuple[tuple[int, Value], ...] = ()
+    store: tuple[Value, ...] = ()
     enabled: frozenset = frozenset()
     disallowed: frozenset = frozenset()
     cont: tuple[Frame, ...] = ()
@@ -523,16 +473,14 @@ class MachineState:
         return isinstance(self.control, Value)
 
     def is_terminal(self) -> bool:
-        return self.is_bad() or (self.is_value() and not self.cont and not self.enabled)
+        c = self.control
+        return c is BAD or (isinstance(c, Value) and not self.cont and not self.enabled)
 
-    def store_get(self, cell: int) -> Value:
-        for cid, v in self.store:
-            if cid == cell:
-                return v
-        raise StuckError(f"read of unallocated cell {cell}")
-
-    def store_set(self, cell: int, value: Value) -> tuple[tuple[int, Value], ...]:
-        return tuple((cid, value if cid == cell else v) for cid, v in self.store)
+    def with_control(self, control: object, env: Optional[Env] = None,
+                     cont: Optional[tuple[Frame, ...]] = None) -> "MachineState":
+        """This state with a new control, and optionally a new env or cont."""
+        return MachineState(control, self.env if env is None else env, self.store,
+                            self.enabled, self.disallowed, self.cont if cont is None else cont)
 
 
 def initial_state(program: Expr) -> MachineState:
@@ -560,32 +508,23 @@ def _observable_thunk(thunk: RThunk) -> Thunk:
     return Thunk(fun, thunk.args)
 
 
-def _force_label(thunk: RThunk, cont: tuple[Frame, ...]) -> Optional[Message]:
-    callee = thunk.closure.package
-    caller = _caller_package(cont)
-    if callee == APP and caller == FWK:
-        return Message(CB, _observable_thunk(thunk))
-    if callee == FWK and caller == APP:
-        return Message(CI, _observable_thunk(thunk))
-    return None
+# (callee package, caller package) -> (entry kind, return kind) of the
+# calls that cross the app-framework interface.
+_CROSSINGS = {(APP, FWK): (CB, CBRET), (FWK, APP): (CI, CIRET)}
 
 
-def _return_label(thunk: RThunk, rest: tuple[Frame, ...], value: Value) -> Optional[Message]:
-    returnee = thunk.closure.package
-    caller = _caller_package(rest)
-    if returnee == FWK and caller == APP:
-        if not isinstance(value, _SERIALIZABLE):
-            raise StuckError(f"return value {value} crosses the interface but is not observable")
-        return Message(CIRET, _observable_thunk(thunk), value)
-    if returnee == APP and caller == FWK:
-        if not isinstance(value, _SERIALIZABLE):
-            raise StuckError(f"return value {value} crosses the interface but is not observable")
-        return Message(CBRET, _observable_thunk(thunk), value)
-    return None
-
-
-def sorted_enabled(state: MachineState) -> list[RThunk]:
-    return sorted(state.enabled, key=lambda t: t.sort_key())
+def _label(thunk: RThunk, cont: tuple[Frame, ...],
+           value: Optional[Value] = None) -> Optional[Message]:
+    """The message for forcing thunk under cont or, given its return value,
+    for returning to cont; None if the call does not cross the interface."""
+    kinds = _CROSSINGS.get((thunk.closure.package, _caller_package(cont)))
+    if kinds is None:
+        return None
+    if value is None:
+        return Message(kinds[0], _observable_thunk(thunk))
+    if not isinstance(value, _SERIALIZABLE):
+        raise StuckError(f"return value {value} crosses the interface but is not observable")
+    return Message(kinds[1], _observable_thunk(thunk), value)
 
 
 def _eval_atom(expr: Expr, env: Env, uid_counter) -> Value:
@@ -601,12 +540,11 @@ def _eval_atom(expr: Expr, env: Env, uid_counter) -> Value:
 
 
 class Machine:
-    """Small-step executor.  A Machine owns the uid supply for closures and
-    cells so that states from one run are internally consistent."""
+    """Small-step executor.  A Machine owns the uid supply for closures so
+    that states from one run are internally consistent."""
 
     def __init__(self) -> None:
         self._uids = itertools.count(1)
-        self._cells = itertools.count(1)
 
     def step(self, state: MachineState) -> list[tuple[Optional[Message], MachineState]]:
         """All successors of a non-terminal state with their message labels.
@@ -622,24 +560,15 @@ class Machine:
                 top = state.cont[-1]
                 rest = state.cont[:-1]
                 if isinstance(top, FLet):
-                    env2 = top.env.extend(top.var, c)
-                    return [(None, MachineState(top.body, env2, state.store,
-                                                state.enabled, state.disallowed, rest))]
+                    return [(None, state.with_control(top.body, Env({top.var: c}, top.env), rest))]
                 if isinstance(top, FThunk):
-                    label = _return_label(top.thunk, rest, c)
-                    return [(label, MachineState(c, state.env, state.store,
-                                                 state.enabled, state.disallowed, rest))]
+                    return [(_label(top.thunk, rest, c), state.with_control(c, cont=rest))]
                 if isinstance(top, FEvent):
-                    return [(None, MachineState(c, state.env, state.store,
-                                                state.enabled, state.disallowed, rest))]
+                    return [(None, state.with_control(c, cont=rest))]
                 raise StuckError(f"unknown continuation frame {top!r}")
             # Event: value at the top level, pick any enabled thunk.
-            succs = []
-            for thunk in sorted_enabled(state):
-                succs.append((None, MachineState(MForce(thunk), state.env, state.store,
-                                                 state.enabled, state.disallowed,
-                                                 (FEvent(thunk),))))
-            return succs
+            return [(None, state.with_control(MForce(thunk), cont=(FEvent(thunk),)))
+                    for thunk in sorted(state.enabled, key=lambda t: t.sort_key())]
 
         if isinstance(c, MForce):
             thunk = c.thunk
@@ -649,31 +578,24 @@ class Machine:
                     f"forcing {closure.name} with {len(thunk.args)} of "
                     f"{len(closure.params)} arguments"
                 )
-            label = _force_label(thunk, state.cont)
             frame = dict(zip(closure.params, thunk.args))
             frame["thk"] = thunk
-            env2 = closure.env.extend_many(frame)
-            return [(label, MachineState(closure.body, env2, state.store,
-                                         state.enabled, state.disallowed,
-                                         state.cont + (FThunk(thunk),)))]
+            return [(_label(thunk, state.cont),
+                     state.with_control(closure.body, Env(frame, closure.env),
+                                        state.cont + (FThunk(thunk),)))]
 
         if isinstance(c, ELet):
-            return [(None, MachineState(c.bound, state.env, state.store,
-                                        state.enabled, state.disallowed,
-                                        state.cont + (FLet(c.var, c.body, state.env),)))]
+            return [(None, state.with_control(
+                c.bound, cont=state.cont + (FLet(c.var, c.body, state.env),)))]
 
         if isinstance(c, EIf):
             cond = _eval_atom(c.cond, state.env, self._uids)
             if not isinstance(cond, Bool):
                 raise StuckError(f"if condition is {cond}, not a boolean")
-            branch = c.then if cond.flag else c.orelse
-            return [(None, MachineState(branch, state.env, state.store,
-                                        state.enabled, state.disallowed, state.cont))]
+            return [(None, state.with_control(c.then if cond.flag else c.orelse))]
 
         if _is_atom(c):
-            return [(None, MachineState(_eval_atom(c, state.env, self._uids), state.env,
-                                        state.store, state.enabled, state.disallowed,
-                                        state.cont))]
+            return [(None, state.with_control(_eval_atom(c, state.env, self._uids)))]
 
         if isinstance(c, EPrim):
             return [self._prim(c, state)]
@@ -684,67 +606,56 @@ class Machine:
         vals = [_eval_atom(a, state.env, self._uids) for a in expr.operands]
         op = expr.op
 
-        def done(value: Value, *, store=None, enabled=None, disallowed=None):
-            return (None, MachineState(
-                value, state.env,
-                state.store if store is None else store,
-                state.enabled if enabled is None else enabled,
-                state.disallowed if disallowed is None else disallowed,
-                state.cont))
-
         if op == "bind":
             target, arg = vals
             if isinstance(target, Closure):
-                return done(RThunk(target, (arg,)))
+                return None, state.with_control(RThunk(target, (arg,)))
             if isinstance(target, RThunk):
                 if len(target.args) >= len(target.closure.params):
                     raise StuckError(f"bind on saturated thunk {target}")
-                return done(RThunk(target.closure, target.args + (arg,)))
+                return None, state.with_control(RThunk(target.closure, target.args + (arg,)))
             raise StuckError(f"bind on non-function {target}")
         if op == "invoke":
             (thunk,) = vals
             if not isinstance(thunk, RThunk):
                 raise StuckError(f"invoke on non-thunk {thunk}")
             if thunk in state.disallowed:
-                label = Message(DIS_CI, _observable_thunk(thunk))
-                return (label, MachineState(BAD, state.env, state.store,
-                                            state.enabled, state.disallowed, state.cont))
-            return (None, MachineState(MForce(thunk), state.env, state.store,
-                                       state.enabled, state.disallowed, state.cont))
+                return Message(DIS_CI, _observable_thunk(thunk)), state.with_control(BAD)
+            return None, state.with_control(MForce(thunk))
         if op in ("enable", "disable", "allow", "disallow"):
             (thunk,) = vals
             if not isinstance(thunk, RThunk):
                 raise StuckError(f"{op} on non-thunk {thunk}")
             if op == "enable":
-                return done(thunk, enabled=state.enabled | {thunk})
+                return None, replace(state, control=thunk, enabled=state.enabled | {thunk})
             if op == "disable":
-                return done(thunk, enabled=state.enabled - {thunk})
+                return None, replace(state, control=thunk, enabled=state.enabled - {thunk})
             if op == "disallow":
-                return done(thunk, disallowed=state.disallowed | {thunk})
-            return done(thunk, disallowed=state.disallowed - {thunk})
+                return None, replace(state, control=thunk, disallowed=state.disallowed | {thunk})
+            return None, replace(state, control=thunk, disallowed=state.disallowed - {thunk})
         if op == "newcell":
-            (v,) = vals
-            cell = next(self._cells)
-            return done(CellRef(cell), store=state.store + ((cell, v),))
-        if op == "get":
-            (ref,) = vals
+            # Cell n is store[n - 1]: cells are numbered by allocation order.
+            return None, replace(state, control=CellRef(len(state.store) + 1),
+                                 store=state.store + (vals[0],))
+        if op in ("get", "set"):
+            ref = vals[0]
             if not isinstance(ref, CellRef):
-                raise StuckError(f"get on non-cell {ref}")
-            return done(state.store_get(ref.cell))
-        if op == "set":
-            ref, v = vals
-            if not isinstance(ref, CellRef):
-                raise StuckError(f"set on non-cell {ref}")
-            state.store_get(ref.cell)
-            return done(UNIT, store=state.store_set(ref.cell, v))
+                raise StuckError(f"{op} on non-cell {ref}")
+            if not 0 < ref.cell <= len(state.store):
+                raise StuckError(f"read of unallocated cell {ref.cell}")
+            i = ref.cell - 1
+            if op == "get":
+                return None, state.with_control(state.store[i])
+            store = state.store[:i] + (vals[1],) + state.store[i + 1:]
+            return None, replace(state, control=UNIT, store=store)
         if op == "add":
             a, b = vals
             if not (isinstance(a, Int) and isinstance(b, Int)):
                 raise StuckError("add on non-integers")
-            return done(Int(a.n + b.n))
+            return None, state.with_control(Int(a.n + b.n))
         if op == "eq":
             a, b = vals
-            return done(Bool(a == b))
+            return None, state.with_control(Bool(a == b))
         raise StuckError(f"unknown primitive {op!r}")
 
 
@@ -798,8 +709,8 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
     machine = Machine()
     state = initial_state(program)
     rng = random.Random(schedule.seed) if schedule.seed is not None else None
+    picks = iter(schedule.picks or ())
     labels: list[Message] = []
-    pick_pos = 0
     steps = 0
     status = BUDGET_EXHAUSTED
     while steps < max_steps:
@@ -810,14 +721,10 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
             if not state.enabled:
                 status = FINISHED
                 break
-            if rng is None:
-                if pick_pos >= len(schedule.picks):
-                    status = FINISHED
-                    break
-                choice = schedule.picks[pick_pos]
-                pick_pos += 1
-            else:
-                choice = rng.randrange(len(state.enabled))
+            choice = next(picks, None) if rng is None else rng.randrange(len(state.enabled))
+            if choice is None:
+                status = FINISHED
+                break
             succs = machine.step(state)
             if not 0 <= choice < len(succs):
                 raise ScheduleError(

@@ -20,7 +20,9 @@ beginning of a line or preceded by whitespace -- object identities like
 
 Whitespace may separate any two parts of a line.  Values are written
 ``name#n:Type`` (object identity), ``true``, ``false``, integers, ``unit``,
-or ``"strings"``, in which ``\\"`` and ``\\\\`` are the only escapes.
+or ``"strings"``, in which ``\\"``, ``\\\\`` and ``\\n`` (a line break) are the
+only escapes.  Lines end at ``\\n`` only: other line-break characters do
+not end a line.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class Str(Value):
         return (3, self.s)
 
     def __str__(self) -> str:
-        quoted = self.s.replace("\\", "\\\\").replace('"', '\\"')
+        quoted = self.s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{quoted}"'
 
 
@@ -327,7 +329,7 @@ def is_violation(t: Trace) -> bool:
 
 _NAME = r"[A-Za-z_]\w*"
 _OBJECT = rf"{_NAME}#\d+:{_NAME}"
-_STRING = r'"(?:[^"\\]|\\["\\])*"'
+_STRING = r'"(?:[^"\\]|\\["\\n])*"'
 _INT = r"-?\d+"
 _VALUE = rf"{_OBJECT}|{_STRING}|{_INT}|{_NAME}"
 
@@ -337,6 +339,7 @@ _OBJECT_RE = re.compile(rf"({_NAME})#(\d+):({_NAME})")
 _STRING_RE = re.compile(_STRING)
 _INT_RE = re.compile(_INT)
 _ESCAPE_RE = re.compile(r"\\(.)")
+_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n"}
 _COMMENT_RE = re.compile(rf"({_STRING})|(?:(?<=\s)|^)#.*$")
 
 _TOKEN_RE = re.compile(
@@ -368,7 +371,7 @@ def parse_value(text: str, line: Optional[int] = None) -> Value:
     if _INT_RE.fullmatch(text):
         return Int(int(text))
     if _STRING_RE.fullmatch(text):
-        return Str(_ESCAPE_RE.sub(r"\1", text[1:-1]))
+        return Str(_ESCAPE_RE.sub(lambda m: _UNESCAPE[m[1]], text[1:-1]))
     raise TraceParseError(f"cannot parse value {text!r}", line)
 
 
@@ -444,7 +447,7 @@ def parse_trace(text: str) -> Trace:
     """Parse trace file content into a Trace; round-trips with serialize_trace."""
     messages: list[Message] = []
     lines_of: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = strip_comment(raw).strip()
         if not stripped:
             continue

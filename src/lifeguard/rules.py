@@ -225,6 +225,8 @@ def _paren(m: Matcher, context: int) -> str:
 
 PERMIT = "permit"
 PROHIBIT = "prohibit"
+# The rule arrow of each polarity, in spec text and in every printed rule.
+ARROWS = {PERMIT: "->", PROHIBIT: "-/>"}
 
 
 @dataclass(frozen=True)
@@ -234,12 +236,11 @@ class Rule:
     target: ParamMessage
 
     def __post_init__(self) -> None:
-        if self.polarity not in (PERMIT, PROHIBIT):
+        if self.polarity not in ARROWS:
             raise ValueError(f"polarity must be permit or prohibit, got {self.polarity!r}")
 
     def __str__(self) -> str:
-        arrow = "->" if self.polarity == PERMIT else "-/>"
-        return f"{self.matcher} {arrow} {self.target}"
+        return f"{self.matcher} {ARROWS[self.polarity]} {self.target}"
 
 
 @dataclass(frozen=True)
@@ -417,11 +418,8 @@ class _RuleParser(Cursor):
     def parse_rule(self) -> Rule:
         matcher = self.parse_union()
         arrow = self.next()
-        if arrow.text == "->":
-            polarity = PERMIT
-        elif arrow.text == "-/>":
-            polarity = PROHIBIT
-        else:
+        polarity = next((p for p, text in ARROWS.items() if text == arrow.text), None)
+        if polarity is None:
             raise SpecError(f"expected -> or -/>, got {arrow.text!r}", self.line)
         target = self.parse_atom(allow_forall=True)
         if self.peek() is not None:
@@ -549,7 +547,7 @@ def parse_rule(text: str, line: int = 1) -> Rule:
 def parse_spec(text: str) -> LifestateSpec:
     """Parse spec file content: one rule per line, ``#`` comments allowed."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = strip_comment(raw).strip()
         if not stripped:
             continue

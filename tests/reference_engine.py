@@ -141,7 +141,7 @@ class ReferenceEngine:
         elif m in state.prohibited:
             return ("bad", None)
         letter = self.letters.get(m, self.other_letter)
-        rule_states = tuple(table.step(sid, letter)
+        rule_states = tuple(table.transitions[sid][letter]
                             for table, sid in zip(self.tables, state.rule_states))
         return ("ok", self._update(rule_states, state.permitted, state.prohibited))
 

@@ -127,6 +127,20 @@ class TestStepRules:
         """
         assert run_source(src).status == FINISHED
 
+    def test_two_cells_keep_their_own_values(self):
+        src = """
+        let c = newcell 1 in
+        let d = newcell 2 in
+        let f = (x =>[fwk] (set d 20;
+                            if eq (get c) 1 then unit else invoke unit;
+                            if eq (get d) 20 then unit else invoke unit;
+                            set c 10;
+                            if eq (get c) 10 then unit else invoke unit;
+                            if eq (get d) 20 then unit else invoke unit)) in
+        invoke (bind f unit)
+        """
+        assert run_source(src).status == FINISHED
+
     def test_stuck_invoking_non_thunk(self):
         assert run_source("invoke unit").status == "stuck"
 
@@ -158,6 +172,38 @@ class TestRun:
         result = run(program, schedule, 500)
         assert result.status == FINISHED
         assert result.trace == trace_buggy
+
+    # (status, steps, messages) of each fixture program under each fixture
+    # schedule and three seeds; a step merged or split changes the counts.
+    OBSERVED_COUNTS = {
+        ("program_fixed.ll", "schedule_buggy_recorded.sched"): ScheduleError,
+        ("program_fixed.ll", "schedule_double_click.sched"): (FINISHED, 176, 16),
+        ("program_fixed.ll", "schedule_fixed.sched"): (FINISHED, 176, 16),
+        ("program_fixed.ll", "seed:1"): (FINISHED, 176, 16),
+        ("program_fixed.ll", "seed:2"): (FINISHED, 176, 16),
+        ("program_fixed.ll", "seed:3"): (FINISHED, 176, 16),
+        ("program_buggy.ll", "schedule_buggy_recorded.sched"): (FINISHED, 157, 14),
+        ("program_buggy.ll", "schedule_double_click.sched"): (BAD_STATUS, 151, 12),
+        ("program_buggy.ll", "schedule_fixed.sched"): (BAD_STATUS, 151, 12),
+        ("program_buggy.ll", "seed:1"): (BAD_STATUS, 171, 16),
+        ("program_buggy.ll", "seed:2"): (BAD_STATUS, 151, 12),
+        ("program_buggy.ll", "seed:3"): (BAD_STATUS, 171, 16),
+    }
+
+    @pytest.mark.parametrize("program_name,schedule_name", sorted(OBSERVED_COUNTS))
+    def test_observed_counts(self, fixtures_dir, program_name, schedule_name):
+        program = load_program(fixtures_dir / program_name)
+        if schedule_name.startswith("seed:"):
+            schedule = parse_schedule(schedule_name)
+        else:
+            schedule = parse_schedule((fixtures_dir / schedule_name).read_text())
+        expected = self.OBSERVED_COUNTS[program_name, schedule_name]
+        if expected is ScheduleError:
+            with pytest.raises(ScheduleError):
+                run(program, schedule, 500)
+            return
+        result = run(program, schedule, 500)
+        assert (result.status, result.steps, len(result.trace.messages)) == expected
 
     def test_budget_exhaustion(self, fixtures_dir):
         program = load_program(fixtures_dir / "program_fixed.ll")

@@ -104,6 +104,14 @@ class TestParseTrace:
         assert t[0].thunk.args == (Str('a"b'), Str("c\\d"), Str("a #b"))
         assert t[2].ret == Str('k="v\\"')
         assert serialize_trace(t) == text
+        # A newline is written as the escape \n; the other line breaks of
+        # str.splitlines are ordinary characters, since lines end at \n only.
+        for ch in "\n\r\x0c\x85\u2028":
+            arg = Str(f"a{ch}b")
+            t = Trace((msg("cb", "show", arg), msg("cbret", "show", arg, ret=Str(ch))))
+            text = serialize_trace(t)
+            assert text.count("\n") == 2
+            assert parse_trace(text) == t
 
 
 class TestSerialize:

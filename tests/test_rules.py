@@ -100,7 +100,10 @@ class TestParseSpec:
 
     def test_bad_string_escape_is_a_spec_error(self):
         with pytest.raises(SpecError):
-            parse_spec('TRUE* ; ci f("a\\n") -> ci g()')
+            parse_spec('TRUE* ; ci f("a\\t") -> ci g()')
+        # \n is the one escape besides \" and \\
+        rule = parse_spec('TRUE* ; ci f("a\\n") -> ci g()').rules[0]
+        assert "\n" not in str(rule) and '"a\\n"' in str(rule)
 
 
 class TestApplyBinding:

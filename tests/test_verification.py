@@ -20,6 +20,7 @@ from lifeguard.verification import (
     SubTrace,
     SubTraceError,
     Unknown,
+    VerificationTimeout,
     Violation,
     brute_force_verify,
     split_subtraces,
@@ -213,6 +214,12 @@ class TestCapsAndTimeouts:
         result = verify(spec_run, trace_fixed, timeout=0.0)
         assert isinstance(result, Unknown)
         assert "timeout" in result.reason
+
+    def test_brute_force_timeout_raises(self, spec_run, trace_fixed):
+        # A deadline that has already passed stops the enumeration before
+        # its first sequence.
+        with pytest.raises(VerificationTimeout, match="after 0 sequences"):
+            brute_force_verify(spec_run, trace_fixed, 2, timeout=-1)
 
     def test_unknown_says_how_far_it_got(self, spec_run, trace_buggy):
         result = verify(spec_run, trace_buggy, mode="bounded:2")
