@@ -48,12 +48,10 @@ from .messages import (
     UNIT,
     Bool,
     Cursor,
-    FunctionSymbol,
     Int,
     Message,
     ObjectId,
     Str,
-    Thunk,
     Trace,
     Unit,
     Value,
@@ -498,14 +496,13 @@ def _caller_package(cont: tuple[Frame, ...]) -> Optional[str]:
 _SERIALIZABLE = (Unit, Bool, Int, Str, ObjectId)
 
 
-def _observable_thunk(thunk: RThunk) -> Thunk:
+def _observable_args(thunk: RThunk) -> tuple[Value, ...]:
     for a in thunk.args:
         if not isinstance(a, _SERIALIZABLE):
             raise StuckError(
                 f"value {a} crosses the app-framework interface but is not observable"
             )
-    fun = FunctionSymbol(thunk.closure.name, thunk.closure.package)
-    return Thunk(fun, thunk.args)
+    return thunk.args
 
 
 # (callee package, caller package) -> (entry kind, return kind) of the
@@ -521,10 +518,10 @@ def _label(thunk: RThunk, cont: tuple[Frame, ...],
     if kinds is None:
         return None
     if value is None:
-        return Message(kinds[0], _observable_thunk(thunk))
+        return Message(kinds[0], thunk.closure.name, _observable_args(thunk))
     if not isinstance(value, _SERIALIZABLE):
         raise StuckError(f"return value {value} crosses the interface but is not observable")
-    return Message(kinds[1], _observable_thunk(thunk), value)
+    return Message(kinds[1], thunk.closure.name, _observable_args(thunk), value)
 
 
 def _eval_atom(expr: Expr, env: Env, uid_counter) -> Value:
@@ -620,7 +617,10 @@ class Machine:
             if not isinstance(thunk, RThunk):
                 raise StuckError(f"invoke on non-thunk {thunk}")
             if thunk in state.disallowed:
-                return Message(DIS_CI, _observable_thunk(thunk)), state.with_control(BAD)
+                if thunk.closure.package != FWK:
+                    raise StuckError(f"invoke of disallowed app thunk {thunk}")
+                return (Message(DIS_CI, thunk.closure.name, _observable_args(thunk)),
+                        state.with_control(BAD))
             return None, state.with_control(MForce(thunk))
         if op in ("enable", "disable", "allow", "disallow"):
             (thunk,) = vals

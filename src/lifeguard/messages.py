@@ -7,6 +7,13 @@ textual file format.  It also holds the front end that traces, specs and
 programs share: the value syntax, the comment rule, the lexer and the
 token cursor of the spec and program parsers.
 
+A message is one flat record, ``Message(kind, fun, args, ret)``: the kind,
+the called function's name, the argument values and, for the return kinds
+only, the returned value.  The kind fixes the callee's package -- a
+callback is app code, a callin framework code -- so no package is stored.
+Spec atoms (``rules.ParamMessage``) have the same fields, with each
+parameter a ``rules.SVar`` or a plain value.
+
 Trace file format (one message per line, ``#`` starts a comment when at the
 beginning of a line or preceded by whitespace -- object identities like
 ``a#1:Activity`` are never split):
@@ -36,6 +43,7 @@ class TraceError(Exception):
     """Base error for malformed trace text or trace structure."""
 
     def __init__(self, msg: str, line: Optional[int] = None):
+        self.reason = msg
         self.line = line
         if line is not None:
             msg = f"line {line}: {msg}"
@@ -157,34 +165,7 @@ DIS_CBRET = "dis_cbret"
 
 KINDS = (CB, CI, CBRET, CIRET, DIS_CI, DIS_CBRET)
 RETURN_KINDS = (CBRET, CIRET, DIS_CBRET)
-
-# Callbacks are app functions invoked by the framework; callins are
-# framework functions invoked by the app.  The message kind therefore
-# determines the callee's package.
-_KIND_PACKAGE = {CB: APP, CBRET: APP, DIS_CBRET: APP, CI: FWK, CIRET: FWK, DIS_CI: FWK}
-
-
-@dataclass(frozen=True)
-class FunctionSymbol:
-    name: str
-    package: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("function symbol requires a name")
-        if self.package not in (APP, FWK):
-            raise ValueError(f"unknown package tag {self.package!r}")
-
-
-@dataclass(frozen=True)
-class Thunk:
-    """A function symbol bound to concrete argument values."""
-
-    fun: FunctionSymbol
-    args: tuple[Value, ...]
-
-    def sort_key(self) -> tuple:
-        return (self.fun.name, self.fun.package, tuple(a.sort_key() for a in self.args))
+_BASE_KIND = {DIS_CI: CI, DIS_CBRET: CBRET}
 
 
 @dataclass(frozen=True)
@@ -197,27 +178,24 @@ class Message:
     """
 
     kind: str
-    thunk: Thunk
+    fun: str
+    args: tuple[Value, ...] = ()
     ret: Optional[Value] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
+        if not self.fun:
+            raise ValueError("message requires a function name")
         if (self.ret is not None) != (self.kind in RETURN_KINDS):
             raise ValueError(f"return value present iff kind is a return kind ({self.kind})")
-        expected = _KIND_PACKAGE[self.kind]
-        if self.thunk.fun.package != expected:
-            raise ValueError(
-                f"{self.kind} message requires a {expected}-tagged function, "
-                f"got {self.thunk.fun.package}"
-            )
 
     def is_dis(self) -> bool:
         return self.kind in (DIS_CI, DIS_CBRET)
 
     def base_kind(self) -> str:
         """Kind with any dis-wrapping stripped."""
-        return {DIS_CI: CI, DIS_CBRET: CBRET}.get(self.kind, self.kind)
+        return _BASE_KIND.get(self.kind, self.kind)
 
     def is_back(self) -> bool:
         return self.kind in (CB, CIRET)
@@ -229,18 +207,18 @@ class Message:
         """The plain in-message inside a dis message."""
         if not self.is_dis():
             raise ValueError("unwrap on a non-dis message")
-        return Message(self.base_kind(), self.thunk, self.ret)
+        return Message(self.base_kind(), self.fun, self.args, self.ret)
 
     def wrap_dis(self) -> "Message":
         """Wrap an in-message as the disallowed attempt that ends a trace."""
         if not self.is_in():
             raise ValueError("only in-messages can be dis-wrapped")
         kind = DIS_CI if self.kind == CI else DIS_CBRET
-        return Message(kind, self.thunk, self.ret)
+        return Message(kind, self.fun, self.args, self.ret)
 
     def sort_key(self) -> tuple:
         ret_key = self.ret.sort_key() if self.ret is not None else ()
-        return (KINDS.index(self.kind), self.thunk.sort_key(), ret_key)
+        return (KINDS.index(self.kind), self.fun, tuple(a.sort_key() for a in self.args), ret_key)
 
     def __str__(self) -> str:
         return format_message(self)
@@ -253,9 +231,9 @@ def _check_structure(messages: Sequence[Message]) -> None:
     only when control is on the framework side (no open call, or the
     innermost open call is a callin), a callin entry only when control is on
     the app side (innermost open call is a callback), and every return must
-    match the innermost open call of the same thunk.  Dis messages record a
-    blocked attempt and are exempt from the side discipline, but must come
-    last.
+    match the innermost open call of the same function and arguments.  Dis
+    messages record a blocked attempt and are exempt from the side
+    discipline, but must come last.
     """
     stack: list[Message] = []
     for i, m in enumerate(messages):
@@ -280,12 +258,10 @@ def _check_structure(messages: Sequence[Message]) -> None:
             opener = CB if m.kind == CBRET else CI
             if not stack or stack[-1].kind != opener:
                 raise TraceNestingError(f"{m.kind} does not close an open {opener}", line)
-            if stack[-1].thunk != m.thunk:
+            if (stack[-1].fun, stack[-1].args) != (m.fun, m.args):
                 raise TraceNestingError(
-                    f"{m.kind} of {m.thunk.fun.name} does not match the open "
-                    f"{opener} of {stack[-1].thunk.fun.name}",
-                    line,
-                )
+                    f"{m.kind} of {m.fun} does not match the open {opener} of {stack[-1].fun}",
+                    line)
             stack.pop()
 
 
@@ -439,8 +415,7 @@ def parse_message_line(text: str, line: int) -> Message:
             raise TraceParseError("dis wraps in-messages only (ci or cbret)", line)
         kind = DIS_CI if kind == CI else DIS_CBRET
     values = tuple(parse_value(v, line) for v in _VALUE_RE.findall(args))
-    thunk = Thunk(FunctionSymbol(fun, _KIND_PACKAGE[kind]), values)
-    return Message(kind, thunk, None if ret is None else parse_value(ret, line))
+    return Message(kind, fun, values, None if ret is None else parse_value(ret, line))
 
 
 def parse_trace(text: str) -> Trace:
@@ -457,9 +432,7 @@ def parse_trace(text: str) -> Trace:
         return Trace(tuple(messages))
     except TraceNestingError as e:
         # Re-raise with the source line of the offending message.
-        if e.line is not None and 1 <= e.line <= len(lines_of):
-            raise TraceNestingError(str(e).split(": ", 1)[-1], lines_of[e.line - 1]) from None
-        raise
+        raise TraceNestingError(e.reason, lines_of[e.line - 1]) from None
 
 
 def read_source(path, error) -> str:
@@ -476,16 +449,11 @@ def read_source(path, error) -> str:
 # Serialization
 
 
-def format_value(v: Value) -> str:
-    return str(v)
-
-
 def format_message(m: Message) -> str:
     base = m.base_kind()
-    call = f"{m.thunk.fun.name}({','.join(format_value(a) for a in m.thunk.args)})"
-    if base in (CBRET, CIRET):
-        ret = m.ret if m.ret is not None else UNIT
-        body = f"{base} {format_value(ret)} = {call}"
+    call = f"{m.fun}({','.join(map(str, m.args))})"
+    if m.ret is not None:
+        body = f"{base} {m.ret} = {call}"
     else:
         body = f"{base} {call}"
     return f"dis {body}" if m.is_dis() else body
@@ -500,7 +468,7 @@ def serialize_trace(t: Trace) -> str:
 
 def values_of_message(m: Message) -> Iterator[Value]:
     """All values occurring in the message (arguments and return)."""
-    yield from m.thunk.args
+    yield from m.args
     if m.ret is not None:
         yield m.ret
 

@@ -26,17 +26,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .messages import (
-    APP,
     CB,
     CBRET,
     CI,
     CIRET,
-    FWK,
     NAMED_VALUES,
     Cursor,
-    FunctionSymbol,
     Message,
-    Thunk,
     Token,
     Trace,
     Value,
@@ -82,18 +78,9 @@ class SVar:
         return f"{prefix}{self.name}{suffix}"
 
 
-@dataclass(frozen=True)
-class PLit:
-    value: Value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-Param = Union[SVar, PLit]
+Param = Union[SVar, Value]
 
 _PM_KINDS = (CB, CI, CBRET, CIRET)
-_PM_PACKAGE = {CB: APP, CBRET: APP, CI: FWK, CIRET: FWK}
 
 
 @dataclass(frozen=True)
@@ -123,9 +110,7 @@ class ParamMessage:
     def to_message(self) -> Message:
         if not self.is_ground():
             raise ValueError(f"{self} is not ground")
-        args = tuple(p.value for p in self.args)  # type: ignore[union-attr]
-        ret = self.ret.value if self.ret is not None else None  # type: ignore[union-attr]
-        return Message(self.kind, Thunk(FunctionSymbol(self.fun, _PM_PACKAGE[self.kind]), args), ret)
+        return Message(self.kind, self.fun, self.args, self.ret)  # type: ignore[arg-type]
 
     def __str__(self) -> str:
         args = ",".join(str(p) for p in self.args)
@@ -324,7 +309,7 @@ def apply_binding_param(binding: Binding, p: Param) -> Param:
                 f"variable {p.name}:{p.type_name} bound to {v} of type "
                 f"{value_type_name(v)}"
             )
-        return PLit(v)
+        return v
     return p
 
 
@@ -527,7 +512,7 @@ class _RuleParser(Cursor):
             return SVar(name.text, ty.text, universal=True)
         if tok.kind in ("objlit", "string", "int") or tok.text in NAMED_VALUES:
             self.next()
-            return PLit(parse_value(tok.text, self.line))
+            return parse_value(tok.text, self.line)
         if tok.kind == "ident":
             self.next()
             if self.at(":"):

@@ -9,20 +9,16 @@ from __future__ import annotations
 import random
 
 from lifeguard.messages import (
-    APP,
     CB,
     CBRET,
     CI,
     CIRET,
     FALSE,
-    FWK,
     TRUE,
     UNIT,
-    FunctionSymbol,
     Int,
     Message,
     ObjectId,
-    Thunk,
     Trace,
 )
 from lifeguard.rules import (
@@ -33,7 +29,6 @@ from lifeguard.rules import (
     MEps,
     MStar,
     PERMIT,
-    PLit,
     PROHIBIT,
     ParamMessage,
     Rule,
@@ -61,9 +56,8 @@ def _value(rng: random.Random, objects):
     return rng.choice(CONSTS)
 
 
-def _thunk(rng, objects, name: str, package: str, arity: int) -> Thunk:
-    args = tuple(_value(rng, objects) for _ in range(arity))
-    return Thunk(FunctionSymbol(name, package), args)
+def _args(rng, objects, arity: int) -> tuple:
+    return tuple(_value(rng, objects) for _ in range(arity))
 
 
 def random_trace(rng: random.Random, max_messages: int = 20, max_objects: int = 3) -> Trace:
@@ -73,14 +67,14 @@ def random_trace(rng: random.Random, max_messages: int = 20, max_objects: int = 
     messages: list[Message] = []
     while len(messages) < max_messages - 1:
         name = rng.choice(sorted(CALLBACKS))
-        cb = _thunk(rng, objects, name, APP, CALLBACKS[name])
-        unit = [Message(CB, cb)]
+        cb_args = _args(rng, objects, CALLBACKS[name])
+        unit = [Message(CB, name, cb_args)]
         for _ in range(rng.randint(0, 3)):
             ci_name = rng.choice(sorted(CALLINS))
-            ci = _thunk(rng, objects, ci_name, FWK, CALLINS[ci_name])
-            unit.append(Message(CI, ci))
-            unit.append(Message(CIRET, ci, UNIT))
-        unit.append(Message(CBRET, cb, UNIT))
+            ci_args = _args(rng, objects, CALLINS[ci_name])
+            unit.append(Message(CI, ci_name, ci_args))
+            unit.append(Message(CIRET, ci_name, ci_args, UNIT))
+        unit.append(Message(CBRET, name, cb_args, UNIT))
         if len(messages) + len(unit) > max_messages:
             break
         messages.extend(unit)
@@ -88,8 +82,8 @@ def random_trace(rng: random.Random, max_messages: int = 20, max_objects: int = 
             break
     if not messages:
         name = rng.choice(sorted(CALLBACKS))
-        cb = _thunk(rng, objects, name, APP, CALLBACKS[name])
-        messages = [Message(CB, cb), Message(CBRET, cb, UNIT)]
+        cb_args = _args(rng, objects, CALLBACKS[name])
+        messages = [Message(CB, name, cb_args), Message(CBRET, name, cb_args, UNIT)]
     return Trace(tuple(messages))
 
 
@@ -101,7 +95,7 @@ def _param_message(rng: random.Random, kind: str, vars_pool) -> ParamMessage:
         if vars_pool and rng.random() < 0.8:
             args.append(rng.choice(vars_pool))
         else:
-            args.append(PLit(rng.choice(CONSTS)))
+            args.append(rng.choice(CONSTS))
     return ParamMessage(kind, name, tuple(args))
 
 
@@ -116,7 +110,7 @@ def random_spec(rng: random.Random, max_rules: int = 5) -> LifestateSpec:
         if shape < 0.3:
             # a callin disallows itself once used
             name = rng.choice(sorted(CALLINS))
-            args = tuple(var if i == 0 else PLit(rng.choice(CONSTS))
+            args = tuple(var if i == 0 else rng.choice(CONSTS)
                          for i in range(CALLINS[name]))
             atom = ParamMessage(CI, name, args)
             matcher = MConcat(MStar(MAny()), MAtom(atom))

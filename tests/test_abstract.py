@@ -5,15 +5,9 @@ import pytest
 from lifeguard.abstract import BAD, BLOCKED, OK, AbstractEngine
 from lifeguard.grounding import ground_spec
 from lifeguard.messages import (
-    APP,
-    FALSE,
-    FWK,
     UNIT,
-    FunctionSymbol,
     Message,
     ObjectId,
-    Thunk,
-    Trace,
 )
 from lifeguard.rules import matches, parse_spec
 
@@ -27,15 +21,15 @@ L1 = ObjectId("l", 1, "OnClickListener")
 
 
 def ci(name, *args):
-    return Message("ci", Thunk(FunctionSymbol(name, FWK), tuple(args)))
+    return Message("ci", name, tuple(args))
 
 
 def cb(name, *args):
-    return Message("cb", Thunk(FunctionSymbol(name, APP), tuple(args)))
+    return Message("cb", name, tuple(args))
 
 
 def ciret(name, *args, ret=UNIT):
-    return Message("ciret", Thunk(FunctionSymbol(name, FWK), tuple(args)), ret)
+    return Message("ciret", name, tuple(args), ret)
 
 
 CB_CLICK = cb("onClick", L1, B1)
@@ -136,7 +130,7 @@ class TestFiringSets:
 
     def test_after_set_enabled(self, engine_fixed, trace_fixed):
         idx = next(i for i, m in enumerate(trace_fixed.messages)
-                   if m.thunk.fun.name == "setEnabled")
+                   if m.fun == "setEnabled")
         s = advance_through(engine_fixed, engine_fixed.initial_state(),
                             trace_fixed.messages[: idx + 1])
         _, prohibits = engine_fixed.firing_sets(s.rule_states)

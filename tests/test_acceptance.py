@@ -14,7 +14,6 @@ from lifeguard.messages import DIS_CI, serialize_trace
 from lifeguard.validation import validate
 from lifeguard.verification import (
     Safe,
-    Unknown,
     Violation,
     brute_force_verify,
     split_subtraces,
@@ -60,8 +59,8 @@ def test_criterion_3_validation_prefix_diagnostic(spec_run, spec_run_noenable, t
     broken = validate(spec_run_noenable, trace_fixed)
     assert not broken.valid
     assert broken.blocking_message.kind == "cb"
-    assert broken.blocking_message.thunk.fun.name == "onPostExecute"
-    assert str(broken.blocking_message.thunk.args[0]) == "t#1:AsyncTask"
+    assert broken.blocking_message.fun == "onPostExecute"
+    assert str(broken.blocking_message.args[0]) == "t#1:AsyncTask"
     units = split_subtraces(trace_fixed)
     create_click = len(units[CREATE].messages) + len(units[CLICK].messages)
     assert broken.prefix_len == create_click  # exactly the Create and Click units
@@ -84,7 +83,7 @@ def test_criterion_4_interpreter_reproduces_fixtures(fixtures_dir, trace_fixed):
     crash = run(buggy, double_click, 500)
     assert crash.status == BAD_STATUS
     last = crash.trace.messages[-1]
-    assert last.kind == DIS_CI and last.thunk.fun.name == "execute"
+    assert last.kind == DIS_CI and last.fun == "execute"
     print("\nACCEPTANCE 4 PASS: fixed program replays the recorded trace exactly; "
           "buggy program under the double-click schedule ends bad with dis ci execute")
 

@@ -1,14 +1,19 @@
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from lifeguard.abstract import AbstractEngine
 from lifeguard.cli import main
-from lifeguard.messages import load_trace, parse_trace, serialize_trace
+from lifeguard.messages import load_trace, serialize_trace
 from lifeguard.rules import load_spec
 from lifeguard.validation import validate
+
+from pairs import pair_trace
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +369,30 @@ class TestTimeouts:
         doc = json.loads(out)
         assert doc["results"][0]["verdict"] == "unknown"
         assert code == 1
+
+
+def test_output_does_not_depend_on_hash_seed(fixtures_dir, tmp_path):
+    # Set iteration order varies with the hash seed; none of it may reach
+    # what the commands print.
+    trace = tmp_path / "pairs.trace"
+    trace.write_text(serialize_trace(pair_trace(4, frozenset({2}))))
+    run_spec = ["--spec", str(fixtures_dir / "spec_run.ls"), "--trace", str(trace)]
+    commands = [["ground", *run_spec, "--report", "json"],
+                ["explain", *run_spec],
+                ["verify", *run_spec, "--report", "json"],
+                ["explain", "--spec", str(fixtures_dir / "spec_lifecycle.ls"),
+                 "--trace", str(fixtures_dir / "trace_buggy.trace")]]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    def outputs(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        return [subprocess.run([sys.executable, "-m", "lifeguard.cli", *argv],
+                               capture_output=True, text=True, env=env).stdout
+                for argv in commands]
+
+    first = outputs("0")
+    assert all(first)
+    assert outputs("1") == first
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -11,15 +11,12 @@ from lifeguard.grounding import (
     value_universe,
 )
 from lifeguard.messages import (
-    APP,
     FALSE,
-    FWK,
     UNIT,
-    FunctionSymbol,
     Message,
     ObjectId,
-    Thunk,
     Trace,
+    format_message,
     parse_trace,
 )
 from lifeguard.rules import (
@@ -32,15 +29,12 @@ from lifeguard.rules import (
     MNegate,
     MStar,
     MUnion,
-    PLit,
     ParamMessage,
     free_vars,
     matches,
     parse_spec,
     rule_annotations,
 )
-
-from gen import random_trace
 
 A1 = ObjectId("a", 1, "Activity")
 T1 = ObjectId("t", 1, "AsyncTask")
@@ -49,7 +43,7 @@ L1 = ObjectId("l", 1, "OnClickListener")
 
 
 def ci(name, *args):
-    return Message("ci", Thunk(FunctionSymbol(name, FWK), tuple(args)))
+    return Message("ci", name, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +104,7 @@ def brute_language(matcher, letters, max_len):
 
 
 LETTERS = (ci("f"), ci("g"), ci("h"))
-A, B, C = (MAtom(ParamMessage("ci", m.thunk.fun.name, (), None)) for m in LETTERS)
+A, B, C = (MAtom(ParamMessage("ci", m.fun, (), None)) for m in LETTERS)
 
 
 def compile_matcher(matcher, letters):
@@ -274,6 +268,28 @@ class TestGroundSpec:
     def test_deterministic(self, spec_run, trace_fixed):
         assert ground_spec(spec_run, trace_fixed) == ground_spec(spec_run, trace_fixed)
 
+    def test_alphabet_order(self, spec_run, trace_fixed):
+        # Letter numbers, and with them explain's store deltas, follow this
+        # order: kind first, then function name, arguments and return.
+        assert [format_message(m) for m in ground_spec(spec_run, trace_fixed).alphabet] == [
+            "cb onClick(l#1:OnClickListener,b#1:Button)",
+            "cb onCreate(a#1:Activity)",
+            "cb onPostExecute(t#1:AsyncTask)",
+            "ci execute(t#1:AsyncTask)",
+            "ci finish(a#1:Activity)",
+            "ci init(t#1:AsyncTask)",
+            "ci setEnabled(b#1:Button,false)",
+            "ci setOnClickListener(b#1:Button,l#1:OnClickListener)",
+            "cbret unit = onClick(l#1:OnClickListener,b#1:Button)",
+            "cbret unit = onCreate(a#1:Activity)",
+            "cbret unit = onPostExecute(t#1:AsyncTask)",
+            "ciret unit = execute(t#1:AsyncTask)",
+            "ciret unit = finish(a#1:Activity)",
+            "ciret unit = init(t#1:AsyncTask)",
+            "ciret unit = setEnabled(b#1:Button,false)",
+            "ciret unit = setOnClickListener(b#1:Button,l#1:OnClickListener)",
+        ]
+
     def test_grounding_soundness_on_fixture_prefixes(self, spec_run, trace_fixed):
         # Symbolic firing (exists a binding over the universe) coincides
         # with some ground instance firing, on every prefix.
@@ -372,9 +388,9 @@ class TestRuleLiteralsVsUniverse:
         u = value_universe(trace_buggy)
         assert FALSE not in u.constants
         g = ground_spec(spec_run, trace_buggy)
-        set_enabled = [m for m in g.alphabet if m.thunk.fun.name == "setEnabled"]
+        set_enabled = [m for m in g.alphabet if m.fun == "setEnabled"]
         assert len(set_enabled) == 1
-        assert FALSE in set_enabled[0].thunk.args
+        assert FALSE in set_enabled[0].args
 
 
 class TestLongWordSampling:

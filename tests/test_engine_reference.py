@@ -9,7 +9,7 @@ import pytest
 
 from lifeguard.abstract import OK, AbstractEngine
 from lifeguard.grounding import ground_spec
-from lifeguard.messages import APP, FWK, UNIT, FunctionSymbol, Message, ObjectId, Thunk
+from lifeguard.messages import UNIT, Message, ObjectId
 from lifeguard.rules import parse_spec
 from lifeguard.validation import validate
 from lifeguard.verification import verify
@@ -23,9 +23,9 @@ FIXTURE_TRACES = ("trace_fixed", "trace_buggy")
 
 W1 = ObjectId("w", 1, "Widget")
 # Messages outside every generated alphabet: they step by OTHER.
-STRAY = (Message("cb", Thunk(FunctionSymbol("offworld", APP), (W1,))),
-         Message("ci", Thunk(FunctionSymbol("offworld", FWK), (W1,))),
-         Message("ciret", Thunk(FunctionSymbol("offworld", FWK), (W1,)), UNIT))
+STRAY = (Message("cb", "offworld", (W1,)),
+         Message("ci", "offworld", (W1,)),
+         Message("ciret", "offworld", (W1,), UNIT))
 
 
 # Starting a task both permits and prohibits starting it again: the

@@ -1,15 +1,21 @@
-"""Source hygiene of the package, checked with the standard library's ast:
+"""Source hygiene, checked with the standard library's ast: the package has
 no unused import, no unused module-private top-level name, and no import
-of another module's private name."""
+of another module's private name; the tests have no unused import."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lifeguard"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lifeguard"
 # __init__.py imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def _bound_names(node: ast.stmt) -> list[str]:
@@ -32,11 +38,19 @@ def _bound_names(node: ast.stmt) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports_or_private_names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    loaded = {n.id for n in ast.walk(tree)
-              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    loaded = _loaded(tree)
     unused = [name for node in tree.body for name in _bound_names(node) if name not in loaded]
     assert unused == [], f"{path.name}: unused {unused}"
     private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and (node.level > 0 or node.module.split(".")[0] == "lifeguard")
                for alias in node.names if alias.name.startswith("_")]
     assert private == [], f"{path.name}: imports another module's private {private}"
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_tests_have_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = _loaded(tree)
+    unused = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+              for name in _bound_names(node) if name not in loaded]
+    assert unused == [], f"{path.name}: unused {unused}"

@@ -15,7 +15,7 @@ from lifeguard.interp import (
     run,
     uses_framework_init,
 )
-from lifeguard.messages import CB, DIS_CI, Trace, serialize_trace
+from lifeguard.messages import DIS_CI, Trace, serialize_trace
 from lifeguard.validation import validate
 
 
@@ -97,7 +97,7 @@ class TestStepRules:
         result = run_source(src, "0")
         assert result.status == BAD_STATUS
         assert result.trace.messages[-1].kind == DIS_CI
-        assert result.trace.messages[-1].thunk.fun.name == "f"
+        assert result.trace.messages[-1].fun == "f"
 
     def test_allow_reverses_disallow(self):
         src = """
@@ -144,6 +144,17 @@ class TestStepRules:
     def test_stuck_invoking_non_thunk(self):
         assert run_source("invoke unit").status == "stuck"
 
+    def test_stuck_invoking_disallowed_app_thunk(self):
+        # Only callins can be disallowed: framework code that disallows a
+        # callback and then invokes it has no observable dis message.
+        src = """
+        let a = a#1:Activity in
+        let cb = (a =>[app] unit) in
+        let boot = (a =>[fwk] (disallow (bind cb a); invoke (bind cb a))) in
+        invoke (bind boot a)
+        """
+        assert run_source(src).status == "stuck"
+
 
 class TestRun:
     def test_trivial_program_finishes_empty(self):
@@ -164,7 +175,7 @@ class TestRun:
         result = run(program, schedule, 500)
         assert result.status == BAD_STATUS
         last = result.trace.messages[-1]
-        assert last.kind == DIS_CI and last.thunk.fun.name == "execute"
+        assert last.kind == DIS_CI and last.fun == "execute"
 
     def test_buggy_program_recorded_schedule_reproduces_fixture(self, fixtures_dir, trace_buggy):
         program = load_program(fixtures_dir / "program_buggy.ll")

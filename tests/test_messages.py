@@ -3,18 +3,14 @@ import random
 import pytest
 
 from lifeguard.messages import (
-    APP,
     CB,
     CBRET,
     CI,
-    FWK,
     UNIT,
-    FunctionSymbol,
     Int,
     Message,
     ObjectId,
     Str,
-    Thunk,
     Trace,
     TraceNestingError,
     TraceParseError,
@@ -28,8 +24,7 @@ from gen import random_trace
 
 
 def msg(kind, name, *args, ret=None):
-    package = APP if kind in ("cb", "cbret", "dis_cbret") else FWK
-    return Message(kind, Thunk(FunctionSymbol(name, package), tuple(args)), ret)
+    return Message(kind, name, tuple(args), ret)
 
 
 A1 = ObjectId("a", 1, "Activity")
@@ -62,9 +57,12 @@ class TestParseTrace:
             parse_trace(text)
 
     def test_mismatched_return_thunk(self):
-        text = "cb onShow(a#1:Activity)\ncbret unit = onShow(t#1:AsyncTask)"
-        with pytest.raises(TraceNestingError):
+        # The error names the source line, which blank and comment lines
+        # move away from the message index.
+        text = "cb onShow(a#1:Activity)\n\n# c\ncbret unit = onShow(t#1:AsyncTask)"
+        with pytest.raises(TraceNestingError) as e:
             parse_trace(text)
+        assert str(e.value) == "line 4: cbret of onShow does not match the open cb of onShow"
 
     def test_dis_must_be_last(self):
         text = "dis ci execute(t#1:AsyncTask)\ncb onShow(a#1:Activity)"
@@ -77,7 +75,7 @@ class TestParseTrace:
 
     def test_object_hash_not_a_comment(self):
         t = parse_trace("cb onShow(a#1:Activity)")
-        assert t[0].thunk.args == (A1,)
+        assert t[0].args == (A1,)
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(TraceParseError) as e:
@@ -87,7 +85,7 @@ class TestParseTrace:
     def test_string_and_int_values(self):
         text = 'cb onShow(a#1:Activity)\nci f(42)\nciret "a,b" = f(42)\n'
         t = parse_trace(text)
-        assert t[1].thunk.args == (Int(42),)
+        assert t[1].args == (Int(42),)
         assert t[2].ret == Str("a,b")
 
     def test_unescaped_quote_inside_string_is_rejected(self):
@@ -101,7 +99,7 @@ class TestParseTrace:
                 'ciret "k=\\"v\\\\\\"" = put("x = \\"y\\"",-1)\n'
                 'cbret unit = show("a\\"b","c\\\\d","a #b")\n')
         t = parse_trace(text)
-        assert t[0].thunk.args == (Str('a"b'), Str("c\\d"), Str("a #b"))
+        assert t[0].args == (Str('a"b'), Str("c\\d"), Str("a #b"))
         assert t[2].ret == Str('k="v\\"')
         assert serialize_trace(t) == text
         # A newline is written as the escape \n; the other line breaks of
@@ -156,9 +154,9 @@ class TestIsViolation:
 class TestMessageInvariants:
     def test_ret_only_on_return_kinds(self):
         with pytest.raises(ValueError):
-            Message(CB, Thunk(FunctionSymbol("f", APP), ()), UNIT)
+            Message(CB, "f", (), UNIT)
         with pytest.raises(ValueError):
-            Message(CBRET, Thunk(FunctionSymbol("f", APP), ()))
+            Message(CBRET, "f", ())
 
     def test_direction_partition(self):
         back = msg("ciret", "f", ret=UNIT)
@@ -167,9 +165,9 @@ class TestMessageInvariants:
         for m in (back, inn, dis):
             assert m.is_back() + m.is_in() + m.is_dis() == 1
 
-    def test_kind_fixes_package(self):
+    def test_function_name_required(self):
         with pytest.raises(ValueError):
-            Message(CI, Thunk(FunctionSymbol("f", APP), ()))
+            Message(CI, "")
 
     def test_value_equality(self):
         assert ObjectId("a", 1, "Activity") == A1

@@ -3,18 +3,11 @@ import random
 import pytest
 
 from lifeguard.messages import (
-    APP,
-    FALSE,
-    FWK,
-    UNIT,
-    FunctionSymbol,
     Message,
     ObjectId,
-    Thunk,
 )
 from lifeguard.rules import (
     BindingTypeError,
-    LifestateSpec,
     MAny,
     MAtom,
     MConcat,
@@ -23,8 +16,6 @@ from lifeguard.rules import (
     MNegate,
     MStar,
     MUnion,
-    PERMIT,
-    PLit,
     PROHIBIT,
     ParamMessage,
     SVar,
@@ -44,11 +35,11 @@ L1 = ObjectId("l", 1, "OnClickListener")
 
 
 def ci(name, *args):
-    return Message("ci", Thunk(FunctionSymbol(name, FWK), tuple(args)))
+    return Message("ci", name, tuple(args))
 
 
 def cb(name, *args):
-    return Message("cb", Thunk(FunctionSymbol(name, APP), tuple(args)))
+    return Message("cb", name, tuple(args))
 
 
 class TestParseSpec:
@@ -108,20 +99,20 @@ class TestParseSpec:
 
 class TestApplyBinding:
     def test_identity_on_ground(self):
-        pm = ParamMessage("ci", "execute", (PLit(T1),))
+        pm = ParamMessage("ci", "execute", (T1,))
         assert apply_binding({}, pm) == pm
 
     def test_single_substitution(self):
         pm = ParamMessage("ci", "execute", (SVar("t", "AsyncTask"),))
         out = apply_binding({"t": T1}, pm)
-        assert out == ParamMessage("ci", "execute", (PLit(T1),))
+        assert out == ParamMessage("ci", "execute", (T1,))
         assert out.is_ground()
 
     def test_partial_substitution_keeps_symbols(self):
         pm = ParamMessage("cb", "onClick", (SVar("l"), SVar("b")))
         out = apply_binding({"b": B1}, pm)
         assert out.args[0] == SVar("l")
-        assert out.args[1] == PLit(B1)
+        assert out.args[1] == B1
         assert not out.is_ground()
 
     def test_idempotent_for_total_bindings(self):
@@ -146,7 +137,7 @@ class TestMatches:
     def test_suffix_trigger_on_buggy_prefix(self, trace_buggy):
         # Prefix of the recorded buggy trace ending at the first execute.
         idx = next(i for i, m in enumerate(trace_buggy.messages)
-                   if m.thunk.fun.name == "execute")
+                   if m.fun == "execute")
         prefix = trace_buggy.messages[: idx + 1]
         assert matches(prefix, {"t": T1}, self.EXEC_T)
 

@@ -2,13 +2,8 @@ import random
 
 
 from lifeguard.messages import (
-    APP,
-    FWK,
-    UNIT,
-    FunctionSymbol,
     Message,
     ObjectId,
-    Thunk,
     Trace,
 )
 from lifeguard.rules import parse_spec
@@ -20,8 +15,7 @@ T1 = ObjectId("t", 1, "AsyncTask")
 
 
 def msg(kind, name, *args, ret=None):
-    package = APP if kind in ("cb", "cbret", "dis_cbret") else FWK
-    return Message(kind, Thunk(FunctionSymbol(name, package), tuple(args)), ret)
+    return Message(kind, name, tuple(args), ret)
 
 
 class TestValidateFixtures:
@@ -33,7 +27,7 @@ class TestValidateFixtures:
     def test_missing_enable_rule_blocks_at_post_execute(self, spec_run_noenable, trace_fixed):
         report = validate(spec_run_noenable, trace_fixed)
         assert not report.valid
-        assert report.blocking_message.thunk.fun.name == "onPostExecute"
+        assert report.blocking_message.fun == "onPostExecute"
         assert report.blocking_message.kind == "cb"
         # validated prefix covers exactly the Create and Click units
         assert report.prefix_len == 12

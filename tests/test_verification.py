@@ -4,20 +4,15 @@ import time
 import pytest
 
 from lifeguard.messages import (
-    APP,
-    FWK,
     UNIT,
-    FunctionSymbol,
     Message,
     ObjectId,
-    Thunk,
     Trace,
 )
 from lifeguard.rules import parse_spec
 from lifeguard.validation import validate
 from lifeguard.verification import (
     Safe,
-    SubTrace,
     SubTraceError,
     Unknown,
     VerificationTimeout,
@@ -37,15 +32,14 @@ T1 = ObjectId("t", 1, "AsyncTask")
 
 
 def msg(kind, name, *args, ret=None):
-    package = APP if kind in ("cb", "cbret", "dis_cbret") else FWK
-    return Message(kind, Thunk(FunctionSymbol(name, package), tuple(args)), ret)
+    return Message(kind, name, tuple(args), ret)
 
 
 class TestSplitSubtraces:
     def test_fixed_fixture_units(self, trace_fixed):
         units = split_subtraces(trace_fixed)
         assert [len(u.messages) for u in units] == [6, 6, 4]
-        names = [u.opening().thunk.fun.name for u in units]
+        names = [u.opening().fun for u in units]
         assert names == ["onCreate", "onClick", "onPostExecute"]
 
     def test_empty_trace(self):
@@ -58,9 +52,10 @@ class TestSplitSubtraces:
 
     def test_unit_boundaries_are_well_nested(self, trace_buggy):
         for u in split_subtraces(trace_buggy):
-            assert u.messages[0].kind == "cb"
-            assert u.messages[-1].kind == "cbret"
-            assert u.messages[0].thunk == u.messages[-1].thunk
+            first, last = u.messages[0], u.messages[-1]
+            assert first.kind == "cb"
+            assert last.kind == "cbret"
+            assert (first.fun, first.args) == (last.fun, last.args)
 
     def test_truncated_unit_rejected(self, trace_fixed):
         with pytest.raises(SubTraceError, match="ends inside"):
