@@ -6,17 +6,26 @@ state space finite.  Stepping a back-message requires it to be permitted
 (else the step is BLOCKED); stepping an in-message that is prohibited is
 BAD, a protocol violation.  Messages outside the ground alphabet
 advance the rule DFAs through the OTHER letter and are never blocked.
-Every rule steps by its DFA's OTHER column unless the letter is one of
-its atoms, so a step maps each rule through that column and then patches
-the few rules that mention the letter.
+
+A rule whose DFA state is fixed under OTHER and not accepting is at rest:
+an unrelated letter leaves it where it is, and it adds nothing to the
+firing word.  Almost every rule is at rest almost all the time, so a
+state keeps the sorted indices of the rules that are not (live), and a
+step moves only the live rules by OTHER and the few rules whose atoms
+include the letter by their own columns.  The firing word is ORed over
+the live rules only.  A step therefore costs what the letter and the
+history touch, not the number of ground rules.
 
 The engine interns every alphabet message as its index (its letter), and
 a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
 the store.  The OTHER letter's bit lies outside both store masks, so OTHER
 is never permitted, prohibited or blocked.  Messages are decoded back to
 dataclasses only for reports (permitted_messages, prohibited_messages).
-A state is the plain tuple (rule_states, permitted, prohibited,
-inconsistent), so the explorer's visited set keys on the state itself.
+Every rule's DFA state is packed into one int, w bits per rule (w fits
+the largest state index of any DFA), so a step XOR-patches the rules it
+moved and a state copies and hashes in one int.  A state is the plain
+tuple (rule_states, live, permitted, prohibited, inconsistent), so the
+explorer's visited set keys on the state itself.
 
 The consistency check follows the set-disjointness reading: a step is
 inconsistent when some message is simultaneously permitted and prohibited,
@@ -26,8 +35,6 @@ store to the full in-message alphabet, exactly as the update formulas read.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import getitem, or_
 from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional
 
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
@@ -35,13 +42,16 @@ from .messages import Message
 
 
 class AbstractState(NamedTuple):
-    """The per-rule DFA states summarizing the history, the
-    permitted-back and prohibited-in stores as letter bitmasks, and whether
-    the last update was inconsistent.  The tuple is the state's identity:
-    inconsistent is a function of rule_states alone, so it never tells two
-    states apart that the other fields equate."""
+    """The packed per-rule DFA states summarizing the history (rule i's
+    state in bits [i*w, (i+1)*w) of rule_states), the sorted indices of
+    the rules not at rest, the permitted-back and prohibited-in stores as
+    letter bitmasks, and whether the last update was inconsistent.  The
+    tuple is the state's identity: live and inconsistent are functions of
+    rule_states alone, so they never tell two states apart that the other
+    fields equate."""
 
-    rule_states: tuple[int, ...]
+    rule_states: int
+    live: tuple[int, ...]
     permitted: int
     prohibited: int
     inconsistent: bool = False
@@ -76,19 +86,35 @@ class AbstractEngine:
         self.in_alphabet = ground.in_alphabet()
         self.back_mask = sum(1 << self.letters[m] for m in self.back_alphabet)
         self.in_mask = sum(1 << self.letters[m] for m in self.in_alphabet)
-        # Per shared DFA and local letter, the next state by state.
+        # Per shared DFA and local letter, the next state by state; per
+        # shared DFA and state, whether a rule there is at rest.
         dfas = {id(rule.dfa): rule.dfa for rule in self.rules}
         moves = {key: tuple(zip(*dfa.transitions)) for key, dfa in dfas.items()}
+        rest = {key: tuple(other == sid and not accepting for sid, (other, accepting)
+                           in enumerate(zip(moves[key][-1], dfa.accepting)))
+                for key, dfa in dfas.items()}
+        self._width = max([(dfa.n_states - 1).bit_length() for dfa in dfas.values()] + [1])
+        self._state_mask = (1 << self._width) - 1
         self._other = tuple(moves[id(rule.dfa)][-1] for rule in self.rules)
+        # Per rule, the state it must be in when not live and when live:
+        # its DFA's one rest state and its one busy state, or None where
+        # the DFA has several and the packed word must be read.
+        known = {key: (_only([sid for sid, r in enumerate(at_rest) if r]),
+                       _only([sid for sid, r in enumerate(at_rest) if not r]))
+                 for key, at_rest in rest.items()}
+        self._known = tuple(known[id(rule.dfa)] for rule in self.rules)
         self._patches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for i, rule in enumerate(self.rules):
             for move, letter in zip(moves[id(rule.dfa)], rule.columns):
                 self._patches.setdefault(letter, []).append((i, move))
         # Per rule and DFA state, what the rule contributes to the firing
-        # word: nothing where the state rejects; else its target bit, moved
-        # above the other_letter + 1 permit bits for a prohibit rule.
+        # word: None where the rule is at rest; 0 where the state rejects;
+        # else its target bit, moved above the other_letter + 1 permit bits
+        # for a prohibit rule.
         self._shift = self.other_letter + 1
-        self._fire = tuple(_fire(rule, 0 if rule.is_permit() else self._shift)
+        self._permit_bits = (1 << self._shift) - 1
+        self._fire = tuple(_fire(rule, 0 if rule.is_permit() else self._shift,
+                                 rest[id(rule.dfa)])
                            for rule in self.rules)
 
     def letter(self, m: Message) -> int:
@@ -115,24 +141,42 @@ class AbstractEngine:
     def prohibited_messages(self, state: AbstractState) -> FrozenSet[Message]:
         return frozenset(self.decode(state.prohibited))
 
-    def fired_rules(self, rule_states: tuple[int, ...]) -> list[CompiledRule]:
-        """The rules whose DFA accepts in rule_states, in rule order."""
-        return [rule for rule, sid in zip(self.rules, rule_states)
-                if rule.dfa.accepting[sid]]
+    def rule_state(self, state: AbstractState, i: int) -> int:
+        """Rule i's DFA state in state."""
+        return (state.rule_states >> i * self._width) & self._state_mask
 
-    def firing_sets(self, rule_states: tuple[int, ...]) -> tuple[int, int]:
+    def fired_rules(self, state: AbstractState) -> list[CompiledRule]:
+        """The rules whose DFA accepts in state, in rule order."""
+        return [self.rules[i] for i in state.live
+                if self.rules[i].dfa.accepting[self.rule_state(state, i)]]
+
+    def firing_sets(self, state: AbstractState) -> tuple[int, int]:
         """Target bits of the permit rules and of the prohibit rules whose
-        DFA accepts the history summarized by rule_states."""
-        # Few distinct contributions: deduplicate before OR-ing wide ints.
-        fired = reduce(or_, set(map(getitem, self._fire, rule_states)), 0)
-        return fired & ((1 << self._shift) - 1), fired >> self._shift
+        DFA accepts in state."""
+        fired = 0
+        for i in state.live:
+            fired |= self._fire[i][self.rule_state(state, i)]
+        return fired & self._permit_bits, fired >> self._shift
 
-    def _update(self, rule_states: tuple[int, ...], permitted: int,
+    def _update(self, word: int, moved: dict[int, int], permitted: int,
                 prohibited: int) -> AbstractState:
-        permits, prohibits = self.firing_sets(rule_states)
+        """The state with packed rule states word, where moved holds the DFA
+        state of every rule that may be busy (every other rule is at rest):
+        live and the firing word are read off moved alone."""
+        fire, live, fired = self._fire, [], 0
+        for i, sid in moved.items():
+            contribution = fire[i][sid]
+            if contribution is not None:
+                live.append(i)
+                fired |= contribution
+        live.sort()
+        if not fired:
+            # Nothing fires: the stores carry over unchanged.
+            return AbstractState(word, tuple(live), permitted, prohibited)
+        permits, prohibits = fired & self._permit_bits, fired >> self._shift
         if permits & prohibits:
-            return AbstractState(rule_states, 0, self.in_mask, True)
-        return AbstractState(rule_states,
+            return AbstractState(word, tuple(live), 0, self.in_mask, True)
+        return AbstractState(word, tuple(live),
                              (permitted | permits) & ~prohibits & self.back_mask,
                              (prohibited | prohibits) & ~permits & self.in_mask)
 
@@ -140,23 +184,40 @@ class AbstractEngine:
         """Start every rule DFA and evaluate the update functions on the
         empty history: the permitted store starts from all back-messages,
         the prohibited store from the empty set."""
-        rule_states = tuple(rule.dfa.start for rule in self.rules)
-        return self._update(rule_states, self.back_mask, 0)
+        starts = {i: rule.dfa.start for i, rule in enumerate(self.rules)}
+        word = sum(sid << i * self._width for i, sid in starts.items() if sid)
+        return self._update(word, starts, self.back_mask, 0)
 
     def advance(self, state: AbstractState, letter: int) -> AbstractState:
-        """Advance rule DFAs by the letter and recompute the stores."""
-        before = state.rule_states
-        rule_states = list(map(getitem, self._other, before))
+        """Advance the rules that mention the letter by its column and the
+        other live rules by OTHER, XOR-patch the changes into the packed
+        word, then recompute the stores.  Every other rule is at rest and
+        stays where it is."""
+        packed, width, mask, live = state.rule_states, self._width, self._state_mask, state.live
+        known, moved, delta = self._known, {}, 0
         for i, move in self._patches.get(letter, ()):
-            rule_states[i] = move[before[i]]
-        return self._update(tuple(rule_states), state.permitted, state.prohibited)
+            sid = known[i][i in live]
+            if sid is None:
+                sid = (packed >> i * width) & mask
+            new = moved[i] = move[sid]
+            if new != sid:
+                delta |= (new ^ sid) << i * width
+        for i in live:
+            if i not in moved:
+                sid = known[i][True]
+                if sid is None:
+                    sid = (packed >> i * width) & mask
+                new = moved[i] = self._other[i][sid]
+                if new != sid:
+                    delta |= (new ^ sid) << i * width
+        return self._update(packed ^ delta, moved, state.permitted, state.prohibited)
 
     def fold(self, state: AbstractState, letters: Iterable[int]) -> Iterator[StepEvent]:
         """Step through the letters from state, one event per letter; the
         fold ends after the first BLOCKED or BAD event."""
         for index, letter in enumerate(letters):
             bit = 1 << letter
-            if bit & self.back_mask & ~state.permitted:
+            if bit & self.back_mask and not bit & state.permitted:
                 yield StepEvent(index, BLOCKED, state, None)
                 return
             if bit & state.prohibited:
@@ -167,6 +228,12 @@ class AbstractEngine:
             state = after
 
 
-def _fire(rule: CompiledRule, shift: int) -> tuple[int, ...]:
+def _fire(rule: CompiledRule, shift: int, rest: tuple[bool, ...]
+          ) -> tuple[Optional[int], ...]:
     bit = rule.target_bit << shift
-    return tuple(bit if accepting else 0 for accepting in rule.dfa.accepting)
+    return tuple(None if at_rest else bit if accepting else 0
+                 for accepting, at_rest in zip(rule.dfa.accepting, rest))
+
+
+def _only(states: list[int]) -> Optional[int]:
+    return states[0] if len(states) == 1 else None

@@ -70,8 +70,9 @@ def _cmd_run(args) -> int:
         Path(args.trace_out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    reason = f": {result.reason}" if result.reason else ""
     print(f"status: {result.status} ({result.steps} steps, "
-          f"{len(result.trace.messages)} messages)", file=sys.stderr)
+          f"{len(result.trace.messages)} messages){reason}", file=sys.stderr)
     if result.status == interp.FINISHED:
         return EXIT_OK
     if result.status == interp.BAD_STATUS:
@@ -279,7 +280,7 @@ def _cmd_explain(args) -> int:
                 for stored in engine.decode(mask):
                     print(f"    {format_message(stored)}")
             return EXIT_FAIL
-        fired = engine.fired_rules(after.rule_states)
+        fired = engine.fired_rules(after)
         fired_text = ", ".join(
             f"#{f.source_index + 1}{ARROWS[f.polarity]}"
             f"{format_message(f.target)}"

@@ -694,9 +694,12 @@ STUCK = "stuck"
 
 @dataclass(frozen=True)
 class RunResult:
+    """The recorded trace, how the run ended, and for a stuck run why."""
+
     trace: Trace
     status: str
     steps: int
+    reason: str = ""
 
 
 def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
@@ -713,6 +716,7 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
     labels: list[Message] = []
     steps = 0
     status = BUDGET_EXHAUSTED
+    reason = ""
     while steps < max_steps:
         if state.is_bad():
             status = BAD_STATUS
@@ -734,8 +738,8 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
         else:
             try:
                 succs = machine.step(state)
-            except StuckError:
-                status = STUCK
+            except StuckError as e:
+                status, reason = STUCK, str(e)
                 break
             if len(succs) != 1:
                 raise AssertionError("only event dispatch may fan out")
@@ -744,7 +748,7 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
             labels.append(label)
         steps += 1
     trace = Trace(tuple(labels))
-    return RunResult(trace, status, steps)
+    return RunResult(trace, status, steps, reason)
 
 
 # ---------------------------------------------------------------------------

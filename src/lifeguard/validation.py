@@ -78,7 +78,7 @@ def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[Message],
 
     def fired(state: AbstractState) -> tuple[int, ...]:
         return tuple(rule.source_index for i, rule in touching
-                     if rule.dfa.accepting[state.rule_states[i]])
+                     if rule.dfa.accepting[engine.rule_state(state, i)])
 
     state = engine.initial_state()
     blame = fired(state)

@@ -146,6 +146,30 @@ class ReferenceEngine:
         return ("ok", self._update(rule_states, state.permitted, state.prohibited))
 
 
+def unpacked(engine, state) -> tuple[int, ...]:
+    """The integer engine's packed rule word as one DFA state per rule, in
+    rule order: the shape of RefState.rule_states."""
+    return tuple(engine.rule_state(state, i) for i in range(len(engine.rules)))
+
+
+def full_scan(engine, state) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """Scan every rule of the integer engine's state: the indices of the
+    rules not at rest (their DFA state moves under OTHER or accepts) and
+    the target bits of the accepting permit and prohibit rules.  These are
+    what the engine's live field and firing_sets read off the live rules
+    alone."""
+    live, permits, prohibits = [], 0, 0
+    for i, (rule, sid) in enumerate(zip(engine.rules, unpacked(engine, state))):
+        if rule.dfa.transitions[sid][-1] != sid or rule.dfa.accepting[sid]:
+            live.append(i)
+        if rule.dfa.accepting[sid]:
+            if rule.is_permit():
+                permits |= rule.target_bit
+            else:
+                prohibits |= rule.target_bit
+    return tuple(live), (permits, prohibits)
+
+
 def fold_step(engine, state, m):
     """One step of the integer engine's fold on a plain message, shaped like
     ReferenceEngine.step: ("ok", successor), ("blocked", None) or

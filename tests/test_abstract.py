@@ -12,6 +12,7 @@ from lifeguard.messages import (
 from lifeguard.rules import matches, parse_spec
 
 from gen import random_spec, random_trace
+from pairs import pair_trace
 from reference_engine import consistent, fold_step, update_back, update_in
 
 A1 = ObjectId("a", 1, "Activity")
@@ -116,7 +117,7 @@ class TestInitialState:
 class TestFiringSets:
     def test_initial_eps_rules_fire(self, engine_fixed):
         s = engine_fixed.initial_state()
-        permits, prohibits = engine_fixed.firing_sets(s.rule_states)
+        permits, prohibits = engine_fixed.firing_sets(s)
         assert {CB_CLICK, CB_POST}.issubset(engine_fixed.decode(prohibits))
 
     def test_after_execute(self, engine_fixed, trace_fixed):
@@ -124,7 +125,7 @@ class TestFiringSets:
         idx = next(i for i, m in enumerate(trace_fixed.messages) if m == CI_EXEC)
         s = advance_through(engine_fixed, engine_fixed.initial_state(),
                             trace_fixed.messages[: idx + 1])
-        permits, prohibits = engine_fixed.firing_sets(s.rule_states)
+        permits, prohibits = engine_fixed.firing_sets(s)
         assert frozenset(engine_fixed.decode(permits)) == frozenset({CB_POST})
         assert frozenset(engine_fixed.decode(prohibits)) == frozenset({CI_EXEC})
 
@@ -133,7 +134,7 @@ class TestFiringSets:
                    if m.fun == "setEnabled")
         s = advance_through(engine_fixed, engine_fixed.initial_state(),
                             trace_fixed.messages[: idx + 1])
-        _, prohibits = engine_fixed.firing_sets(s.rule_states)
+        _, prohibits = engine_fixed.firing_sets(s)
         assert frozenset(engine_fixed.decode(prohibits)) == frozenset({CB_CLICK})
 
 
@@ -182,12 +183,25 @@ class TestAbsStep:
                 states = [init] + [e.after for e in engine.fold(init, letters) if e.after]
                 again = [init] + [e.after for e in engine.fold(init, letters) if e.after]
                 for state, twin in zip(states, again, strict=True):
-                    p, q = engine.firing_sets(state.rule_states)
+                    p, q = engine.firing_sets(state)
                     assert state.inconsistent == bool(p & q)
                     assert state == twin and hash(state) == hash(twin)
                     assert state == tuple(state) and hash(state) == hash(tuple(state))
                 if spec is inconsistent:
                     assert init.inconsistent
+
+    @pytest.mark.parametrize("n, bound", [(16, 4), (32, 8)])
+    def test_a_step_touches_few_rules(self, spec_run, n, bound):
+        # Structural, not timed: over the plain-order pair trace only a few
+        # of the n**2-sized rule set are live, so a step that moves the
+        # live rules alone costs what the letter and history touch.
+        trace = pair_trace(n)
+        engine = AbstractEngine(ground_spec(spec_run, trace))
+        assert len(engine.rules) > 800
+        init = engine.initial_state()
+        live = [len(e.after.live) for e in engine.fold(init, engine.intern(trace.messages))]
+        assert len(live) == len(trace.messages)
+        assert sum(live) / len(live) < bound
 
 
 # ---------------------------------------------------------------------------

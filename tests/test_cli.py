@@ -209,6 +209,19 @@ class TestRunCommand:
         assert code == 2
         assert "init" in err
 
+    def test_stuck_run_says_why(self, capsys, tmp_path):
+        prog = tmp_path / "p.ll"
+        prog.write_text(
+            "let a = a#1:Activity in\n"
+            "let cb = (a =>[app] unit) in\n"
+            "let boot = (a =>[fwk] (disallow (bind cb a); invoke (bind cb a))) in\n"
+            "invoke (bind boot a)\n")
+        code, out, err = run_cli(capsys, "run", "--program", str(prog), "--schedule", "0")
+        assert code == 2
+        assert out == ""
+        assert err == ("status: stuck (23 steps, 0 messages): "
+                       "invoke of disallowed app thunk cb[a#1:Activity]\n")
+
     def test_malformed_program_exits_two(self, capsys, tmp_path):
         prog = tmp_path / "p.ll"
         prog.write_text("let f = in\n")

@@ -16,7 +16,14 @@ from lifeguard.verification import verify
 
 from gen import random_spec, random_trace
 from pairs import pair_trace, random_order
-from reference_engine import ReferenceEngine, fold_step, reference_validate, reference_verify
+from reference_engine import (
+    ReferenceEngine,
+    fold_step,
+    reference_validate,
+    reference_verify,
+    full_scan,
+    unpacked,
+)
 
 FIXTURE_SPECS = ("spec_run", "spec_run_noenable", "spec_lifecycle", "spec_top")
 FIXTURE_TRACES = ("trace_fixed", "trace_buggy")
@@ -36,6 +43,21 @@ INCONSISTENT = parse_spec(
     "TRUE* ; ci execute(t:AsyncTask) -> cb onPostExecute(t)\n"
 )
 
+# Rules whose DFAs have 2, 4 and 8 states, so one packed word holds rule
+# states of several widths, and anchored matchers whose start state is
+# live until the first letter.
+WIDE = parse_spec(
+    "TRUE* ; ci init(t:AsyncTask) ; TRUE* ; ci execute(t) ; TRUE* ; cb onPostExecute(t)"
+    " -/> ci execute(t)\n"
+    "cb onCreate(a:Activity) ; (ci init(t:AsyncTask) ; ciret unit = init(t) ;"
+    " ci setOnClickListener(b:Button, l:OnClickListener) ;"
+    " ciret unit = setOnClickListener(b, l))* ; TRUE* -> cb onClick(l, b)\n"
+    "TRUE* ; ci setEnabled(b:Button, false) -/> cb onClick(forall l:OnClickListener, b)\n"
+    "TRUE* ; ci execute(t:AsyncTask) -> cb onPostExecute(t)\n"
+    "eps -/> cb onPostExecute(forall t:AsyncTask)\n"
+    "eps -/> cb onClick(forall l:OnClickListener, forall b:Button)\n"
+)
+
 
 def fixture_pairs(request):
     specs = [request.getfixturevalue(s) for s in FIXTURE_SPECS] + [INCONSISTENT]
@@ -51,7 +73,7 @@ def seeded_pairs(n_pairs=200, seed=2026):
 
 def view(engine, state):
     return (engine.permitted_messages(state), engine.prohibited_messages(state),
-            state.rule_states, state.inconsistent)
+            unpacked(engine, state), state.inconsistent)
 
 
 def ref_view(state):
@@ -110,6 +132,12 @@ def test_steps_match_reference_on_seeded_pairs():
         assert_steps_match(spec, trace, rng)
 
 
+def test_steps_match_reference_on_mixed_widths():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        assert_steps_match(WIDE, pair_trace(n, frozenset({n})), rng)
+
+
 def test_validate_matches_reference(request, spec_run, trace_buggy):
     pairs = fixture_pairs(request) + seeded_pairs()
     # dis-terminated traces: predicted under spec_run, missed without rules
@@ -132,6 +160,30 @@ def verify_cases(request):
             trace = pair_trace(n, skip, random_order(n, rng))
             cases += [(spec_run, trace)] if n == 6 else [(spec_run, trace), (noenable, trace)]
     return cases
+
+
+def test_live_rules_and_firing_word_match_a_full_scan(request):
+    """At every step of the fold, live holds exactly the rules not at rest
+    and the firing word ORed over them equals a scan over every rule."""
+    spec_run, noenable = (request.getfixturevalue(s) for s in ("spec_run", "spec_run_noenable"))
+    cases = fixture_pairs(request) + seeded_pairs()
+    for n in range(1, 7):
+        trace = pair_trace(n, frozenset({n}))
+        cases += [(spec_run, trace), (noenable, trace), (WIDE, trace)]
+    sizes = 0
+    for spec, trace in cases:
+        engine = AbstractEngine(ground_spec(spec, trace))
+        sizes = max(sizes, len({rule.dfa.n_states for rule in engine.rules}))
+        state = engine.initial_state()
+        states = [state] + [e.after for e in engine.fold(state, engine.intern(trace.messages))
+                            if e.after is not None]
+        for state in states:
+            live, firing = full_scan(engine, state)
+            assert state.live == live
+            assert engine.firing_sets(state) == firing
+            assert all(sid < rule.dfa.n_states
+                       for rule, sid in zip(engine.rules, unpacked(engine, state)))
+    assert sizes >= 3  # DFAs of several sizes share one packed word
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "bounded:1", "bounded:3"])

@@ -153,7 +153,9 @@ class TestStepRules:
         let boot = (a =>[fwk] (disallow (bind cb a); invoke (bind cb a))) in
         invoke (bind boot a)
         """
-        assert run_source(src).status == "stuck"
+        result = run_source(src)
+        assert result.status == "stuck"
+        assert result.reason == "invoke of disallowed app thunk cb[a#1:Activity]"
 
 
 class TestRun:

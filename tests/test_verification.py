@@ -25,7 +25,7 @@ from lifeguard.abstract import BAD, BLOCKED, AbstractEngine
 from lifeguard.grounding import ground_spec
 
 from gen import random_spec, random_trace
-from pairs import pair_trace
+from pairs import pair_trace, random_order
 from reference_engine import fold_step
 
 T1 = ObjectId("t", 1, "AsyncTask")
@@ -124,6 +124,34 @@ class TestVerifyFixtures:
         result = verify(spec, trace_fixed)
         assert isinstance(result, Safe)
         assert 2 in result.unreachable_units
+
+
+class TestPairFamily:
+    """The pair family's state space: the abstract state after any set of
+    clicks and completions is determined by which pairs are done, so a
+    Safe trace of n pairs has 2**n + 1 states whatever the recorded
+    order, and no state may be merged or split."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_safe_state_counts(self, spec_run, n):
+        rng = random.Random(n)
+        for order in (None, random_order(n, rng), random_order(n, rng)):
+            result = verify(spec_run, pair_trace(n, order=order))
+            assert isinstance(result, Safe)
+            assert result.states_explored == result.certificate_size == 2 ** n + 1
+
+    @pytest.mark.parametrize("n, skip, explored", [(4, 2, 4), (6, 3, 5)])
+    def test_one_skip_witness(self, spec_run, n, skip, explored):
+        # Create, click the skipping pair, click it again: its second
+        # execute is prohibited.
+        trace = pair_trace(n, frozenset({skip}))
+        result = verify(spec_run, trace)
+        assert isinstance(result, Violation)
+        assert result.subtrace_sequence == (0, skip, skip)
+        assert result.states_explored == explored
+        units = split_subtraces(trace)
+        create, click = units[0].messages, units[skip].messages
+        assert result.witness == Trace(create + click + (click[0], click[1].wrap_dis()))
 
 
 class TestBruteForceOracle:
