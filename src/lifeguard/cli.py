@@ -22,7 +22,8 @@ from .abstract import AbstractEngine
 from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import ARROWS, SpecError, load_spec
-from .validation import NOT_PERMITTED, PROHIBITED, ValidationTimeout, validate, walk
+from .validation import (NOT_PERMITTED, PROHIBITED, ValidationTimeout, trace_mask, validate,
+                         walk)
 from .verification import (DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation,
                            parse_mode, verify)
 
@@ -230,22 +231,26 @@ def _cmd_ground(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
     ground = ground_spec(spec, trace, cap=args.grounding_cap)
+    sliced = ground_spec(spec, trace, cap=args.grounding_cap, sliced=True)
     engine = AbstractEngine(ground)
     lines = []
     for gr in ground.rules:
         lines.append(f"{gr.matcher} {ARROWS[gr.polarity]} {format_message(gr.target)}")
     lines.append("")
     lines.append(f"alphabet: {len(ground.alphabet)} messages (+1 OTHER class)")
-    lines.append(f"{'rule':>5} {'instances':>10} {'dfa states (per instance)':>28}")
+    lines.append(f"{'rule':>5} {'instances':>10} {'sliced':>7} {'dfa states (per instance)':>28}")
     per_rule_states: dict[int, list[int]] = {}
     for compiled in engine.rules:
         per_rule_states.setdefault(compiled.source_index, []).append(compiled.dfa.n_states)
-    for idx, count in enumerate(ground.instance_counts):
+    for idx, (count, kept) in enumerate(zip(ground.instance_counts, sliced.instance_counts)):
         sizes = per_rule_states.get(idx, [])
-        lines.append(f"{idx + 1:>5} {count:>10} {','.join(map(str, sizes)) or '-':>28}")
+        lines.append(f"{idx + 1:>5} {count:>10} {kept:>7} {','.join(map(str, sizes)) or '-':>28}")
+    lines.append(f"sliced: {len(sliced.rules)} of {len(ground.rules)} instances, "
+                 f"{len(sliced.alphabet)} of {len(ground.alphabet)} messages")
     report = {"command": "ground", "rules": len(ground.rules),
               "alphabet": [format_message(m) for m in ground.alphabet],
-              "instance_counts": list(ground.instance_counts), "lines": lines}
+              "instance_counts": list(ground.instance_counts),
+              "sliced_instance_counts": list(sliced.instance_counts), "lines": lines}
     _emit(report, args.report)
     return EXIT_OK
 
@@ -261,11 +266,11 @@ _FAILURE_LABELS = {NOT_PERMITTED: "BLOCKED (not permitted)",
 def _cmd_explain(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
-    ground = ground_spec(spec, trace)
-    engine = AbstractEngine(ground)
+    engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
+    shown = trace_mask(engine, trace.messages)
     state = engine.initial_state()
-    print(f"initial: permitted-back {state.permitted.bit_count()}, "
-          f"prohibited-in {state.prohibited.bit_count()}")
+    print(f"initial: permitted-back {(state.permitted & shown).bit_count()}, "
+          f"prohibited-in {(state.prohibited & shown).bit_count()}")
     for index, _, reason, before, after in walk(engine, state, trace.messages):
         m = trace.messages[index]
         head = f"{index + 1:>4} {format_message(m):<60}"
@@ -277,14 +282,13 @@ def _cmd_explain(args) -> int:
             for name, mask in (("permitted-back", before.permitted),
                                ("prohibited-in", before.prohibited)):
                 print(f"  {name}:")
-                for stored in engine.decode(mask):
+                for stored in engine.decode(mask & shown):
                     print(f"    {format_message(stored)}")
             return EXIT_FAIL
-        fired = engine.fired_rules(after)
         fired_text = ", ".join(
             f"#{f.source_index + 1}{ARROWS[f.polarity]}"
             f"{format_message(f.target)}"
-            for f in fired
+            for f in engine.fired_rules(after) if f.target_bit & shown
         )
         # Decoded in alphabet order, which is message sort order.
         delta = " ".join(
@@ -292,7 +296,7 @@ def _cmd_explain(args) -> int:
             for name, b, a in (("perm", before.permitted, after.permitted),
                                ("proh", before.prohibited, after.prohibited))
             for sign, mask in (("+", a & ~b), ("-", b & ~a))
-            for changed in engine.decode(mask)
+            for changed in engine.decode(mask & shown)
         )
         line = f"{head} ok"
         if fired_text:

@@ -8,6 +8,22 @@ every message of the trace plus every message occurring in a ground rule;
 one reserved OTHER letter covers all messages outside the alphabet, which
 makes complement and intersection decidable and grounding-stable.
 
+validate, verify and explain ground sliced (ground_spec(..., sliced=True)):
+they keep only the instances that can change a verdict on the trace, as
+parametric trace slicing creates monitors only for the bindings a trace
+shows.  Validation and verification step trace messages only, so an
+instance none of whose atoms occurs in the trace and whose matcher accepts
+no word of OTHER* never fires; and once those are dropped, a group of
+instances of one polarity whose common target never occurs in the trace
+sets a store bit that nothing reads and can never make a step
+inconsistent.  The slicer finds the rest by joining each rule's atoms and
+target with the trace's messages over value ids before any instance is
+built, so spec_run.ls grounds to 6n + 1 instances on n button/task pairs
+instead of 3n^2 + 3n + 1.  Both groundings give equal verdicts, witnesses
+and unit sequences, and equal stores on every trace message; merged states
+can only make verify explore fewer.  The full grounding stays the reference
+and what `lifeguard ground` prints.
+
 Compilation works per rule shape.  Each ground rule gets a local alphabet:
 its distinct atom messages, numbered in order of first occurrence, plus a
 local OTHER letter.  Instances of one spec rule translate to equal local
@@ -21,8 +37,9 @@ atom and accepted by the wildcard, just as the local OTHER letter is.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import dfa as _dfa
 from .messages import (
@@ -46,6 +63,8 @@ from .rules import (
     MUnion,
     Matcher,
     PERMIT,
+    Rule,
+    SVar,
     apply_binding,
     apply_binding_matcher,
     free_vars,
@@ -115,9 +134,15 @@ class GroundRule:
 
 @dataclass(frozen=True)
 class GroundSpec:
+    """Ground rules in spec order, the ground alphabet in message order,
+    the number of instances of each source rule, and relevant: the trace's
+    messages (dis unwrapped) that are an atom or the target of some
+    instance of the full grounding, sliced or not."""
+
     rules: tuple[GroundRule, ...]
     alphabet: tuple[Message, ...]
     instance_counts: tuple[int, ...]  # per source rule
+    relevant: frozenset[Message]
 
     def back_alphabet(self) -> tuple[Message, ...]:
         return tuple(m for m in self.alphabet if m.is_back())
@@ -126,34 +151,23 @@ class GroundSpec:
         return tuple(m for m in self.alphabet if m.is_in())
 
 
-def ground_spec(
-    spec: LifestateSpec,
-    trace: Trace,
-    cap: int = DEFAULT_INSTANTIATION_CAP,
-) -> GroundSpec:
-    """Instantiate every rule over the trace's value universe.
-
-    Deterministic: rules in spec order, assignments in sorted value order.
-    Aborts with a diagnostic naming the worst rule when the total instance
-    count exceeds the cap."""
-    universe = value_universe(trace)
+def _domains(spec: LifestateSpec, universe: ValueUniverse, cap: int
+             ) -> list[tuple[tuple[str, ...], tuple[tuple[Value, ...], ...]]]:
+    """Per rule, its free variables in sorted order and the values each
+    ranges over (typed variables over same-type object identities, untyped
+    ones over every value).  Aborts with a diagnostic naming the worst rule
+    when the full grounding would exceed the cap."""
     all_values = universe.all_values()
-    ground_rules: list[GroundRule] = []
-    counts: list[int] = []
+    out = []
     total = 0
     worst: tuple[int, int] = (-1, -1)  # (count, rule index)
     for idx, rule in enumerate(spec.rules):
         annotations = rule_annotations(rule)
-        names = sorted(free_vars(rule))
-        domains = []
-        for name in names:
-            ty = annotations.get(name)
-            domain = universe.of_type(ty) if ty is not None else all_values
-            domains.append(domain)
-        count = 1
-        for d in domains:
-            count *= len(d)
-        counts.append(count)
+        names = tuple(sorted(free_vars(rule)))
+        domains = tuple(universe.of_type(annotations[name])
+                        if annotations[name] is not None else all_values
+                        for name in names)
+        count = math.prod(len(d) for d in domains)
         if count > worst[0]:
             worst = (count, idx)
         total += count
@@ -163,7 +177,37 @@ def ground_spec(
                 f"worst rule is #{worst[1] + 1} with {worst[0]} instances: "
                 f"{spec.rules[worst[1]]}"
             )
-        for assignment in itertools.product(*domains):
+        out.append((names, domains))
+    return out
+
+
+def ground_spec(
+    spec: LifestateSpec,
+    trace: Trace,
+    cap: int = DEFAULT_INSTANTIATION_CAP,
+    sliced: bool = False,
+) -> GroundSpec:
+    """Instantiate every rule over the trace's value universe; with sliced,
+    only the instances that can change a verdict on the trace (see
+    _Slicer).
+
+    Deterministic: rules in spec order, assignments in sorted value order,
+    so a sliced grounding is a subsequence of the full one.  Aborts with a
+    diagnostic naming the worst rule when the full grounding's instance
+    count exceeds the cap, sliced or not."""
+    universe = value_universe(trace)
+    plans = _domains(spec, universe, cap)
+    seen = {m.unwrap() if m.is_dis() else m for m in trace.messages}
+    slicer = _Slicer(spec, plans, seen)
+    if sliced:
+        kept = slicer.kept()
+    else:
+        kept = [itertools.product(*domains) for _, domains in plans]
+    ground_rules: list[GroundRule] = []
+    counts: list[int] = []
+    for idx, (rule, (names, _), assignments) in enumerate(zip(spec.rules, plans, kept)):
+        before = len(ground_rules)
+        for assignment in assignments:
             binding = dict(zip(names, assignment))
             ground_rules.append(
                 GroundRule(
@@ -174,13 +218,165 @@ def ground_spec(
                     tuple(sorted(binding.items())),
                 )
             )
-    alphabet: set[Message] = {m.unwrap() if m.is_dis() else m for m in trace.messages}
+        counts.append(len(ground_rules) - before)
+    alphabet = set(seen)
     for gr in ground_rules:
         alphabet.add(gr.target)
         for atom in matcher_atoms(gr.matcher):
             alphabet.add(atom.to_message())
     ordered = tuple(sorted(alphabet, key=lambda m: m.sort_key()))
-    return GroundSpec(tuple(ground_rules), ordered, tuple(counts))
+    return GroundSpec(tuple(ground_rules), ordered, tuple(counts), slicer.relevant())
+
+
+def _key(m) -> tuple:
+    """A message or atom as its shape (kind, function, parameter count) and
+    its parameters, the return last."""
+    params = tuple(values_of_message(m))
+    return (m.kind, m.fun, len(params)), params
+
+
+def _by_shape(keys: Iterable[tuple]) -> dict[tuple, list[tuple]]:
+    out: dict[tuple, list[tuple]] = {}
+    for shape, params in keys:
+        out.setdefault(shape, []).append(params)
+    return out
+
+
+class _Join:
+    """One source rule's assignments, as tuples of indices into its
+    variables' domains, joined with message keys.  In a pattern (an atom or
+    the target) a variable is its slot in the sorted variables."""
+
+    def __init__(self, rule: Rule, names: tuple[str, ...],
+                 domains: tuple[tuple[Value, ...], ...]):
+        slot = {name: s for s, name in enumerate(names)}
+        self.domains = domains
+        self.index = [{v: j for j, v in enumerate(d)} for d in domains]
+        self.patterns = []
+        for pm in (rule.target, *dict.fromkeys(matcher_atoms(rule.matcher))):
+            shape, params = _key(pm)
+            self.patterns.append(
+                (shape, tuple(slot[p.name] if isinstance(p, SVar) else p for p in params)))
+        self.matcher = rule.matcher
+        self.permit = rule.polarity == PERMIT
+
+    def matches(self, pattern, keys: dict) -> Iterator[tuple[tuple, dict[int, int]]]:
+        """The keys the pattern unifies with, each with the domain index it
+        fixes for each of the pattern's variables."""
+        shape, params = pattern
+        for values in keys.get(shape, ()):
+            fixed: dict[int, int] = {}
+            for p, v in zip(params, values):
+                if isinstance(p, int):
+                    j = self.index[p].get(v)
+                    if j is None or fixed.setdefault(p, j) != j:
+                        break
+                elif p != v:
+                    break
+            else:
+                yield (shape, values), fixed
+
+    def extend(self, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        """Every assignment that agrees with fixed."""
+        return itertools.product(*[(fixed[s],) if s in fixed else range(len(d))
+                                   for s, d in enumerate(self.domains)])
+
+    def key(self, pattern, a: tuple[int, ...]) -> tuple:
+        shape, params = pattern
+        return shape, tuple(self.domains[p][a[p]] if isinstance(p, int) else p for p in params)
+
+
+class _Slicer:
+    """Joins a spec's atoms and targets with the messages of one trace, so
+    nothing is instantiated until it is kept.
+
+    An instance is kept unless it is of one of two kinds that cannot
+    change a verdict, since validation and verification only ever step
+    trace messages:
+    1. none of its atoms occurs in the trace and its matcher accepts no
+       word of OTHER*, so it never fires;
+    2. after kind 1 is dropped, it belongs to a single-polarity group of
+       instances with one target that never occurs in the trace: the group
+       sets a store bit nothing reads and can never make a step
+       inconsistent.
+    Atoms never match OTHER, so whether a matcher accepts on OTHER* does
+    not depend on the binding; it is decided once per source rule."""
+
+    def __init__(self, spec: LifestateSpec, plans, seen: set[Message]):
+        self.seen = {_key(m): m for m in seen}
+        self.by_shape = _by_shape(self.seen)
+        self.joins = [_Join(rule, names, domains)
+                      for rule, (names, domains) in zip(spec.rules, plans)]
+
+    def relevant(self) -> frozenset[Message]:
+        """Trace messages that unify with an atom or the target of a rule
+        whose every variable has a value: the full grounding's atom and
+        target messages among the trace's."""
+        out = set()
+        for join in self.joins:
+            if all(join.domains):
+                for pattern in join.patterns:
+                    out.update(self.seen[key] for key, _ in join.matches(pattern, self.by_shape))
+        return frozenset(out)
+
+    def kept(self) -> list[list[tuple[Value, ...]]]:
+        """Per rule, the value assignments of the kept instances, in the
+        full grounding's order.
+
+        They are the kind-1 survivors whose target occurs in the trace or
+        is mixed: an unseen target that kind-1 survivors of both
+        polarities aim at.  Every mixed target is an unseen target of the
+        polarity with fewer survivors, so only those are enumerated; every
+        other assignment comes from joining a target with the seen and
+        mixed messages."""
+        accepts = [_accepts_on_other(join.matcher) for join in self.joins]
+        survivors, sizes = [], {True: 0, False: 0}
+        for join, accept in zip(self.joins, accepts):
+            # Partial assignments whose every extension survives kind 1.
+            fixings = [{}] if accept else [fixed for atom in join.patterns[1:]
+                                           for _, fixed in join.matches(atom, self.by_shape)]
+            survivors.append(fixings)
+            for fixed in fixings:
+                sizes[join.permit] += math.prod(len(d) for s, d in enumerate(join.domains)
+                                                if s not in fixed)
+        few = sizes[True] <= sizes[False]
+        unseen = set()
+        for join, fixings in zip(self.joins, survivors):
+            if join.permit == few:
+                for fixed in fixings:
+                    for a in join.extend(fixed):
+                        unseen.add(join.key(join.patterns[0], a))
+        unseen = _by_shape(unseen.difference(self.seen))
+        targets = set(self.seen)
+        for join, accept in zip(self.joins, accepts):
+            if join.permit != few:
+                for key, fixed in join.matches(join.patterns[0], unseen):
+                    if any(self._fires(join, accept, a) for a in join.extend(fixed)):
+                        targets.add(key)
+        targets = _by_shape(targets)
+        out = []
+        for join, accept in zip(self.joins, accepts):
+            kept = sorted(a for _, fixed in join.matches(join.patterns[0], targets)
+                          for a in join.extend(fixed) if self._fires(join, accept, a))
+            out.append([tuple(d[j] for d, j in zip(join.domains, a)) for a in kept])
+        return out
+
+    def _fires(self, join: _Join, accepts: bool, a: tuple[int, ...]) -> bool:
+        """Whether assignment a survives kind 1: the matcher accepts on
+        OTHER* or one of its atoms occurs in the trace."""
+        return accepts or any(join.key(atom, a) in self.seen for atom in join.patterns[1:])
+
+
+def _accepts_on_other(matcher: Matcher) -> bool:
+    """Whether the matcher accepts some word of OTHER letters alone: its
+    DFA over the one letter OTHER, where no atom matches, has an accepting
+    state.  Past the DFA size cap the answer is yes, which keeps every
+    instance and leaves the error to their compilation."""
+    try:
+        automaton = _dfa.build_dfa(_translate(matcher, None), 1)
+    except _dfa.DfaSizeError:
+        return True
+    return any(automaton.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +403,12 @@ class CompiledRule:
         return self.polarity == PERMIT
 
 
-def _translate(m: Matcher, letter: Callable[[Message], int]) -> _dfa.Re:
+def _translate(m: Matcher, letter: Optional[Callable[[Message], int]]) -> _dfa.Re:
+    """The matcher as a regex, each atom as the letter that letter gives
+    its message; with letter None no atom matches anything, which is how
+    every atom sees OTHER."""
     if isinstance(m, MAtom):
-        return _dfa.RSym(letter(m.message.to_message()))
+        return _dfa.EMPTY if letter is None else _dfa.RSym(letter(m.message.to_message()))
     if isinstance(m, MAny):
         return _dfa.ANY
     if isinstance(m, MEps):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Sequence
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
-from .grounding import ground_spec
+from .grounding import GroundSpec, ground_spec
 from .messages import Message, Trace
 from .rules import LifestateSpec
 
@@ -56,14 +56,13 @@ class ValidationReport:
             assert self.blocking_message is not None
 
 
-def _rule_letters(engine: AbstractEngine) -> int:
-    """Bitmask of the messages that occur in some ground rule (matcher atom
-    or target)."""
+def trace_mask(engine: AbstractEngine, messages: Sequence[Message]) -> int:
+    """Bitmask of the letters of the messages: the part of the alphabet
+    that reports show, since the stores agree with the full grounding's
+    on exactly the messages of the trace."""
     mask = 0
-    for rule in engine.rules:
-        mask |= rule.target_bit
-        for letter in rule.columns:
-            mask |= 1 << letter
+    for letter in engine.intern(messages):
+        mask |= 1 << letter
     return mask
 
 
@@ -105,13 +104,15 @@ def walk(engine: AbstractEngine, state: AbstractState, messages: Sequence[Messag
 
 
 def validate_ground(
-    engine: AbstractEngine,
+    ground: GroundSpec,
     trace: Trace,
     deadline: Optional[float] = None,
 ) -> ValidationReport:
-    """Walk the trace against a prepared engine."""
+    """Build the engine of a ground spec and walk the trace against it."""
+    engine = AbstractEngine(ground)
     messages = trace.messages
-    relevant = _rule_letters(engine)
+    relevant = trace_mask(engine, tuple(ground.relevant))
+    shown = trace_mask(engine, messages)
     state = engine.initial_state()
     filtered = 0
     inconsistent_at = [0] if state.inconsistent else []
@@ -123,8 +124,8 @@ def validate_ground(
             return ValidationReport(
                 False, i, filtered, total,
                 blocking_message=messages[i],
-                blocking_permitted=engine.permitted_messages(before),
-                blocking_prohibited=engine.prohibited_messages(before),
+                blocking_permitted=frozenset(engine.decode(before.permitted & shown)),
+                blocking_prohibited=frozenset(engine.decode(before.prohibited & shown)),
                 last_firing_rules=_last_firing_rules(engine, messages[:i], letter),
                 reason=reason,
                 inconsistency_steps=tuple(inconsistent_at),
@@ -142,9 +143,9 @@ def validate(
     trace: Trace,
     timeout: Optional[float] = None,
 ) -> ValidationReport:
-    """Ground the spec against the trace and fold the abstract step over
-    its messages; valid iff no step is blocked or bad before the end."""
-    ground = ground_spec(spec, trace)
-    engine = AbstractEngine(ground)
+    """Ground the spec against the trace, sliced, and fold the abstract
+    step over its messages; valid iff no step is blocked or bad before the
+    end.  The timeout counts from entry, so grounding and the engine build
+    spend it too."""
     deadline = time.monotonic() + timeout if timeout is not None else None
-    return validate_ground(engine, trace, deadline)
+    return validate_ground(ground_spec(spec, trace, sliced=True), trace, deadline)

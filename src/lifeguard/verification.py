@@ -155,17 +155,16 @@ def verify(
     BFS order guarantees a witness with the fewest units, ties broken by
     the lowest unit index sequence.  Exhaustive mode terminates because the
     abstract state space is finite; bounded mode caps the number of units
-    per path and may return Unknown.  The deadline is checked before every
-    unit replay."""
+    per path and may return Unknown.  The spec is grounded sliced.  The
+    deadline counts from entry, so grounding and the engine build spend it
+    too, and it is checked before every unit replay."""
+    deadline = time.monotonic() + timeout if timeout is not None else None
     if is_violation(trace):
         # The recorded execution already witnesses the violation.
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
     bound = parse_mode(mode)
-    deadline = time.monotonic() + timeout if timeout is not None else None
-
     units = split_subtraces(trace)
-    ground = ground_spec(spec, trace)
-    engine = AbstractEngine(ground)
+    engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
     unit_letters = [engine.intern(u.messages) for u in units]
     openings = [1 << letters[0] for letters in unit_letters]
 
@@ -227,13 +226,12 @@ def brute_force_verify(
 
     Agrees with bounded verification on the violation verdict at depth k;
     sequences interrupted by a blocked back-message are unrealizable and
-    skipped."""
+    skipped.  The deadline counts from entry."""
+    deadline = time.monotonic() + timeout if timeout is not None else None
     if is_violation(trace):
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
-    deadline = time.monotonic() + timeout if timeout is not None else None
     units = split_subtraces(trace)
-    ground = ground_spec(spec, trace)
-    engine = AbstractEngine(ground)
+    engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
     unit_letters = [engine.intern(u.messages) for u in units]
     sequences_run = 0
     for length in range(1, k + 1):

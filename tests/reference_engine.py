@@ -178,13 +178,17 @@ def fold_step(engine, state, m):
     return event.outcome, event.after
 
 
-def reference_validate(spec, trace) -> ValidationReport:
+def reference_validate(spec, trace, ground=None) -> ValidationReport:
     """Fold the frozenset step over the trace, noting after every step which
-    rules last fired for each target (the blame for a later failure)."""
-    ground = ground_spec(spec, trace)
-    engine = ReferenceEngine(ground)
+    rules last fired for each target (the blame for a later failure).  The
+    engine is built from ground, by default the full grounding; the
+    spec-relevant count is always the full grounding's, and the blocking
+    stores show only messages that occur in the trace."""
+    full = ground_spec(spec, trace)
+    engine = ReferenceEngine(ground or full)
+    seen = frozenset(m.unwrap() if m.is_dis() else m for m in trace.messages)
     rule_messages = set()
-    for rule in ground.rules:
+    for rule in full.rules:
         rule_messages.add(rule.target)
         rule_messages.update(atom.to_message() for atom in matcher_atoms(rule.matcher))
     state = engine.initial_state()
@@ -201,8 +205,8 @@ def reference_validate(spec, trace) -> ValidationReport:
 
     def invalid(i, m, blamed, reason):
         return ValidationReport(False, i, filtered, total, blocking_message=m,
-                                blocking_permitted=state.permitted,
-                                blocking_prohibited=state.prohibited,
+                                blocking_permitted=state.permitted & seen,
+                                blocking_prohibited=state.prohibited & seen,
                                 last_firing_rules=last_touch.get(blamed, ()),
                                 reason=reason, inconsistency_steps=tuple(inconsistent_at))
 
@@ -227,15 +231,16 @@ def reference_validate(spec, trace) -> ValidationReport:
                             inconsistency_steps=tuple(inconsistent_at))
 
 
-def reference_verify(spec, trace, mode="exhaustive", state_cap=5_000_000):
+def reference_verify(spec, trace, mode="exhaustive", state_cap=5_000_000, ground=None):
     """Breadth-first search over unit boundaries with the path and message
     history in every queue entry: the verifier as it was before parent
-    pointers and integer stores."""
+    pointers and integer stores, over ground (by default the full
+    grounding)."""
     if is_violation(trace):
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
     bound = parse_mode(mode)
     units = split_subtraces(trace)
-    engine = ReferenceEngine(ground_spec(spec, trace))
+    engine = ReferenceEngine(ground or ground_spec(spec, trace))
     init = engine.initial_state()
     visited = {init}
     queue = deque([(init, 0, (), ())])

@@ -249,6 +249,21 @@ class TestGroundAndExplain:
         parsed = parse_spec("\n".join(rule_lines))
         assert len(parsed.rules) == len(rule_lines)
 
+    def test_ground_marks_the_sliced_subset(self, capsys, tmp_path, fixtures_dir):
+        # The full grounding is printed; the sliced one only counted.
+        trace = tmp_path / "pairs.trace"
+        trace.write_text(serialize_trace(pair_trace(3)))
+        argv = ["ground", "--spec", str(fixtures_dir / "spec_run.ls"), "--trace", str(trace)]
+        code, out, _ = run_cli(capsys, *argv, "--report", "json")
+        report = json.loads(out)
+        assert code == 0 and report["rules"] == 37
+        assert report["instance_counts"] == [3, 3, 9, 9, 9, 3, 1]
+        assert report["sliced_instance_counts"] == [3, 3, 3, 3, 3, 3, 1]
+        code, out, _ = run_cli(capsys, *argv)
+        rows = [line.split() for line in out.splitlines()]
+        assert ["3", "9", "3", "2,2,2,2,2,2,2,2,2"] in rows
+        assert "sliced: 19 of 37 instances, 38 of 50 messages" in out.splitlines()
+
     def test_explain_valid_trace(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "explain",
                                "--spec", str(fixtures_dir / "spec_run.ls"),

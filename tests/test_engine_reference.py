@@ -1,6 +1,9 @@
 """The interned-integer engine, validate and verify against the frozenset
 reference in reference_engine.py: every step outcome, every decoded store,
-every validation report and every verification result must be equal."""
+every validation report and every verification result must be equal.
+validate and verify ground sliced, so the reference runs on the sliced
+grounding; test_sliced_grounding.py checks the slice against the full
+grounding."""
 
 import itertools
 import random
@@ -146,7 +149,7 @@ def test_validate_matches_reference(request, spec_run, trace_buggy):
     invalid = 0
     for spec, trace in pairs:
         report = validate(spec, trace)
-        assert report == reference_validate(spec, trace)
+        assert report == reference_validate(spec, trace, ground_spec(spec, trace, sliced=True))
         invalid += not report.valid
     assert invalid > 20  # blame and blocking stores are compared, not only verdicts
 
@@ -191,7 +194,8 @@ def test_verify_matches_reference_bfs(request, mode):
     kinds = set()
     for spec, trace in verify_cases(request):
         result = verify(spec, trace, mode=mode)
-        assert result == reference_verify(spec, trace, mode=mode)
+        assert result == reference_verify(spec, trace, mode=mode,
+                                          ground=ground_spec(spec, trace, sliced=True))
         kinds.add(type(result).__name__)
     assert kinds >= ({"Safe", "Violation"} if mode == "exhaustive" else {"Unknown"})
 
@@ -199,5 +203,5 @@ def test_verify_matches_reference_bfs(request, mode):
 def test_verify_matches_reference_at_state_cap(request):
     for spec, trace in fixture_pairs(request):
         for cap in (1, 2, 3):
-            assert verify(spec, trace, state_cap=cap) == \
-                reference_verify(spec, trace, state_cap=cap)
+            assert verify(spec, trace, state_cap=cap) == reference_verify(
+                spec, trace, state_cap=cap, ground=ground_spec(spec, trace, sliced=True))
