@@ -151,34 +151,44 @@ class GroundSpec:
         return tuple(m for m in self.alphabet if m.is_in())
 
 
-def _domains(spec: LifestateSpec, universe: ValueUniverse, cap: int
+def _domains(spec: LifestateSpec, universe: ValueUniverse
              ) -> list[tuple[tuple[str, ...], tuple[tuple[Value, ...], ...]]]:
     """Per rule, its free variables in sorted order and the values each
     ranges over (typed variables over same-type object identities, untyped
-    ones over every value).  Aborts with a diagnostic naming the worst rule
-    when the full grounding would exceed the cap."""
+    ones over every value)."""
     all_values = universe.all_values()
     out = []
-    total = 0
-    worst: tuple[int, int] = (-1, -1)  # (count, rule index)
-    for idx, rule in enumerate(spec.rules):
+    for rule in spec.rules:
         annotations = rule_annotations(rule)
         names = tuple(sorted(free_vars(rule)))
-        domains = tuple(universe.of_type(annotations[name])
-                        if annotations[name] is not None else all_values
-                        for name in names)
-        count = math.prod(len(d) for d in domains)
-        if count > worst[0]:
-            worst = (count, idx)
-        total += count
-        if total > cap:
-            raise GroundingError(
-                f"grounding needs {total} rule instances (cap {cap}); "
-                f"worst rule is #{worst[1] + 1} with {worst[0]} instances: "
-                f"{spec.rules[worst[1]]}"
-            )
-        out.append((names, domains))
+        out.append((names, tuple(universe.of_type(annotations[name])
+                                 if annotations[name] is not None else all_values
+                                 for name in names)))
     return out
+
+
+class _Cap:
+    """Charges rule instances, or with sliced the assignments the slicer
+    enumerates, to their rule, and aborts with a diagnostic naming the worst
+    rule as soon as the total exceeds the cap."""
+
+    def __init__(self, spec: LifestateSpec, cap: int, sliced: bool):
+        self.rules, self.cap = spec.rules, cap
+        self.what = ("sliced grounding enumerates", "assignments") if sliced else (
+            "grounding needs", "instances")
+        self.counts = [0] * len(spec.rules)
+        self.total = 0
+
+    def charge(self, idx: int, count: int) -> None:
+        self.counts[idx] += count
+        self.total += count
+        if self.total > self.cap:
+            worst = max(range(len(self.counts)), key=self.counts.__getitem__)
+            verb, noun = self.what
+            raise GroundingError(
+                f"{verb} {self.total} rule {noun} (cap {self.cap}); worst rule is "
+                f"#{worst + 1} with {self.counts[worst]} {noun}: {self.rules[worst]}"
+            )
 
 
 def ground_spec(
@@ -194,14 +204,18 @@ def ground_spec(
     Deterministic: rules in spec order, assignments in sorted value order,
     so a sliced grounding is a subsequence of the full one.  Aborts with a
     diagnostic naming the worst rule when the full grounding's instance
-    count exceeds the cap, sliced or not."""
+    count exceeds the cap or, with sliced, when the assignments the slicer
+    enumerates do."""
     universe = value_universe(trace)
-    plans = _domains(spec, universe, cap)
+    plans = _domains(spec, universe)
     seen = {m.unwrap() if m.is_dis() else m for m in trace.messages}
     slicer = _Slicer(spec, plans, seen)
+    charges = _Cap(spec, cap, sliced)
     if sliced:
-        kept = slicer.kept()
+        kept = slicer.kept(charges)
     else:
+        for idx, (_, domains) in enumerate(plans):
+            charges.charge(idx, math.prod(len(d) for d in domains))
         kept = [itertools.product(*domains) for _, domains in plans]
     ground_rules: list[GroundRule] = []
     counts: list[int] = []
@@ -276,6 +290,10 @@ class _Join:
             else:
                 yield (shape, values), fixed
 
+    def size(self, fixed: dict[int, int]) -> int:
+        """How many assignments agree with fixed."""
+        return math.prod(len(d) for s, d in enumerate(self.domains) if s not in fixed)
+
     def extend(self, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
         """Every assignment that agrees with fixed."""
         return itertools.product(*[(fixed[s],) if s in fixed else range(len(d))
@@ -319,7 +337,7 @@ class _Slicer:
                     out.update(self.seen[key] for key, _ in join.matches(pattern, self.by_shape))
         return frozenset(out)
 
-    def kept(self) -> list[list[tuple[Value, ...]]]:
+    def kept(self, charges: _Cap) -> list[list[tuple[Value, ...]]]:
         """Per rule, the value assignments of the kept instances, in the
         full grounding's order.
 
@@ -328,7 +346,12 @@ class _Slicer:
         polarities aim at.  Every mixed target is an unseen target of the
         polarity with fewer survivors, so only those are enumerated; every
         other assignment comes from joining a target with the seen and
-        mixed messages."""
+        mixed messages.  Every enumerated assignment is charged to its
+        rule before it is made."""
+        def extend(idx: int, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+            charges.charge(idx, self.joins[idx].size(fixed))
+            return self.joins[idx].extend(fixed)
+
         accepts = [_accepts_on_other(join.matcher) for join in self.joins]
         survivors, sizes = [], {True: 0, False: 0}
         for join, accept in zip(self.joins, accepts):
@@ -336,28 +359,26 @@ class _Slicer:
             fixings = [{}] if accept else [fixed for atom in join.patterns[1:]
                                            for _, fixed in join.matches(atom, self.by_shape)]
             survivors.append(fixings)
-            for fixed in fixings:
-                sizes[join.permit] += math.prod(len(d) for s, d in enumerate(join.domains)
-                                                if s not in fixed)
+            sizes[join.permit] += sum(map(join.size, fixings))
         few = sizes[True] <= sizes[False]
         unseen = set()
-        for join, fixings in zip(self.joins, survivors):
+        for idx, (join, fixings) in enumerate(zip(self.joins, survivors)):
             if join.permit == few:
                 for fixed in fixings:
-                    for a in join.extend(fixed):
+                    for a in extend(idx, fixed):
                         unseen.add(join.key(join.patterns[0], a))
         unseen = _by_shape(unseen.difference(self.seen))
         targets = set(self.seen)
-        for join, accept in zip(self.joins, accepts):
+        for idx, (join, accept) in enumerate(zip(self.joins, accepts)):
             if join.permit != few:
                 for key, fixed in join.matches(join.patterns[0], unseen):
-                    if any(self._fires(join, accept, a) for a in join.extend(fixed)):
+                    if any(self._fires(join, accept, a) for a in extend(idx, fixed)):
                         targets.add(key)
         targets = _by_shape(targets)
         out = []
-        for join, accept in zip(self.joins, accepts):
+        for idx, (join, accept) in enumerate(zip(self.joins, accepts)):
             kept = sorted(a for _, fixed in join.matches(join.patterns[0], targets)
-                          for a in join.extend(fixed) if self._fires(join, accept, a))
+                          for a in extend(idx, fixed) if self._fires(join, accept, a))
             out.append([tuple(d[j] for d, j in zip(join.domains, a)) for a in kept])
         return out
 

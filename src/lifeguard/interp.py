@@ -33,8 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .messages import (
     APP,
@@ -418,41 +418,29 @@ class Env:
 EMPTY_ENV = Env()
 
 
-# Continuation frames (top of stack is the last tuple element).
+# Continuation frames (top of stack is the last tuple element) and MForce,
+# the control form of a thunk about to be applied.  The machine dispatches
+# on their type and never compares them.
 
 
-@dataclass(frozen=True)
-class FLet:
+class FLet(NamedTuple):
     var: str
     body: Expr
     env: Env
 
 
-@dataclass(frozen=True)
-class FThunk:
+class FThunk(NamedTuple):
     thunk: RThunk
 
 
-@dataclass(frozen=True)
-class FEvent:
-    thunk: RThunk
-
-
-Frame = Union[FLet, FThunk, FEvent]
-
-
-@dataclass(frozen=True)
-class MForce:
-    """Machine-internal control form: a thunk about to be applied."""
-
+class MForce(NamedTuple):
     thunk: RThunk
 
 
 BAD = "bad"
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(NamedTuple):
     """Configuration: control, environment, cell store, permission stores,
     and the continuation stack.  The distinguished bad state uses the BAD
     control marker."""
@@ -462,10 +450,7 @@ class MachineState:
     store: tuple[Value, ...] = ()
     enabled: frozenset = frozenset()
     disallowed: frozenset = frozenset()
-    cont: tuple[Frame, ...] = ()
-
-    def is_bad(self) -> bool:
-        return self.control is BAD
+    cont: tuple[FLet | FThunk, ...] = ()
 
     def is_value(self) -> bool:
         return isinstance(self.control, Value)
@@ -474,21 +459,22 @@ class MachineState:
         c = self.control
         return c is BAD or (isinstance(c, Value) and not self.cont and not self.enabled)
 
-    def with_control(self, control: object, env: Optional[Env] = None,
-                     cont: Optional[tuple[Frame, ...]] = None) -> "MachineState":
-        """This state with a new control, and optionally a new env or cont."""
-        return MachineState(control, self.env if env is None else env, self.store,
-                            self.enabled, self.disallowed, self.cont if cont is None else cont)
+
+_state = tuple.__new__  # _state(MachineState, fields) skips the keyword-handling __new__
+
+
+def _with_control(state: MachineState, control: object) -> MachineState:
+    return _state(MachineState, (control,) + state[1:])
 
 
 def initial_state(program: Expr) -> MachineState:
     return MachineState(control=program)
 
 
-def _caller_package(cont: tuple[Frame, ...]) -> Optional[str]:
+def _caller_package(cont: tuple) -> Optional[str]:
     """Package of the running caller thunk, from the continuation."""
     for frame in reversed(cont):
-        if isinstance(frame, (FThunk, FEvent)):
+        if type(frame) is not FLet:
             return frame.thunk.closure.package
     return None
 
@@ -510,8 +496,7 @@ def _observable_args(thunk: RThunk) -> tuple[Value, ...]:
 _CROSSINGS = {(APP, FWK): (CB, CBRET), (FWK, APP): (CI, CIRET)}
 
 
-def _label(thunk: RThunk, cont: tuple[Frame, ...],
-           value: Optional[Value] = None) -> Optional[Message]:
+def _label(thunk: RThunk, cont: tuple, value: Optional[Value] = None) -> Optional[Message]:
     """The message for forcing thunk under cont or, given its return value,
     for returning to cont; None if the call does not cross the interface."""
     kinds = _CROSSINGS.get((thunk.closure.package, _caller_package(cont)))
@@ -524,16 +509,146 @@ def _label(thunk: RThunk, cont: tuple[Frame, ...],
     return Message(kinds[1], thunk.closure.name, _observable_args(thunk), value)
 
 
-def _eval_atom(expr: Expr, env: Env, uid_counter) -> Value:
-    if isinstance(expr, ELit):
-        return expr.value
-    if isinstance(expr, EVar):
-        return env.lookup(expr.name)
-    if isinstance(expr, EThk):
-        return env.lookup("thk")
-    if isinstance(expr, ELam):
-        return Closure(expr.params, expr.body, expr.package, env, expr.name, next(uid_counter))
-    raise StuckError(f"operand {type(expr).__name__} is not an atom")
+# The value of an atom, by the atom's type: (atom, env, uid supply) -> value.
+_ATOMS = {
+    ELit: lambda e, env, uids: e.value,
+    EVar: lambda e, env, uids: env.lookup(e.name),
+    EThk: lambda e, env, uids: env.lookup("thk"),
+    ELam: lambda e, env, uids: Closure(e.params, e.body, e.package, env, e.name, next(uids)),
+}
+
+
+def _eval_atom(expr: Expr, env: Env, uids) -> Value:
+    atom = _ATOMS.get(type(expr))
+    if atom is None:
+        raise StuckError(f"operand {type(expr).__name__} is not an atom")
+    return atom(expr, env, uids)
+
+
+# The rules, by the type of the control: (control, state, uid supply) ->
+# (label, successor).  Each builds its successor as one tuple.
+def _return(c: Value, state: MachineState, uids) -> tuple:
+    _, env, store, enabled, disallowed, cont = state
+    if not cont:
+        raise ValueError("advance at the event loop, where only step applies")
+    top, rest = cont[-1], cont[:-1]
+    if type(top) is FLet:
+        return None, _state(MachineState, (top.body, Env({top.var: c}, top.env), store,
+                                           enabled, disallowed, rest))
+    return _label(top.thunk, rest, c), _state(MachineState, (c, env, store, enabled,
+                                                            disallowed, rest))
+
+
+def _force(c: MForce, state: MachineState, uids) -> tuple:
+    thunk = c.thunk
+    closure = thunk.closure
+    if len(thunk.args) != len(closure.params):
+        raise StuckError(f"forcing {closure.name} with {len(thunk.args)} of "
+                         f"{len(closure.params)} arguments")
+    frame = dict(zip(closure.params, thunk.args))
+    frame["thk"] = thunk
+    _, _, store, enabled, disallowed, cont = state
+    return _label(thunk, cont), _state(MachineState, (
+        closure.body, Env(frame, closure.env), store, enabled, disallowed,
+        cont + (FThunk(thunk),)))
+
+
+def _let(c: ELet, state: MachineState, uids) -> tuple:
+    _, env, store, enabled, disallowed, cont = state
+    return None, _state(MachineState, (c.bound, env, store, enabled, disallowed,
+                                       cont + (FLet(c.var, c.body, env),)))
+
+
+def _if(c: EIf, state: MachineState, uids) -> tuple:
+    cond = _eval_atom(c.cond, state.env, uids)
+    if type(cond) is not Bool:
+        raise StuckError(f"if condition is {cond}, not a boolean")
+    return None, _with_control(state, c.then if cond.flag else c.orelse)
+
+
+def _prim(c: EPrim, state: MachineState, uids) -> tuple:
+    vals = [_eval_atom(a, state.env, uids) for a in c.operands]
+    prim = _PRIMS.get(c.op)
+    if prim is None:
+        raise StuckError(f"unknown primitive {c.op!r}")
+    return prim(c.op, vals, state)
+
+
+_RULES = {
+    **dict.fromkeys((Unit, Bool, Int, Str, ObjectId, Closure, RThunk, CellRef), _return),
+    **dict.fromkeys(_ATOMS, lambda c, state, uids: (
+        None, _with_control(state, _ATOMS[type(c)](c, state.env, uids)))),
+    MForce: _force, ELet: _let, EIf: _if, EPrim: _prim,
+}
+
+
+# The primitives, by op: (op, operand values, state) -> (label, successor).
+def _bind(op: str, vals: list, state: MachineState) -> tuple:
+    target, arg = vals
+    if type(target) is Closure:
+        return None, _with_control(state, RThunk(target, (arg,)))
+    if type(target) is not RThunk:
+        raise StuckError(f"bind on non-function {target}")
+    if len(target.args) >= len(target.closure.params):
+        raise StuckError(f"bind on saturated thunk {target}")
+    return None, _with_control(state, RThunk(target.closure, target.args + (arg,)))
+
+
+def _invoke(op: str, vals: list, state: MachineState) -> tuple:
+    (thunk,) = vals
+    if type(thunk) is not RThunk:
+        raise StuckError(f"invoke on non-thunk {thunk}")
+    if thunk not in state.disallowed:
+        return None, _with_control(state, MForce(thunk))
+    if thunk.closure.package != FWK:
+        raise StuckError(f"invoke of disallowed app thunk {thunk}")
+    return (Message(DIS_CI, thunk.closure.name, _observable_args(thunk)),
+            _with_control(state, BAD))
+
+
+# op -> (the permission store it updates, how)
+_PERMISSIONS = {"enable": ("enabled", frozenset.union),
+                "disable": ("enabled", frozenset.difference),
+                "disallow": ("disallowed", frozenset.union),
+                "allow": ("disallowed", frozenset.difference)}
+
+
+def _permit(op: str, vals: list, state: MachineState) -> tuple:
+    (thunk,) = vals
+    if type(thunk) is not RThunk:
+        raise StuckError(f"{op} on non-thunk {thunk}")
+    name, update = _PERMISSIONS[op]
+    return None, state._replace(control=thunk, **{name: update(getattr(state, name), (thunk,))})
+
+
+def _cell(op: str, vals: list, state: MachineState) -> tuple:
+    ref = vals[0]
+    if type(ref) is not CellRef:
+        raise StuckError(f"{op} on non-cell {ref}")
+    if not 0 < ref.cell <= len(state.store):
+        raise StuckError(f"read of unallocated cell {ref.cell}")
+    i = ref.cell - 1
+    if op == "get":
+        return None, _with_control(state, state.store[i])
+    store = state.store
+    return None, state._replace(control=UNIT, store=store[:i] + (vals[1],) + store[i + 1:])
+
+
+def _add(op: str, vals: list, state: MachineState) -> tuple:
+    a, b = vals
+    if not (type(a) is Int and type(b) is Int):
+        raise StuckError("add on non-integers")
+    return None, _with_control(state, Int(a.n + b.n))
+
+
+_PRIMS = {
+    "bind": _bind, "invoke": _invoke, **dict.fromkeys(_PERMISSIONS, _permit),
+    # Cell n is store[n - 1]: cells are numbered by allocation order.
+    "newcell": lambda op, vals, state: (None, state._replace(
+        control=CellRef(len(state.store) + 1), store=state.store + (vals[0],))),
+    "get": _cell, "set": _cell, "add": _add,
+    "eq": lambda op, vals, state: (None, _with_control(state, Bool(vals[0] == vals[1]))),
+}
 
 
 class Machine:
@@ -543,6 +658,15 @@ class Machine:
     def __init__(self) -> None:
         self._uids = itertools.count(1)
 
+    def advance(self, state: MachineState) -> tuple[Optional[Message], MachineState]:
+        """The successor of a state that is neither terminal nor at the
+        event loop, with its message label: one rule, chosen by the
+        control's type."""
+        rule = _RULES.get(type(state.control))
+        if rule is None:
+            raise StuckError(f"no rule for control {type(state.control).__name__}")
+        return rule(state.control, state, self._uids)
+
     def step(self, state: MachineState) -> list[tuple[Optional[Message], MachineState]]:
         """All successors of a non-terminal state with their message labels.
 
@@ -550,113 +674,13 @@ class Machine:
         successor per enabled thunk (in sorted order)."""
         if state.is_terminal():
             raise ValueError("step on a terminal state")
-        c = state.control
-
-        if isinstance(c, Value):
-            if state.cont:
-                top = state.cont[-1]
-                rest = state.cont[:-1]
-                if isinstance(top, FLet):
-                    return [(None, state.with_control(top.body, Env({top.var: c}, top.env), rest))]
-                if isinstance(top, FThunk):
-                    return [(_label(top.thunk, rest, c), state.with_control(c, cont=rest))]
-                if isinstance(top, FEvent):
-                    return [(None, state.with_control(c, cont=rest))]
-                raise StuckError(f"unknown continuation frame {top!r}")
-            # Event: value at the top level, pick any enabled thunk.
-            return [(None, state.with_control(MForce(thunk), cont=(FEvent(thunk),)))
-                    for thunk in sorted(state.enabled, key=lambda t: t.sort_key())]
-
-        if isinstance(c, MForce):
-            thunk = c.thunk
-            closure = thunk.closure
-            if len(thunk.args) != len(closure.params):
-                raise StuckError(
-                    f"forcing {closure.name} with {len(thunk.args)} of "
-                    f"{len(closure.params)} arguments"
-                )
-            frame = dict(zip(closure.params, thunk.args))
-            frame["thk"] = thunk
-            return [(_label(thunk, state.cont),
-                     state.with_control(closure.body, Env(frame, closure.env),
-                                        state.cont + (FThunk(thunk),)))]
-
-        if isinstance(c, ELet):
-            return [(None, state.with_control(
-                c.bound, cont=state.cont + (FLet(c.var, c.body, state.env),)))]
-
-        if isinstance(c, EIf):
-            cond = _eval_atom(c.cond, state.env, self._uids)
-            if not isinstance(cond, Bool):
-                raise StuckError(f"if condition is {cond}, not a boolean")
-            return [(None, state.with_control(c.then if cond.flag else c.orelse))]
-
-        if _is_atom(c):
-            return [(None, state.with_control(_eval_atom(c, state.env, self._uids)))]
-
-        if isinstance(c, EPrim):
-            return [self._prim(c, state)]
-
-        raise StuckError(f"no rule for control {type(c).__name__}")
-
-    def _prim(self, expr: EPrim, state: MachineState) -> tuple[Optional[Message], MachineState]:
-        vals = [_eval_atom(a, state.env, self._uids) for a in expr.operands]
-        op = expr.op
-
-        if op == "bind":
-            target, arg = vals
-            if isinstance(target, Closure):
-                return None, state.with_control(RThunk(target, (arg,)))
-            if isinstance(target, RThunk):
-                if len(target.args) >= len(target.closure.params):
-                    raise StuckError(f"bind on saturated thunk {target}")
-                return None, state.with_control(RThunk(target.closure, target.args + (arg,)))
-            raise StuckError(f"bind on non-function {target}")
-        if op == "invoke":
-            (thunk,) = vals
-            if not isinstance(thunk, RThunk):
-                raise StuckError(f"invoke on non-thunk {thunk}")
-            if thunk in state.disallowed:
-                if thunk.closure.package != FWK:
-                    raise StuckError(f"invoke of disallowed app thunk {thunk}")
-                return (Message(DIS_CI, thunk.closure.name, _observable_args(thunk)),
-                        state.with_control(BAD))
-            return None, state.with_control(MForce(thunk))
-        if op in ("enable", "disable", "allow", "disallow"):
-            (thunk,) = vals
-            if not isinstance(thunk, RThunk):
-                raise StuckError(f"{op} on non-thunk {thunk}")
-            if op == "enable":
-                return None, replace(state, control=thunk, enabled=state.enabled | {thunk})
-            if op == "disable":
-                return None, replace(state, control=thunk, enabled=state.enabled - {thunk})
-            if op == "disallow":
-                return None, replace(state, control=thunk, disallowed=state.disallowed | {thunk})
-            return None, replace(state, control=thunk, disallowed=state.disallowed - {thunk})
-        if op == "newcell":
-            # Cell n is store[n - 1]: cells are numbered by allocation order.
-            return None, replace(state, control=CellRef(len(state.store) + 1),
-                                 store=state.store + (vals[0],))
-        if op in ("get", "set"):
-            ref = vals[0]
-            if not isinstance(ref, CellRef):
-                raise StuckError(f"{op} on non-cell {ref}")
-            if not 0 < ref.cell <= len(state.store):
-                raise StuckError(f"read of unallocated cell {ref.cell}")
-            i = ref.cell - 1
-            if op == "get":
-                return None, state.with_control(state.store[i])
-            store = state.store[:i] + (vals[1],) + state.store[i + 1:]
-            return None, replace(state, control=UNIT, store=store)
-        if op == "add":
-            a, b = vals
-            if not (isinstance(a, Int) and isinstance(b, Int)):
-                raise StuckError("add on non-integers")
-            return None, state.with_control(Int(a.n + b.n))
-        if op == "eq":
-            a, b = vals
-            return None, state.with_control(Bool(a == b))
-        raise StuckError(f"unknown primitive {op!r}")
+        if state.cont or not state.is_value():
+            return [self.advance(state)]
+        # Event: value at the top level, pick any enabled thunk.  Its frame
+        # is the bottom of the stack, so its return has no caller to cross
+        # the interface to and is never labelled.
+        return [(None, state._replace(control=MForce(thunk), cont=(FThunk(thunk),)))
+                for thunk in sorted(state.enabled, key=lambda t: t.sort_key())]
 
 
 # ---------------------------------------------------------------------------
@@ -706,29 +730,35 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
     """Execute a program under a schedule, collecting the observable trace.
 
     Status is ``bad`` iff the trace ends in a dis message; an explicit
-    schedule that runs out at the event loop finishes the run."""
+    schedule that runs out at the event loop finishes the run.  A run
+    that takes max_steps steps is classified by the state they reach, so
+    it is ``budget_exhausted`` only if that state is neither bad nor
+    finished."""
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     machine = Machine()
+    advance = machine.advance
     state = initial_state(program)
     rng = random.Random(schedule.seed) if schedule.seed is not None else None
     picks = iter(schedule.picks or ())
     labels: list[Message] = []
     steps = 0
-    status = BUDGET_EXHAUSTED
     reason = ""
-    while steps < max_steps:
-        if state.is_bad():
+    while True:
+        if state.control is BAD:
             status = BAD_STATUS
             break
-        if state.is_value() and not state.cont:
-            if not state.enabled:
-                status = FINISHED
-                break
-            choice = next(picks, None) if rng is None else rng.randrange(len(state.enabled))
+        at_loop = not state.cont and isinstance(state.control, Value)
+        if at_loop:
+            choice = None if not state.enabled else (
+                next(picks, None) if rng is None else rng.randrange(len(state.enabled)))
             if choice is None:
                 status = FINISHED
                 break
+        if steps == max_steps:
+            status = BUDGET_EXHAUSTED
+            break
+        if at_loop:
             succs = machine.step(state)
             if not 0 <= choice < len(succs):
                 raise ScheduleError(
@@ -737,13 +767,10 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
             label, state = succs[choice]
         else:
             try:
-                succs = machine.step(state)
+                label, state = advance(state)
             except StuckError as e:
                 status, reason = STUCK, str(e)
                 break
-            if len(succs) != 1:
-                raise AssertionError("only event dispatch may fan out")
-            label, state = succs[0]
         if label is not None:
             labels.append(label)
         steps += 1

@@ -202,6 +202,17 @@ class TestRunCommand:
         assert code == 1  # run ends in the bad state
         assert load_trace(out_path).messages[-1].is_dis()
 
+    @pytest.mark.parametrize("program,schedule,steps,code,status", [
+        ("program_buggy.ll", "schedule_double_click.sched", 151, 1, "bad (151 steps, 12 messages)"),
+        ("program_fixed.ll", "schedule_fixed.sched", 176, 0, "finished (176 steps, 16 messages)"),
+    ])
+    def test_run_status_at_the_step_budget(self, capsys, fixtures_dir, program, schedule,
+                                           steps, code, status):
+        got, _, err = run_cli(capsys, "run", "--program", str(fixtures_dir / program),
+                              "--schedule", "@" + str(fixtures_dir / schedule),
+                              "--max-steps", str(steps))
+        assert (got, err) == (code, f"status: {status}\n")
+
     def test_run_rejects_initless_program(self, capsys, tmp_path):
         prog = tmp_path / "p.ll"
         prog.write_text("let f = (x =>[app] x) in unit\n")

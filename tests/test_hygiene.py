@@ -1,6 +1,7 @@
 """Source hygiene, checked with the standard library's ast: the package has
 no unused import, no unused module-private top-level name, and no import
-of another module's private name; the tests have no unused import."""
+of another module's private name; the tests and tools have no unused
+import."""
 
 import ast
 import pathlib
@@ -11,7 +12,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "lifeguard"
 # __init__.py imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-TEST_MODULES = sorted(TESTS.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "tools").glob("*.py"))
 
 
 def _loaded(tree: ast.Module) -> set[str]:

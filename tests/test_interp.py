@@ -223,6 +223,23 @@ class TestRun:
         result = run(program, Schedule(seed=1), 25)
         assert result.status == BUDGET_EXHAUSTED
 
+    @pytest.mark.parametrize("program_name,schedule_name,steps,status", [
+        ("program_buggy.ll", "schedule_double_click.sched", 151, BAD_STATUS),
+        ("program_fixed.ll", "schedule_fixed.sched", 176, FINISHED),
+    ])
+    def test_status_at_the_step_budget(self, fixtures_dir, program_name, schedule_name,
+                                       steps, status):
+        # A run whose last allowed step reaches the bad or a finished state
+        # ends in that state, not with the budget exhausted.
+        program = load_program(fixtures_dir / program_name)
+        schedule = parse_schedule((fixtures_dir / schedule_name).read_text())
+        result = run(program, schedule, steps)
+        assert (result.status, result.steps) == (status, steps)
+        assert result.trace == run(program, schedule, steps + 1).trace
+        assert result.trace.messages[-1].is_dis() == (status == BAD_STATUS)
+        short = run(program, schedule, steps - 1)
+        assert (short.status, short.steps) == (BUDGET_EXHAUSTED, steps - 1)
+
     def test_seeded_schedule_is_reproducible(self, fixtures_dir):
         program = load_program(fixtures_dir / "program_buggy.ll")
         a = run(program, Schedule(seed=11), 400)

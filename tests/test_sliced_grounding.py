@@ -147,6 +147,27 @@ def test_validate_of_200_pairs_fits_a_two_second_timeout(spec_run):
     assert validate(spec_run, pair_trace(200), timeout=2).valid
 
 
+def test_the_sliced_cap_counts_what_the_slicer_enumerates(spec_run):
+    # The full grounding of 258 pairs needs 200,208 instances, over the
+    # default cap; the sliced one keeps 1,549 and enumerates few more.
+    with pytest.raises(GroundingError, match="grounding needs 200208 rule instances"):
+        ground_spec(spec_run, pair_trace(258))
+    assert len(ground_spec(spec_run, pair_trace(258), sliced=True).rules) == 6 * 258 + 1
+    assert validate(spec_run, pair_trace(258)).valid
+
+
+def test_a_forall_heavy_slice_still_hits_the_cap():
+    # Both rules accept on OTHER* and keep all 144 (listener, button)
+    # assignments at n=12; the slicer enumerates the permit rule's first.
+    spec = parse_spec("eps -> cb onClick(forall l:OnClickListener, forall b:Button)\n"
+                      "eps -/> cb onClick(forall l:OnClickListener, forall b:Button)\n")
+    trace = pair_trace(12)
+    with pytest.raises(GroundingError, match=r"^sliced grounding enumerates \d+ rule "
+                       r"assignments \(cap 100\); worst rule is #1 with 144 assignments"):
+        ground_spec(spec, trace, cap=100, sliced=True)
+    assert ground_spec(spec, trace, cap=1000, sliced=True).instance_counts == (144, 144)
+
+
 def test_validate_agrees_with_the_full_grounding(request, spec_run, trace_buggy):
     cases = (fixture_cases(request) + seeded_cases()
              + pair_cases(request, range(1, 11), random.Random(2)))
