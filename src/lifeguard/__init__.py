@@ -11,7 +11,7 @@ from .messages import (
 from .rules import LifestateSpec, Rule, parse_spec
 from .grounding import ground_spec, value_universe
 from .validation import ValidationReport, validate
-from .verification import Safe, Unknown, Violation, brute_force_verify, split_subtraces, verify
+from .verification import Safe, Unknown, Violation, split_subtraces, verify
 from .interp import Schedule, parse_program, parse_schedule, run
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Safe",
     "Unknown",
     "Violation",
-    "brute_force_verify",
     "split_subtraces",
     "verify",
     "Schedule",

@@ -20,7 +20,7 @@ The engine interns every alphabet message as its index (its letter), and
 a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
 the store.  The OTHER letter's bit lies outside both store masks, so OTHER
 is never permitted, prohibited or blocked.  Messages are decoded back to
-dataclasses only for reports (permitted_messages, prohibited_messages).
+dataclasses only for reports (decode).
 Every rule's DFA state is packed into one int, w bits per rule (w fits
 the largest state index of any DFA), so a step XOR-patches the rules it
 moved and a state copies and hashes in one int.  A state is the plain
@@ -35,7 +35,7 @@ store to the full in-message alphabet, exactly as the update formulas read.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
@@ -135,12 +135,6 @@ class AbstractEngine:
             mask ^= low
         return tuple(out)
 
-    def permitted_messages(self, state: AbstractState) -> FrozenSet[Message]:
-        return frozenset(self.decode(state.permitted))
-
-    def prohibited_messages(self, state: AbstractState) -> FrozenSet[Message]:
-        return frozenset(self.decode(state.prohibited))
-
     def rule_state(self, state: AbstractState, i: int) -> int:
         """Rule i's DFA state in state."""
         return (state.rule_states >> i * self._width) & self._state_mask
@@ -149,14 +143,6 @@ class AbstractEngine:
         """The rules whose DFA accepts in state, in rule order."""
         return [self.rules[i] for i in state.live
                 if self.rules[i].dfa.accepting[self.rule_state(state, i)]]
-
-    def firing_sets(self, state: AbstractState) -> tuple[int, int]:
-        """Target bits of the permit rules and of the prohibit rules whose
-        DFA accepts in state."""
-        fired = 0
-        for i in state.live:
-            fired |= self._fire[i][self.rule_state(state, i)]
-        return fired & self._permit_bits, fired >> self._shift
 
     def _update(self, word: int, moved: dict[int, int], permitted: int,
                 prohibited: int) -> AbstractState:

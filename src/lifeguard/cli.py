@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import interp
 from .abstract import AbstractEngine
-from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, ground_spec
+from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, compile_spec, ground_spec
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import ARROWS, SpecError, load_spec
 from .validation import (NOT_PERMITTED, PROHIBITED, ValidationTimeout, trace_mask, validate,
@@ -232,7 +232,6 @@ def _cmd_ground(args) -> int:
     trace = load_trace(args.trace)
     ground = ground_spec(spec, trace, cap=args.grounding_cap)
     sliced = ground_spec(spec, trace, cap=args.grounding_cap, sliced=True)
-    engine = AbstractEngine(ground)
     lines = []
     for gr in ground.rules:
         lines.append(f"{gr.matcher} {ARROWS[gr.polarity]} {format_message(gr.target)}")
@@ -240,7 +239,7 @@ def _cmd_ground(args) -> int:
     lines.append(f"alphabet: {len(ground.alphabet)} messages (+1 OTHER class)")
     lines.append(f"{'rule':>5} {'instances':>10} {'sliced':>7} {'dfa states (per instance)':>28}")
     per_rule_states: dict[int, list[int]] = {}
-    for compiled in engine.rules:
+    for compiled in compile_spec(ground):
         per_rule_states.setdefault(compiled.source_index, []).append(compiled.dfa.n_states)
     for idx, (count, kept) in enumerate(zip(ground.instance_counts, sliced.instance_counts)):
         sizes = per_rule_states.get(idx, [])
@@ -261,6 +260,7 @@ def _cmd_ground(args) -> int:
 
 _FAILURE_LABELS = {NOT_PERMITTED: "BLOCKED (not permitted)",
                    PROHIBITED: "BAD (prohibited in-message)"}
+_INCONSISTENT = "  (WARNING: permit/prohibit inconsistency)"
 
 
 def _cmd_explain(args) -> int:
@@ -270,7 +270,8 @@ def _cmd_explain(args) -> int:
     shown = trace_mask(engine, trace.messages)
     state = engine.initial_state()
     print(f"initial: permitted-back {(state.permitted & shown).bit_count()}, "
-          f"prohibited-in {(state.prohibited & shown).bit_count()}")
+          f"prohibited-in {(state.prohibited & shown).bit_count()}"
+          f"{_INCONSISTENT if state.inconsistent else ''}")
     for index, _, reason, before, after in walk(engine, state, trace.messages):
         m = trace.messages[index]
         head = f"{index + 1:>4} {format_message(m):<60}"
@@ -304,7 +305,7 @@ def _cmd_explain(args) -> int:
         if delta:
             line += f"  {delta}"
         if after.inconsistent:
-            line += "  (WARNING: permit/prohibit inconsistency)"
+            line += _INCONSISTENT
         print(line)
     print("trace validated to the end")
     return EXIT_OK

@@ -207,12 +207,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def accepts(self, word: Iterable[int]) -> bool:
-        state = self.start
-        for letter in word:
-            state = self.transitions[state][letter]
-        return self.accepting[state]
-
 
 def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000) -> Dfa:
     """Iterated-derivative construction; states are canonical regexes.

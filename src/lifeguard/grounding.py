@@ -274,7 +274,7 @@ class _Join:
         self.matcher = rule.matcher
         self.permit = rule.polarity == PERMIT
 
-    def matches(self, pattern, keys: dict) -> Iterator[tuple[tuple, dict[int, int]]]:
+    def unify(self, pattern, keys: dict) -> Iterator[tuple[tuple, dict[int, int]]]:
         """The keys the pattern unifies with, each with the domain index it
         fixes for each of the pattern's variables."""
         shape, params = pattern
@@ -334,7 +334,7 @@ class _Slicer:
         for join in self.joins:
             if all(join.domains):
                 for pattern in join.patterns:
-                    out.update(self.seen[key] for key, _ in join.matches(pattern, self.by_shape))
+                    out.update(self.seen[key] for key, _ in join.unify(pattern, self.by_shape))
         return frozenset(out)
 
     def kept(self, charges: _Cap) -> list[list[tuple[Value, ...]]]:
@@ -357,7 +357,7 @@ class _Slicer:
         for join, accept in zip(self.joins, accepts):
             # Partial assignments whose every extension survives kind 1.
             fixings = [{}] if accept else [fixed for atom in join.patterns[1:]
-                                           for _, fixed in join.matches(atom, self.by_shape)]
+                                           for _, fixed in join.unify(atom, self.by_shape)]
             survivors.append(fixings)
             sizes[join.permit] += sum(map(join.size, fixings))
         few = sizes[True] <= sizes[False]
@@ -371,13 +371,13 @@ class _Slicer:
         targets = set(self.seen)
         for idx, (join, accept) in enumerate(zip(self.joins, accepts)):
             if join.permit != few:
-                for key, fixed in join.matches(join.patterns[0], unseen):
+                for key, fixed in join.unify(join.patterns[0], unseen):
                     if any(self._fires(join, accept, a) for a in extend(idx, fixed)):
                         targets.add(key)
         targets = _by_shape(targets)
         out = []
         for idx, (join, accept) in enumerate(zip(self.joins, accepts)):
-            kept = sorted(a for _, fixed in join.matches(join.patterns[0], targets)
+            kept = sorted(a for _, fixed in join.unify(join.patterns[0], targets)
                           for a in extend(idx, fixed) if self._fires(join, accept, a))
             out.append([tuple(d[j] for d, j in zip(join.domains, a)) for a in kept])
         return out

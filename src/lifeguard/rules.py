@@ -23,7 +23,7 @@ split into tokens by ``messages.tokenize``, which programs use too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .messages import (
     CB,
@@ -34,7 +34,6 @@ from .messages import (
     Cursor,
     Message,
     Token,
-    Trace,
     Value,
     parse_value,
     read_source,
@@ -296,7 +295,7 @@ def check_rule(rule: Rule) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Binding application and matching
+# Binding application
 
 Binding = Mapping[str, Value]
 
@@ -334,61 +333,6 @@ def apply_binding_matcher(binding: Binding, m: Matcher) -> Matcher:
     if isinstance(m, MNegate):
         return MNegate(apply_binding_matcher(binding, m.inner))
     return m
-
-
-def _atom_matches(binding: Binding, pm: ParamMessage, msg: Message) -> bool:
-    ground = apply_binding(binding, pm)
-    if not ground.is_ground():
-        return False
-    return ground.to_message() == msg
-
-
-def matches(trace: Union[Trace, Sequence[Message]], binding: Binding, matcher: Matcher) -> bool:
-    """Whole-history matching: does the entire message sequence satisfy the
-    matcher under the binding?
-
-    Atoms match a single message by substitution equality; complement and
-    intersection are evaluated directly on each segment, which coincides
-    with language complement/intersection over any alphabet containing the
-    trace's messages."""
-    word: Sequence[Message] = trace.messages if isinstance(trace, Trace) else tuple(trace)
-    memo: dict[tuple[int, int, int], bool] = {}
-    nodes: dict[int, Matcher] = {}
-
-    def seg(i: int, j: int, m: Matcher) -> bool:
-        key = (i, j, id(m))
-        nodes[id(m)] = m
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        memo[key] = False  # cycle guard for star
-        if isinstance(m, MAtom):
-            out = j == i + 1 and _atom_matches(binding, m.message, word[i])
-        elif isinstance(m, MAny):
-            out = j == i + 1
-        elif isinstance(m, MEps):
-            out = i == j
-        elif isinstance(m, MEmpty):
-            out = False
-        elif isinstance(m, MConcat):
-            out = any(seg(i, k, m.left) and seg(k, j, m.right) for k in range(i, j + 1))
-        elif isinstance(m, MUnion):
-            out = seg(i, j, m.left) or seg(i, j, m.right)
-        elif isinstance(m, MIntersect):
-            out = seg(i, j, m.left) and seg(i, j, m.right)
-        elif isinstance(m, MNegate):
-            out = not seg(i, j, m.inner)
-        elif isinstance(m, MStar):
-            if i == j:
-                out = True
-            else:
-                out = any(seg(i, k, m.inner) and seg(k, j, m) for k in range(i + 1, j + 1))
-        else:
-            raise TypeError(f"unknown matcher {type(m).__name__}")
-        memo[key] = out
-        return out
-
-    return seg(0, len(word), matcher)
 
 
 # ---------------------------------------------------------------------------

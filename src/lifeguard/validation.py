@@ -71,19 +71,17 @@ def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[Message],
     """Blame for a failure on the target letter after the validated prefix:
     the spec rules targeting it that fired at the last state of the fold
     (the initial state or the state after a validated message) where any
-    of them fired.  Re-folds the prefix, so a valid trace never pays for it."""
+    of them fired.  Re-folds the prefix, so a valid trace never pays for it,
+    and reads the fired rules back from the last state."""
     bit = 1 << target
-    touching = [(i, rule) for i, rule in enumerate(engine.rules) if rule.target_bit == bit]
-
-    def fired(state: AbstractState) -> tuple[int, ...]:
-        return tuple(rule.source_index for i, rule in touching
-                     if rule.dfa.accepting[engine.rule_state(state, i)])
-
-    state = engine.initial_state()
-    blame = fired(state)
-    for event in engine.fold(state, engine.intern(prefix)):
-        blame = fired(event.after) or blame
-    return blame
+    states = [engine.initial_state()]
+    states += [event.after for event in engine.fold(states[0], engine.intern(prefix))]
+    for state in reversed(states):
+        blame = tuple(rule.source_index for rule in engine.fired_rules(state)
+                      if rule.target_bit == bit)
+        if blame:
+            return blame
+    return ()
 
 
 def walk(engine: AbstractEngine, state: AbstractState, messages: Sequence[Message]

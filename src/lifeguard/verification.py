@@ -12,7 +12,6 @@ rearrangement reaches bad.
 
 from __future__ import annotations
 
-import itertools
 import re
 import time
 from collections import deque
@@ -29,10 +28,6 @@ class SubTraceError(Exception):
     pass
 
 
-class VerificationTimeout(Exception):
-    pass
-
-
 DEFAULT_STATE_CAP = 5_000_000
 
 
@@ -43,9 +38,6 @@ class SubTrace:
 
     messages: tuple[Message, ...]
     index: int
-
-    def opening(self) -> Message:
-        return self.messages[0]
 
 
 def split_subtraces(t: Trace) -> list[SubTrace]:
@@ -214,40 +206,3 @@ def verify(
     return Safe(states_explored=explored, certificate_size=len(parent),
                 unreachable_units=unreachable)
 
-
-def brute_force_verify(
-    spec: LifestateSpec,
-    trace: Trace,
-    k: int,
-    timeout: Optional[float] = None,
-) -> VerificationResult:
-    """Independent oracle: enumerate every sequence of up to k units
-    explicitly, folding the abstract step from scratch per sequence.
-
-    Agrees with bounded verification on the violation verdict at depth k;
-    sequences interrupted by a blocked back-message are unrealizable and
-    skipped.  The deadline counts from entry."""
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    if is_violation(trace):
-        return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
-    units = split_subtraces(trace)
-    engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
-    unit_letters = [engine.intern(u.messages) for u in units]
-    sequences_run = 0
-    for length in range(1, k + 1):
-        for seq in itertools.product(range(len(units)), repeat=length):
-            if deadline is not None and time.monotonic() > deadline:
-                raise VerificationTimeout(
-                    f"brute-force enumeration timed out after {sequences_run} sequences"
-                )
-            sequences_run += 1
-            state = engine.initial_state()
-            for pos, ui in enumerate(seq):
-                *_, last = engine.fold(state, unit_letters[ui])
-                if last.outcome == BLOCKED:
-                    break
-                if last.outcome == BAD:
-                    return _violation(units, list(seq[: pos + 1]), last, sequences_run)
-                state = last.after
-    return Unknown(bound_hit=True, states_explored=sequences_run,
-                   reason=f"no violation within {k} units")

@@ -1,32 +1,121 @@
-"""The frozenset abstract engine, validator and BFS verifier that the
-interned-integer engine replaced, kept as the oracle for differential tests.
+"""The oracles that the differential tests check the package against.
 
-Stores are frozensets of Message dataclasses rebuilt over the whole back
-or in alphabet at every step; the validator records blame at every step;
-the verifier carries the unit path and the full message history in every
-queue entry.  They share the compiled rule DFAs with lifeguard.abstract but
-step through each rule's table laid out over the whole alphabet, so a
-disagreement points at the per-letter rule index, the store
-representation, the stepping fold or the search bookkeeping."""
+- The frozenset abstract engine, validator and BFS verifier that the
+  interned-integer engine replaced.  Stores are frozensets of Message
+  dataclasses rebuilt over the whole back or in alphabet at every step;
+  the validator records blame at every step; the verifier carries the unit
+  path and the full message history in every queue entry.  They share the
+  compiled rule DFAs with lifeguard.abstract but step through each rule's
+  table laid out over the whole alphabet, so a disagreement points at the
+  per-letter rule index, the store representation, the stepping fold or
+  the search bookkeeping.
+- brute_force_verify, which enumerates unit sequences explicitly and
+  replays each through the frozenset engine, so it checks the explorer
+  and the integer engine together.
+- matches, the whole-history semantics of a matcher, and accepts, which
+  runs a DFA on a word: the definitions that compiled DFAs are checked
+  against."""
 
 from __future__ import annotations
 
+import itertools
+import time
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Sequence
+from typing import FrozenSet, Iterable, Optional, Sequence, Union
 
 from lifeguard.dfa import Dfa
 from lifeguard.grounding import CompiledRule, compile_spec, ground_spec, letter_map
 from lifeguard.messages import Message, Trace, is_violation
-from lifeguard.rules import matcher_atoms
+from lifeguard.rules import (
+    Binding,
+    LifestateSpec,
+    MAny,
+    MAtom,
+    MConcat,
+    MEmpty,
+    MEps,
+    MIntersect,
+    MNegate,
+    MStar,
+    MUnion,
+    Matcher,
+    ParamMessage,
+    apply_binding,
+    matcher_atoms,
+)
 from lifeguard.validation import ValidationReport
 from lifeguard.verification import (
     Safe,
     Unknown,
     Violation,
+    VerificationResult,
     parse_mode,
     split_subtraces,
 )
+
+
+def _atom_matches(binding: Binding, pm: ParamMessage, msg: Message) -> bool:
+    ground = apply_binding(binding, pm)
+    if not ground.is_ground():
+        return False
+    return ground.to_message() == msg
+
+
+def matches(trace: Union[Trace, Sequence[Message]], binding: Binding, matcher: Matcher) -> bool:
+    """Whole-history matching: does the entire message sequence satisfy the
+    matcher under the binding?
+
+    Atoms match a single message by substitution equality; complement and
+    intersection are evaluated directly on each segment, which coincides
+    with language complement/intersection over any alphabet containing the
+    trace's messages."""
+    word: Sequence[Message] = trace.messages if isinstance(trace, Trace) else tuple(trace)
+    memo: dict[tuple[int, int, int], bool] = {}
+    nodes: dict[int, Matcher] = {}
+
+    def seg(i: int, j: int, m: Matcher) -> bool:
+        key = (i, j, id(m))
+        nodes[id(m)] = m
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        memo[key] = False  # cycle guard for star
+        if isinstance(m, MAtom):
+            out = j == i + 1 and _atom_matches(binding, m.message, word[i])
+        elif isinstance(m, MAny):
+            out = j == i + 1
+        elif isinstance(m, MEps):
+            out = i == j
+        elif isinstance(m, MEmpty):
+            out = False
+        elif isinstance(m, MConcat):
+            out = any(seg(i, k, m.left) and seg(k, j, m.right) for k in range(i, j + 1))
+        elif isinstance(m, MUnion):
+            out = seg(i, j, m.left) or seg(i, j, m.right)
+        elif isinstance(m, MIntersect):
+            out = seg(i, j, m.left) and seg(i, j, m.right)
+        elif isinstance(m, MNegate):
+            out = not seg(i, j, m.inner)
+        elif isinstance(m, MStar):
+            if i == j:
+                out = True
+            else:
+                out = any(seg(i, k, m.inner) and seg(k, j, m) for k in range(i + 1, j + 1))
+        else:
+            raise TypeError(f"unknown matcher {type(m).__name__}")
+        memo[key] = out
+        return out
+
+    return seg(0, len(word), matcher)
+
+
+def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
+    """Does the DFA, run from its start state, accept the word of letters?"""
+    state = dfa.start
+    for letter in word:
+        state = dfa.transitions[state][letter]
+    return dfa.accepting[state]
 
 
 def laid_out(rule: CompiledRule, n_letters: int) -> Dfa:
@@ -52,17 +141,14 @@ def update_back(
     permits: FrozenSet[Message],
     prohibits: FrozenSet[Message],
     is_consistent: bool,
-    back_alphabet: Sequence[Message],
+    back_alphabet: Iterable[Message],
 ) -> FrozenSet[Message]:
     """New permitted-back store: on inconsistency nothing is permitted;
     otherwise a back-message survives if it is not prohibited and is either
     freshly permitted or was already in the store."""
     if not is_consistent:
         return frozenset()
-    return frozenset(
-        m for m in back_alphabet
-        if m not in prohibits and (m in permits or m in permitted)
-    )
+    return ((permits | permitted) - prohibits).intersection(back_alphabet)
 
 
 def update_in(
@@ -70,7 +156,7 @@ def update_in(
     permits: FrozenSet[Message],
     prohibits: FrozenSet[Message],
     is_consistent: bool,
-    in_alphabet: Sequence[Message],
+    in_alphabet: Iterable[Message],
 ) -> FrozenSet[Message]:
     """New prohibited-in store: on inconsistency every in-message is
     prohibited (the implication is vacuous); otherwise an in-message is
@@ -78,10 +164,7 @@ def update_in(
     was already in the store."""
     if not is_consistent:
         return frozenset(in_alphabet)
-    return frozenset(
-        m for m in in_alphabet
-        if m not in permits and (m in prohibits or m in prohibited)
-    )
+    return ((prohibits | prohibited) - permits).intersection(in_alphabet)
 
 
 @dataclass(frozen=True)
@@ -101,8 +184,8 @@ class ReferenceEngine:
         self.tables = tuple(laid_out(rule, len(ground.alphabet) + 1) for rule in self.rules)
         self.letters = letter_map(ground.alphabet)
         self.other_letter = len(ground.alphabet)
-        self.back_alphabet = ground.back_alphabet()
-        self.in_alphabet = ground.in_alphabet()
+        self.back_alphabet = frozenset(ground.back_alphabet())
+        self.in_alphabet = frozenset(ground.in_alphabet())
         self.alphabet_set = frozenset(ground.alphabet)
 
     def firing_sets(self, rule_states):
@@ -130,7 +213,7 @@ class ReferenceEngine:
 
     def initial_state(self) -> RefState:
         rule_states = tuple(rule.dfa.start for rule in self.rules)
-        return self._update(rule_states, frozenset(self.back_alphabet), frozenset())
+        return self._update(rule_states, self.back_alphabet, frozenset())
 
     def step(self, state: RefState, m: Message):
         """("blocked", None), ("bad", None) or ("ok", successor).  Messages
@@ -152,22 +235,18 @@ def unpacked(engine, state) -> tuple[int, ...]:
     return tuple(engine.rule_state(state, i) for i in range(len(engine.rules)))
 
 
-def full_scan(engine, state) -> tuple[tuple[int, ...], tuple[int, int]]:
+def full_scan(engine, state) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Scan every rule of the integer engine's state: the indices of the
     rules not at rest (their DFA state moves under OTHER or accepts) and
-    the target bits of the accepting permit and prohibit rules.  These are
-    what the engine's live field and firing_sets read off the live rules
-    alone."""
-    live, permits, prohibits = [], 0, 0
+    the indices of the accepting rules.  These are what the engine's live
+    field and fired_rules read off the live rules alone."""
+    live, accepting = [], []
     for i, (rule, sid) in enumerate(zip(engine.rules, unpacked(engine, state))):
         if rule.dfa.transitions[sid][-1] != sid or rule.dfa.accepting[sid]:
             live.append(i)
         if rule.dfa.accepting[sid]:
-            if rule.is_permit():
-                permits |= rule.target_bit
-            else:
-                prohibits |= rule.target_bit
-    return tuple(live), (permits, prohibits)
+            accepting.append(i)
+    return tuple(live), tuple(accepting)
 
 
 def fold_step(engine, state, m):
@@ -251,12 +330,12 @@ def reference_verify(spec, trace, mode="exhaustive", state_cap=5_000_000, ground
     while queue:
         state, depth, path, history = queue.popleft()
         if bound is not None and depth >= bound:
-            if any(u.opening() in state.permitted for u in units):
+            if any(u.messages[0] in state.permitted for u in units):
                 truncated = True
             continue
         explored += 1
         for unit in units:
-            opening = unit.opening()
+            opening = unit.messages[0]
             if opening in engine.alphabet_set and opening not in state.permitted:
                 continue
             opened_units.add(unit.index)
@@ -284,3 +363,63 @@ def reference_verify(spec, trace, mode="exhaustive", state_cap=5_000_000, ground
         return Unknown(True, explored, "unit bound reached before closing the state space",
                        depth_reached, len(queue))
     return Safe(explored, len(visited), unreachable)
+
+
+class VerificationTimeout(Exception):
+    pass
+
+
+def brute_force_verify(
+    spec: LifestateSpec,
+    trace: Trace,
+    k: int,
+    timeout: Optional[float] = None,
+    ground=None,
+) -> VerificationResult:
+    """Enumerate every sequence of up to k units explicitly, shortest first
+    and then in index order, and replay each through the frozenset
+    reference step.  A sequence goes on from the state in which its prefix
+    one unit shorter ended; states are never compared, so no sequence is
+    pruned as already seen, as verify prunes revisited states.  It shares
+    no stepping code with verify, so it checks the explorer and the
+    integer engine together.
+
+    Agrees with bounded verification on the violation verdict at depth k;
+    sequences interrupted by a blocked back-message are unrealizable and
+    skipped, with every longer sequence they start.  The engine is built
+    from ground, by default the sliced grounding that verify uses.  The
+    deadline counts from entry, so grounding spends it too."""
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    if is_violation(trace):
+        return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
+    units = split_subtraces(trace)
+    engine = ReferenceEngine(ground or ground_spec(spec, trace, sliced=True))
+    # The end state of every realizable sequence one unit shorter.
+    ends = {(): engine.initial_state()}
+    sequences_run = 0
+    for length in range(1, k + 1):
+        reached = {}
+        for seq in itertools.product(range(len(units)), repeat=length):
+            if deadline is not None and time.monotonic() > deadline:
+                raise VerificationTimeout(
+                    f"brute-force enumeration timed out after {sequences_run} sequences"
+                )
+            sequences_run += 1
+            state = ends.get(seq[:-1])
+            if state is None:
+                continue
+            last = units[seq[-1]].messages
+            for index, m in enumerate(last):
+                outcome, after = engine.step(state, m)
+                if outcome == "bad":
+                    history = tuple(x for i in seq[:-1] for x in units[i].messages)
+                    return Violation(Trace(history + last[:index] + (m.wrap_dis(),)), seq,
+                                     sequences_run)
+                if outcome == "blocked":
+                    break
+                state = after
+            else:
+                reached[seq] = state
+        ends = reached
+    return Unknown(bound_hit=True, states_explored=sequences_run,
+                   reason=f"no violation within {k} units")

@@ -15,13 +15,12 @@ from lifeguard.validation import validate
 from lifeguard.verification import (
     Safe,
     Violation,
-    brute_force_verify,
     split_subtraces,
     verify,
 )
 
 from gen import random_spec, random_trace
-from reference_engine import fold_step
+from reference_engine import accepts, brute_force_verify, fold_step
 from test_abstract import engine_outcomes, scratch_outcomes
 from test_dfa_grounding import LETTERS, OPERATOR_COVERAGE, brute_language, compile_matcher
 
@@ -158,7 +157,7 @@ def test_criterion_7_matcher_dfa_equivalence():
         accepted, universe = brute_language(matcher, LETTERS, max_len=8)
         auto, letter_of = compile_matcher(matcher, LETTERS)
         for word in universe:
-            assert auto.accepts(letter_of[m] for m in word) == (word in accepted), \
+            assert accepts(auto, (letter_of[m] for m in word)) == (word in accepted), \
                 str(matcher)
             words_checked += 1
     print(f"\nACCEPTANCE 7 PASS: compiled DFAs agree with the brute-force matcher "

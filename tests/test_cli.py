@@ -291,6 +291,20 @@ class TestGroundAndExplain:
         assert "BLOCKED" in out
         assert "permitted-back" in out
 
+    def test_explain_flags_an_inconsistent_initial_state(self, capsys, tmp_path, fixtures_dir):
+        # validate reports step 0 as inconsistent; explain flags the initial
+        # line the way it flags a step.
+        spec = tmp_path / "inconsistent.ls"
+        spec.write_text("eps -> ci execute(t#1:AsyncTask)\n"
+                        "eps -/> ci execute(t#1:AsyncTask)\n")
+        argv = ["--spec", str(spec), "--trace", str(fixtures_dir / "trace_fixed.trace")]
+        code, out, _ = run_cli(capsys, "validate", *argv, "--report", "json")
+        assert json.loads(out)["inconsistent_steps"] == [0]
+        code, out, _ = run_cli(capsys, "explain", *argv)
+        assert code == 1
+        assert out.splitlines()[0] == ("initial: permitted-back 0, prohibited-in 8"
+                                       "  (WARNING: permit/prohibit inconsistency)")
+
 
 def test_explain_agrees_with_validate(capsys, fixtures_dir, tmp_path):
     # explain fails exactly where validate stops, on every fixture pair and

@@ -31,10 +31,11 @@ from lifeguard.rules import (
     MUnion,
     ParamMessage,
     free_vars,
-    matches,
     parse_spec,
     rule_annotations,
 )
+
+from reference_engine import accepts, matches
 
 A1 = ObjectId("a", 1, "Activity")
 T1 = ObjectId("t", 1, "AsyncTask")
@@ -142,7 +143,7 @@ class TestDfaMatcherEquivalence:
         auto, letter_of = compile_matcher(matcher, LETTERS)
         for word in universe:
             expected = word in accepted
-            got = auto.accepts(letter_of[m] for m in word)
+            got = accepts(auto, (letter_of[m] for m in word))
             assert got == expected, (str(matcher), [str(m) for m in word])
 
     @pytest.mark.parametrize("matcher", OPERATOR_COVERAGE, ids=lambda m: str(m))
@@ -156,28 +157,28 @@ class TestDfaMatcherEquivalence:
         for k in range(0, 5):
             for word in itertools.product(pool, repeat=k):
                 expected = matches(list(word), {}, matcher)
-                got = auto.accepts(letter_of.get(m, other_idx) for m in word)
+                got = accepts(auto, (letter_of.get(m, other_idx) for m in word))
                 assert got == expected, (str(matcher), [str(m) for m in word])
 
     def test_eps_dfa_is_two_states(self):
         auto, _ = compile_matcher(MEps(), LETTERS)
         assert auto.n_states == 2
-        assert auto.accepts([])
-        assert not auto.accepts([0])
+        assert accepts(auto, [])
+        assert not accepts(auto, [0])
 
     def test_contradiction_is_empty(self):
         auto, letter_of = compile_matcher(MIntersect(MNegate(MEps()), MEps()), LETTERS)
-        assert not auto.accepts([])
+        assert not accepts(auto, [])
         for k in range(3):
             for word in itertools.product(range(len(LETTERS) + 1), repeat=k):
-                assert not auto.accepts(word)
+                assert not accepts(auto, word)
 
     def test_suffix_rule_dfa_accepts_exactly_words_ending_in_letter(self):
         matcher = MConcat(MStar(MAny()), A)
         auto, letter_of = compile_matcher(matcher, LETTERS)
         for k in range(0, 7):
             for word in itertools.product(range(len(LETTERS)), repeat=k):
-                assert auto.accepts(word) == (bool(word) and word[-1] == 0)
+                assert accepts(auto, word) == (bool(word) and word[-1] == 0)
 
 
 class TestCanonicalForm:
@@ -337,8 +338,8 @@ class TestCompiledRules:
                 for _ in range(20):
                     word = [rng.choice(pool) for _ in range(k)]
                     expected = matches(word, {}, gr.matcher)
-                    got = laid_out(cr, len(g.alphabet) + 1).accepts(
-                        letter_of[m] for m in word)
+                    got = accepts(laid_out(cr, len(g.alphabet) + 1),
+                                  (letter_of[m] for m in word))
                     assert got == expected
 
     def test_repeat_compiles_agree_and_dfa_keeps_no_memo(self, spec_run, trace_fixed):
@@ -402,5 +403,5 @@ class TestLongWordSampling:
             for _ in range(25):
                 k = rng.randint(0, 20)
                 word = [rng.choice(LETTERS) for _ in range(k)]
-                assert auto.accepts(letter_of[m] for m in word) == \
+                assert accepts(auto, (letter_of[m] for m in word)) == \
                     matches(word, {}, matcher), (str(matcher), k)

@@ -75,7 +75,7 @@ def seeded_pairs(n_pairs=200, seed=2026):
 
 
 def view(engine, state):
-    return (engine.permitted_messages(state), engine.prohibited_messages(state),
+    return (frozenset(engine.decode(state.permitted)), frozenset(engine.decode(state.prohibited)),
             unpacked(engine, state), state.inconsistent)
 
 
@@ -167,7 +167,8 @@ def verify_cases(request):
 
 def test_live_rules_and_firing_word_match_a_full_scan(request):
     """At every step of the fold, live holds exactly the rules not at rest
-    and the firing word ORed over them equals a scan over every rule."""
+    and fired_rules, which reads only the live rules, names exactly the
+    accepting rules of a scan over every rule."""
     spec_run, noenable = (request.getfixturevalue(s) for s in ("spec_run", "spec_run_noenable"))
     cases = fixture_pairs(request) + seeded_pairs()
     for n in range(1, 7):
@@ -181,9 +182,9 @@ def test_live_rules_and_firing_word_match_a_full_scan(request):
         states = [state] + [e.after for e in engine.fold(state, engine.intern(trace.messages))
                             if e.after is not None]
         for state in states:
-            live, firing = full_scan(engine, state)
+            live, accepting = full_scan(engine, state)
             assert state.live == live
-            assert engine.firing_sets(state) == firing
+            assert engine.fired_rules(state) == [engine.rules[i] for i in accepting]
             assert all(sid < rule.dfa.n_states
                        for rule, sid in zip(engine.rules, unpacked(engine, state)))
     assert sizes >= 3  # DFAs of several sizes share one packed word

@@ -1,7 +1,7 @@
 """Source hygiene, checked with the standard library's ast: the package has
-no unused import, no unused module-private top-level name, and no import
-of another module's private name; the tests and tools have no unused
-import."""
+no unused import, no unused module-private top-level name, no import of
+another module's private name, and nothing public that only code outside
+it reaches; the tests and tools have no unused import."""
 
 import ast
 import pathlib
@@ -55,3 +55,60 @@ def test_tests_have_no_unused_imports(path):
     unused = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
               for name in _bound_names(node) if name not in loaded]
     assert unused == [], f"{path.name}: unused {unused}"
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+            for name in ast.literal_eval(node.value)}
+
+
+def _package_uses(trees: dict[str, ast.Module]) -> tuple[set[tuple[str, str]], set[str]]:
+    """The (module, name) pairs that the package's modules use, each by
+    loading its own name, importing another module's or reading module.name
+    through an imported module, and every attribute name the package reads."""
+    used, attributes = set(), set()
+    for module, tree in trees.items():
+        used |= {(module, name) for name in _loaded(tree)}
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        used.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    used.add((aliases[node.value.id], node.attr))
+    return used, attributes
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def test_nothing_public_is_reached_only_from_outside_the_package():
+    """Every public top-level function or class is used in the package or
+    listed in lifeguard.__all__ (the package's own __init__ imports only
+    to re-export), and every public method other than a property is read
+    as an attribute somewhere in the package.  A name that only tests
+    reach belongs in tests/."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used, attributes = _package_uses(trees)
+    exported = _exported()
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and (module, node.name) not in used and node.name not in exported):
+                unused.append(f"{module}.{node.name}")
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                unused += [f"{module}.{cls.name}.{node.name}" for node in cls.body
+                           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                           and not _is_property(node) and node.name not in attributes]
+    assert unused == [], f"reached only from outside the package: {unused}"

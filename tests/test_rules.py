@@ -22,12 +22,12 @@ from lifeguard.rules import (
     SpecError,
     apply_binding,
     free_vars,
-    matches,
     parse_rule,
     parse_spec,
 )
 
 from gen import random_trace
+from reference_engine import matches
 
 T1 = ObjectId("t", 1, "AsyncTask")
 B1 = ObjectId("b", 1, "Button")

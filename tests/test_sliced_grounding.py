@@ -3,10 +3,10 @@
 ground_spec(spec, trace, sliced=True) keeps only the rule instances that
 can change a verdict on the trace.  It is checked three ways: against
 reference_slice, which reads the two dropped kinds directly off the full
-grounding's compiled instances; by validate, verify and brute_force_verify
-answering as they do over the full grounding; and by the frozenset
-reference engine, run on the sliced grounding, exploring exactly the
-states that verify does."""
+grounding's compiled instances; by validate, verify and the brute_force_verify
+oracle of reference_engine.py answering as they do over the full grounding;
+and by the frozenset reference engine, run on the sliced grounding,
+exploring exactly the states that verify does."""
 
 import itertools
 import random
@@ -20,12 +20,13 @@ from lifeguard.grounding import GroundingError, compile_spec, ground_spec
 from lifeguard.messages import parse_trace
 from lifeguard.rules import matcher_atoms, parse_spec
 from lifeguard.validation import ValidationTimeout, validate
-from lifeguard.verification import (Safe, Unknown, Violation, VerificationTimeout,
-                                    brute_force_verify, verify)
+from lifeguard.verification import Safe, Unknown, Violation, verify
 
 from gen import random_spec, random_trace
 from pairs import pair_trace, random_order
-from reference_engine import reference_validate, reference_verify
+import reference_engine
+from reference_engine import (VerificationTimeout, brute_force_verify, reference_validate,
+                              reference_verify)
 
 FIXTURE_SPECS = ("spec_run", "spec_run_noenable", "spec_lifecycle", "spec_top")
 FIXTURE_TRACES = ("trace_fixed", "trace_buggy")
@@ -112,7 +113,7 @@ def pair_cases(request, ns, rng):
 
 
 def full_grounding(monkeypatch):
-    """Make verify and brute_force_verify ground in full."""
+    """Make verify ground in full."""
     monkeypatch.setattr(verification, "ground_spec",
                         lambda spec, trace, sliced=False: ground_spec(spec, trace))
 
@@ -198,7 +199,7 @@ def test_verify_agrees_with_the_full_grounding(request, monkeypatch):
         if isinstance(got, Safe):
             assert got.unreachable_units == want.unreachable_units
             assert got.certificate_size <= want.certificate_size
-        assert got_brute == brute_force_verify(spec, trace, 2)
+        assert got_brute == brute_force_verify(spec, trace, 2, ground=ground_spec(spec, trace))
         kinds.add(type(got).__name__)
     assert kinds == {"Safe", "Violation"} and fewer > 0
 
@@ -254,7 +255,7 @@ class TestDeadlineFromEntry:
         assert isinstance(result, Unknown) and result.reason == "timeout"
 
     def test_brute_force_verify(self, spec_run, trace_fixed, monkeypatch):
-        slow_grounding(monkeypatch, verification, 0.2)
+        slow_grounding(monkeypatch, reference_engine, 0.2)
         with pytest.raises(VerificationTimeout, match="after 0 sequences"):
             brute_force_verify(spec_run, trace_fixed, 2, timeout=0.1)
 

@@ -15,9 +15,7 @@ from lifeguard.verification import (
     Safe,
     SubTraceError,
     Unknown,
-    VerificationTimeout,
     Violation,
-    brute_force_verify,
     split_subtraces,
     verify,
 )
@@ -26,7 +24,7 @@ from lifeguard.grounding import ground_spec
 
 from gen import random_spec, random_trace
 from pairs import pair_trace, random_order
-from reference_engine import fold_step
+from reference_engine import VerificationTimeout, brute_force_verify, fold_step
 
 T1 = ObjectId("t", 1, "AsyncTask")
 
@@ -39,7 +37,7 @@ class TestSplitSubtraces:
     def test_fixed_fixture_units(self, trace_fixed):
         units = split_subtraces(trace_fixed)
         assert [len(u.messages) for u in units] == [6, 6, 4]
-        names = [u.opening().fun for u in units]
+        names = [u.messages[0].fun for u in units]
         assert names == ["onCreate", "onClick", "onPostExecute"]
 
     def test_empty_trace(self):
@@ -182,6 +180,39 @@ class TestBruteForceOracle:
                     assert validate(spec, bounded.witness).valid
                     assert validate(spec, brute.witness).valid
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_skip_pair_witness(self, spec_run, n):
+        # Every pair in turn skips its disable: the witness creates, then
+        # clicks that pair twice, exactly as verify finds it.
+        for skip in range(1, n + 1):
+            trace = pair_trace(n, frozenset({skip}))
+            result = brute_force_verify(spec_run, trace, 3)
+            assert isinstance(result, Violation)
+            assert result.subtrace_sequence == (0, skip, skip)
+            assert result.witness == verify(spec_run, trace).witness
+            assert validate(spec_run, result.witness).valid
+
+    def test_catches_an_engine_mutant_that_verify_shares(self, spec_run, monkeypatch):
+        # An advance that ignores the letter's patches moves only the live
+        # rules, by OTHER: verify folds through it and misses the second
+        # execute of the skipping pair.  brute_force_verify steps the
+        # frozenset reference engine, so it still finds the violation.
+        advance = AbstractEngine.advance
+
+        def ignore_patches(self, state, letter):
+            patches, self._patches = self._patches, {}
+            try:
+                return advance(self, state, letter)
+            finally:
+                self._patches = patches
+
+        monkeypatch.setattr(AbstractEngine, "advance", ignore_patches)
+        trace = pair_trace(2, frozenset({2}))
+        assert isinstance(verify(spec_run, trace), Safe)
+        result = brute_force_verify(spec_run, trace, 3)
+        assert isinstance(result, Violation)
+        assert result.subtrace_sequence == (0, 2, 2)
+
     def test_agreement_on_random_pairs(self):
         rng = random.Random(99)
         checked = 0
@@ -228,8 +259,8 @@ class TestSafeSoundness:
         engine = AbstractEngine(ground_spec(spec_run, trace_fixed))
         state = engine.initial_state()
         post = units[2]
-        assert post.opening() not in engine.permitted_messages(state)
-        assert fold_step(engine, state, post.opening())[0] == BLOCKED
+        assert post.messages[0] not in engine.decode(state.permitted)
+        assert fold_step(engine, state, post.messages[0])[0] == BLOCKED
 
 
 class TestCapsAndTimeouts:
