@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import interp
 from .abstract import AbstractEngine
-from .grounding import DEFAULT_INSTANTIATION_CAP, GroundingError, compile_spec, ground_spec
+from .grounding import (DEFAULT_INSTANTIATION_CAP, GroundingCapError, GroundingError,
+                        compile_spec, ground_spec)
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import ARROWS, SpecError, load_spec
 from .validation import (NOT_PERMITTED, PROHIBITED, ValidationTimeout, trace_mask, validate,
@@ -151,7 +152,7 @@ def _cmd_validate(args) -> int:
     try:
         trace = load_trace(args.trace)
         report = validate(spec, trace, timeout=args.timeout)
-    except ValidationTimeout as e:
+    except (ValidationTimeout, GroundingCapError) as e:
         _emit({"command": "validate", "trace": args.trace, "verdict": "unknown",
                "reason": str(e), "lines": [f"unknown: {e}"]}, args.report)
         return EXIT_UNKNOWN
@@ -180,8 +181,11 @@ def _cmd_validate(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
-    result = verify(spec, trace, mode=args.mode, state_cap=args.state_cap,
-                    timeout=args.timeout)
+    try:
+        result = verify(spec, trace, mode=args.mode, state_cap=args.state_cap,
+                        timeout=args.timeout)
+    except GroundingCapError as e:
+        result = Unknown(bound_hit=False, reason=str(e))
     lines = []
     if isinstance(result, Safe):
         verdict = "safe"

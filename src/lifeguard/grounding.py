@@ -77,6 +77,11 @@ class GroundingError(Exception):
     pass
 
 
+class GroundingCapError(GroundingError):
+    """Grounding would exceed its instantiation cap: the spec cannot be
+    checked on this trace within the limit, so the verdict is unknown."""
+
+
 DEFAULT_INSTANTIATION_CAP = 200000
 
 
@@ -127,9 +132,6 @@ class GroundRule:
     target: Message
     source_index: int  # index of the originating rule in the spec
     binding: tuple[tuple[str, Value], ...] = ()
-
-    def is_permit(self) -> bool:
-        return self.polarity == PERMIT
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ class _Cap:
         if self.total > self.cap:
             worst = max(range(len(self.counts)), key=self.counts.__getitem__)
             verb, noun = self.what
-            raise GroundingError(
+            raise GroundingCapError(
                 f"{verb} {self.total} rule {noun} (cap {self.cap}); worst rule is "
                 f"#{worst + 1} with {self.counts[worst]} {noun}: {self.rules[worst]}"
             )
@@ -227,7 +229,7 @@ def ground_spec(
                 GroundRule(
                     apply_binding_matcher(binding, rule.matcher),
                     rule.polarity,
-                    apply_binding(binding, rule.target).to_message(),
+                    apply_binding(binding, rule.target),
                     idx,
                     tuple(sorted(binding.items())),
                 )
@@ -236,8 +238,7 @@ def ground_spec(
     alphabet = set(seen)
     for gr in ground_rules:
         alphabet.add(gr.target)
-        for atom in matcher_atoms(gr.matcher):
-            alphabet.add(atom.to_message())
+        alphabet.update(matcher_atoms(gr.matcher))
     ordered = tuple(sorted(alphabet, key=lambda m: m.sort_key()))
     return GroundSpec(tuple(ground_rules), ordered, tuple(counts), slicer.relevant())
 
@@ -429,7 +430,7 @@ def _translate(m: Matcher, letter: Optional[Callable[[Message], int]]) -> _dfa.R
     its message; with letter None no atom matches anything, which is how
     every atom sees OTHER."""
     if isinstance(m, MAtom):
-        return _dfa.EMPTY if letter is None else _dfa.RSym(letter(m.message.to_message()))
+        return _dfa.EMPTY if letter is None else _dfa.RSym(letter(m.message))
     if isinstance(m, MAny):
         return _dfa.ANY
     if isinstance(m, MEps):

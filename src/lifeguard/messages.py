@@ -11,8 +11,8 @@ A message is one flat record, ``Message(kind, fun, args, ret)``: the kind,
 the called function's name, the argument values and, for the return kinds
 only, the returned value.  The kind fixes the callee's package -- a
 callback is app code, a callin framework code -- so no package is stored.
-Spec atoms (``rules.ParamMessage``) have the same fields, with each
-parameter a ``rules.SVar`` or a plain value.
+Spec atoms and targets are Messages too, with each parameter a
+``rules.SVar`` or a plain value; a ground atom is a trace message.
 
 Trace file format (one message per line, ``#`` starts a comment when at the
 beginning of a line or preceded by whitespace -- object identities like
@@ -174,7 +174,9 @@ class Message:
 
     ``cb`` and ``ciret`` are back-messages (framework to app); ``ci`` and
     ``cbret`` are in-messages (app to framework); ``dis_*`` wraps the
-    blocked in-message that ends a violating trace.
+    blocked in-message that ends a violating trace.  A spec atom or target
+    may carry ``rules.SVar`` parameters; ``sort_key`` applies only to
+    ground messages.
     """
 
     kind: str

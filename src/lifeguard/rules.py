@@ -1,4 +1,4 @@
-"""Lifestate specification language: parametrized messages, history
+"""Lifestate specification language: symbolic variables, history
 matchers, and permit/prohibit rules.
 
 A rule ``r -> m`` permits message ``m`` whenever the whole message history
@@ -16,6 +16,8 @@ Spec file grammar (one rule per line, ``#`` comments)::
     atom    := (cb|ci) f(p, ...)  |  (cbret|ciret) p = f(p, ...)
     p       := x | x:Type | value | forall x:Type   (forall in targets only)
 
+An atom or a target is a ``messages.Message`` whose parameters are
+``SVar``s or values, so a ground atom is the trace message it matches.
 Values are written as in traces (``messages.parse_value``); a line is
 split into tokens by ``messages.tokenize``, which programs use too.
 """
@@ -40,6 +42,7 @@ from .messages import (
     strip_comment,
     tokenize,
     value_type_name,
+    values_of_message,
 )
 
 
@@ -57,7 +60,7 @@ class BindingTypeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Parameters and parametrized messages
+# Parameters
 
 
 @dataclass(frozen=True)
@@ -79,43 +82,8 @@ class SVar:
 
 Param = Union[SVar, Value]
 
+# The kinds an atom or target may have; the parser rejects the dis kinds.
 _PM_KINDS = (CB, CI, CBRET, CIRET)
-
-
-@dataclass(frozen=True)
-class ParamMessage:
-    kind: str
-    fun: str
-    args: tuple[Param, ...]
-    ret: Optional[Param] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PM_KINDS:
-            raise ValueError(f"parametrized messages use kinds {_PM_KINDS}, got {self.kind!r}")
-        if (self.ret is not None) != (self.kind in (CBRET, CIRET)):
-            raise ValueError("return parameter present iff kind is a return kind")
-
-    def params(self) -> Iterable[Param]:
-        yield from self.args
-        if self.ret is not None:
-            yield self.ret
-
-    def variables(self) -> set[str]:
-        return {p.name for p in self.params() if isinstance(p, SVar)}
-
-    def is_ground(self) -> bool:
-        return not self.variables()
-
-    def to_message(self) -> Message:
-        if not self.is_ground():
-            raise ValueError(f"{self} is not ground")
-        return Message(self.kind, self.fun, self.args, self.ret)  # type: ignore[arg-type]
-
-    def __str__(self) -> str:
-        args = ",".join(str(p) for p in self.args)
-        if self.ret is not None:
-            return f"{self.kind} {self.ret} = {self.fun}({args})"
-        return f"{self.kind} {self.fun}({args})"
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +96,7 @@ class Matcher:
 
 @dataclass(frozen=True)
 class MAtom(Matcher):
-    message: ParamMessage
+    message: Message
 
     def __str__(self) -> str:
         return str(self.message)
@@ -217,7 +185,7 @@ ARROWS = {PERMIT: "->", PROHIBIT: "-/>"}
 class Rule:
     matcher: Matcher
     polarity: str
-    target: ParamMessage
+    target: Message
 
     def __post_init__(self) -> None:
         if self.polarity not in ARROWS:
@@ -235,7 +203,7 @@ class LifestateSpec:
         return "\n".join(str(r) for r in self.rules)
 
 
-def matcher_atoms(m: Matcher) -> Iterable[ParamMessage]:
+def matcher_atoms(m: Matcher) -> Iterable[Message]:
     if isinstance(m, MAtom):
         yield m.message
     elif isinstance(m, (MConcat, MUnion, MIntersect)):
@@ -245,17 +213,23 @@ def matcher_atoms(m: Matcher) -> Iterable[ParamMessage]:
         yield from matcher_atoms(m.inner)
 
 
+def message_vars(m: Message) -> set[str]:
+    """The names of the symbolic variables among an atom's parameters; a
+    ground atom has none."""
+    return {p.name for p in values_of_message(m) if isinstance(p, SVar)}
+
+
 def matcher_vars(m: Matcher) -> set[str]:
     out: set[str] = set()
     for atom in matcher_atoms(m):
-        out |= atom.variables()
+        out |= message_vars(atom)
     return out
 
 
 def free_vars(rule: Rule) -> set[str]:
     """All symbolic variables of a rule (matcher and target, including
     universally-quantified target variables)."""
-    return matcher_vars(rule.matcher) | rule.target.variables()
+    return matcher_vars(rule.matcher) | message_vars(rule.target)
 
 
 def rule_annotations(rule: Rule) -> dict[str, Optional[str]]:
@@ -263,9 +237,9 @@ def rule_annotations(rule: Rule) -> dict[str, Optional[str]]:
 
     Conflicting annotations for the same variable are an error."""
     out: dict[str, Optional[str]] = {}
-    params = list(rule.target.params())
+    params = list(values_of_message(rule.target))
     for atom in matcher_atoms(rule.matcher):
-        params.extend(atom.params())
+        params.extend(values_of_message(atom))
     for p in params:
         if not isinstance(p, SVar):
             continue
@@ -281,16 +255,12 @@ def rule_annotations(rule: Rule) -> dict[str, Optional[str]]:
 def check_rule(rule: Rule) -> None:
     """Scoping invariant: target variables are matcher-bound or universal."""
     bound = matcher_vars(rule.matcher)
-    for p in rule.target.params():
+    for p in values_of_message(rule.target):
         if isinstance(p, SVar) and not p.universal and p.name not in bound:
             raise SpecError(
                 f"target variable {p.name!r} is not bound by the matcher "
                 f"and not declared with forall"
             )
-    for atom in matcher_atoms(rule.matcher):
-        for p in atom.params():
-            if isinstance(p, SVar) and p.universal:
-                raise SpecError("forall parameters are only allowed in rule targets")
     rule_annotations(rule)
 
 
@@ -312,11 +282,11 @@ def apply_binding_param(binding: Binding, p: Param) -> Param:
     return p
 
 
-def apply_binding(binding: Binding, pm: ParamMessage) -> ParamMessage:
+def apply_binding(binding: Binding, m: Message) -> Message:
     """Substitute bound variables; unbound variables stay symbolic."""
-    args = tuple(apply_binding_param(binding, p) for p in pm.args)
-    ret = apply_binding_param(binding, pm.ret) if pm.ret is not None else None
-    return ParamMessage(pm.kind, pm.fun, args, ret)
+    args = tuple(apply_binding_param(binding, p) for p in m.args)
+    ret = apply_binding_param(binding, m.ret) if m.ret is not None else None
+    return Message(m.kind, m.fun, args, ret)
 
 
 def apply_binding_matcher(binding: Binding, m: Matcher) -> Matcher:
@@ -436,7 +406,7 @@ class _RuleParser(Cursor):
                     continue
                 break
         self.expect(")")
-        return MAtom(ParamMessage(kind, fun_tok.text, tuple(args), ret))
+        return MAtom(Message(kind, fun_tok.text, tuple(args), ret))
 
     def parse_param(self, allow_forall: bool) -> Param:
         tok = self.peek()

@@ -43,20 +43,15 @@ class SubTrace:
 def split_subtraces(t: Trace) -> list[SubTrace]:
     """Maximal depth-0 cb..cbret segments, in order.
 
-    The trace must be dis-free; a depth-0 in-message (a callin with no
-    enclosing callback) or a trace ending inside a unit is malformed."""
+    The trace must be dis-free and must not end inside a unit; Trace
+    already rejects any depth-0 message that is not a callback entry."""
     if is_violation(t):
         raise SubTraceError("cannot split a dis-terminated trace into units")
     units: list[SubTrace] = []
     current: list[Message] = []
     depth = 0
-    for i, m in enumerate(t.messages):
+    for m in t.messages:
         if depth == 0:
-            if m.kind != CB:
-                raise SubTraceError(
-                    f"message {i + 1}: {m} at depth 0 is not a callback entry "
-                    "(malformed event-loop trace)"
-                )
             current = [m]
             depth = 1
             continue

@@ -30,7 +30,6 @@ from lifeguard.rules import (
     MStar,
     PERMIT,
     PROHIBIT,
-    ParamMessage,
     Rule,
     SVar,
 )
@@ -87,7 +86,7 @@ def random_trace(rng: random.Random, max_messages: int = 20, max_objects: int = 
     return Trace(tuple(messages))
 
 
-def _param_message(rng: random.Random, kind: str, vars_pool) -> ParamMessage:
+def _param_message(rng: random.Random, kind: str, vars_pool) -> Message:
     names = CALLBACKS if kind == CB else CALLINS
     name = rng.choice(sorted(names))
     args = []
@@ -96,7 +95,7 @@ def _param_message(rng: random.Random, kind: str, vars_pool) -> ParamMessage:
             args.append(rng.choice(vars_pool))
         else:
             args.append(rng.choice(CONSTS))
-    return ParamMessage(kind, name, tuple(args))
+    return Message(kind, name, tuple(args))
 
 
 def random_spec(rng: random.Random, max_rules: int = 5) -> LifestateSpec:
@@ -112,7 +111,7 @@ def random_spec(rng: random.Random, max_rules: int = 5) -> LifestateSpec:
             name = rng.choice(sorted(CALLINS))
             args = tuple(var if i == 0 else rng.choice(CONSTS)
                          for i in range(CALLINS[name]))
-            atom = ParamMessage(CI, name, args)
+            atom = Message(CI, name, args)
             matcher = MConcat(MStar(MAny()), MAtom(atom))
             rules.append(Rule(matcher, PROHIBIT, atom))
         elif shape < 0.5:

@@ -4,7 +4,10 @@ Pair i owns t#i:AsyncTask, b#i:Button and l#i:OnClickListener.  The
 onCreate unit initialises every task and registers every listener; the
 click unit of pair i disables its button (unless the pair is in skip) and
 starts its task; the completion unit runs onPostExecute(t#i).  Under
-fixtures/spec_run.ls a trace is Safe iff no pair skips the disable."""
+fixtures/spec_run.ls a trace is Safe iff no pair skips the disable.
+
+init_trace and CAP_SPEC make a spec whose grounding exceeds the default
+instantiation cap."""
 
 from __future__ import annotations
 
@@ -57,4 +60,20 @@ def pair_trace(n: int, skip: frozenset = frozenset(),
     lines = _create(n)
     for kind, i in order:
         lines += _click(i, i in skip) if kind == "click" else _post(i)
+    return parse_trace("".join(line + "\n" for line in lines))
+
+
+# Both polarities over three universal AsyncTask parameters: on a trace
+# with n tasks the slicer enumerates n^3 assignments per rule, so n = 60
+# (216,000) exceeds the default cap of 200,000.
+CAP_SPEC = ("eps -> ci execute(forall x:AsyncTask, forall y:AsyncTask, forall z:AsyncTask)\n"
+            "eps -/> ci execute(forall x:AsyncTask, forall y:AsyncTask, forall z:AsyncTask)\n")
+
+
+def init_trace(n: int) -> Trace:
+    """One onCreate unit around init(t#i:AsyncTask) for i = 1..n."""
+    lines = ["cb onCreate(a#1:Activity)"]
+    for i in range(1, n + 1):
+        lines += [f"ci init(t#{i}:AsyncTask)", f"ciret unit = init(t#{i}:AsyncTask)"]
+    lines.append("cbret unit = onCreate(a#1:Activity)")
     return parse_trace("".join(line + "\n" for line in lines))

@@ -40,7 +40,6 @@ from lifeguard.rules import (
     MStar,
     MUnion,
     Matcher,
-    ParamMessage,
     apply_binding,
     matcher_atoms,
 )
@@ -53,13 +52,6 @@ from lifeguard.verification import (
     parse_mode,
     split_subtraces,
 )
-
-
-def _atom_matches(binding: Binding, pm: ParamMessage, msg: Message) -> bool:
-    ground = apply_binding(binding, pm)
-    if not ground.is_ground():
-        return False
-    return ground.to_message() == msg
 
 
 def matches(trace: Union[Trace, Sequence[Message]], binding: Binding, matcher: Matcher) -> bool:
@@ -82,7 +74,8 @@ def matches(trace: Union[Trace, Sequence[Message]], binding: Binding, matcher: M
             return hit
         memo[key] = False  # cycle guard for star
         if isinstance(m, MAtom):
-            out = j == i + 1 and _atom_matches(binding, m.message, word[i])
+            # A trace message is ground, so an atom left with a variable differs.
+            out = j == i + 1 and apply_binding(binding, m.message) == word[i]
         elif isinstance(m, MAny):
             out = j == i + 1
         elif isinstance(m, MEps):
@@ -269,7 +262,7 @@ def reference_validate(spec, trace, ground=None) -> ValidationReport:
     rule_messages = set()
     for rule in full.rules:
         rule_messages.add(rule.target)
-        rule_messages.update(atom.to_message() for atom in matcher_atoms(rule.matcher))
+        rule_messages.update(matcher_atoms(rule.matcher))
     state = engine.initial_state()
     last_touch = {}
     filtered = 0

@@ -9,7 +9,7 @@ from lifeguard.messages import (
     Message,
     ObjectId,
 )
-from lifeguard.rules import parse_spec
+from lifeguard.rules import PERMIT, parse_spec
 
 from gen import random_spec, random_trace
 from pairs import pair_trace
@@ -234,7 +234,7 @@ def scratch_outcomes(ground, messages):
         permits, prohibits = set(), set()
         for r in ground.rules:
             if matches(history, {}, r.matcher):
-                (permits if r.is_permit() else prohibits).add(r.target)
+                (permits if r.polarity == PERMIT else prohibits).add(r.target)
         return frozenset(permits), frozenset(prohibits)
 
     permits, prohibits = firing([])

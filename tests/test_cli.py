@@ -13,7 +13,7 @@ from lifeguard.messages import load_trace, serialize_trace
 from lifeguard.rules import load_spec
 from lifeguard.validation import validate
 
-from pairs import pair_trace
+from pairs import CAP_SPEC, init_trace, pair_trace
 
 
 def run_cli(capsys, *argv):
@@ -363,6 +363,51 @@ class TestErrorPaths:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: spec rule #1, ")
         assert "exceeded 0 states" in err
+
+
+class TestGroundingCap:
+    """A single-trace validate or verify whose grounding exceeds the cap
+    reports unknown, as validate --corpus does, and exits 2."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        spec, trace = tmp_path / "cap.ls", tmp_path / "cap.trace"
+        spec.write_text(CAP_SPEC)
+        trace.write_text(serialize_trace(init_trace(60)))
+        return ["--spec", str(spec), "--trace", str(trace)]
+
+    REASON = ("sliced grounding enumerates 216000 rule assignments (cap 200000); "
+              "worst rule is #1 with 216000 assignments")
+
+    def test_validate_json_report(self, capsys, inputs):
+        code, out, err = run_cli(capsys, "validate", *inputs, "--report", "json")
+        assert code == 2 and err == ""
+        doc = json.loads(out)
+        assert doc["verdict"] == "unknown" and doc["reason"].startswith(self.REASON)
+
+    def test_verify_json_report(self, capsys, inputs):
+        code, out, err = run_cli(capsys, "verify", *inputs, "--report", "json")
+        assert code == 2 and err == ""
+        doc = json.loads(out)
+        assert doc["verdict"] == "unknown"
+        assert (doc["states_explored"], doc["depth_reached"], doc["frontier"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("command, head", [("validate", "unknown: "),
+                                               ("verify", "Unknown: ")])
+    def test_text_report_gives_the_reason(self, capsys, inputs, command, head):
+        code, out, err = run_cli(capsys, command, *inputs)
+        assert code == 2 and err == ""
+        assert out.startswith(head + self.REASON) and out.count("\n") == 1
+
+    def test_corpus_row_agrees(self, capsys, inputs, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "cap.trace").write_text((tmp_path / "cap.trace").read_text())
+        code, out, _ = run_cli(capsys, "validate", "--spec", inputs[1],
+                               "--corpus", str(corpus), "--report", "json")
+        row = json.loads(out)["results"][0]
+        assert code == 1 and row["verdict"] == "unknown"
+        assert row["reason"].startswith(self.REASON)
 
 
 @pytest.mark.parametrize("argv", [

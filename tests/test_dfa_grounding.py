@@ -29,7 +29,6 @@ from lifeguard.rules import (
     MNegate,
     MStar,
     MUnion,
-    ParamMessage,
     free_vars,
     parse_spec,
     rule_annotations,
@@ -60,7 +59,7 @@ def brute_language(matcher, letters, max_len):
 
     def lang(m):
         if isinstance(m, MAtom):
-            msg = m.message.to_message()
+            msg = m.message
             return {(msg,)} if msg in letters else set()
         if isinstance(m, MAny):
             return {(l,) for l in letters}
@@ -105,7 +104,7 @@ def brute_language(matcher, letters, max_len):
 
 
 LETTERS = (ci("f"), ci("g"), ci("h"))
-A, B, C = (MAtom(ParamMessage("ci", m.fun, (), None)) for m in LETTERS)
+A, B, C = (MAtom(m) for m in LETTERS)
 
 
 def compile_matcher(matcher, letters):
@@ -254,13 +253,13 @@ class TestGroundSpec:
             assert r.target in g.alphabet
 
     def test_no_symbolic_leftovers(self, spec_run, trace_fixed):
-        from lifeguard.rules import matcher_atoms
+        from lifeguard.rules import matcher_atoms, message_vars
         from reference_engine import laid_out
 
         g = ground_spec(spec_run, trace_fixed)
         for r in g.rules:
             for atom in matcher_atoms(r.matcher):
-                assert atom.is_ground()
+                assert not message_vars(atom)
 
     def test_blowup_guard_names_worst_rule(self, spec_run, trace_fixed):
         with pytest.raises(GroundingError, match="cap"):
@@ -311,7 +310,7 @@ class TestGroundSpec:
                     if matches(prefix, binding, rule.matcher):
                         from lifeguard.rules import apply_binding
 
-                        symbolic.add(apply_binding(binding, rule.target).to_message())
+                        symbolic.add(apply_binding(binding, rule.target))
                 ground_fired = {
                     r.target
                     for r in g.rules
@@ -332,7 +331,7 @@ class TestCompiledRules:
         letter_of = {m: i for i, m in enumerate(g.alphabet)}
         rng = random.Random(5)
         for cr, gr in zip(compiled, g.rules):
-            atoms = list(dict.fromkeys(a.to_message() for a in matcher_atoms(gr.matcher)))
+            atoms = list(dict.fromkeys(matcher_atoms(gr.matcher)))
             pool = atoms + [next(m for m in g.alphabet if m not in atoms)]
             for k in range(0, 5):
                 for _ in range(20):

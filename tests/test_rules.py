@@ -5,6 +5,7 @@ import pytest
 from lifeguard.messages import (
     Message,
     ObjectId,
+    parse_message_line,
 )
 from lifeguard.rules import (
     BindingTypeError,
@@ -17,11 +18,11 @@ from lifeguard.rules import (
     MStar,
     MUnion,
     PROHIBIT,
-    ParamMessage,
     SVar,
     SpecError,
     apply_binding,
     free_vars,
+    message_vars,
     parse_rule,
     parse_spec,
 )
@@ -89,6 +90,17 @@ class TestParseSpec:
         spec = parse_spec('TRUE* ; ci f("a #b") -> ci g("#") # a comment')
         assert str(spec) == 'TRUE* ; ci f("a #b") -> ci g("#")'
 
+    @pytest.mark.parametrize("text", [
+        "TRUE* ; dis ci f() -> ci g()",
+        "TRUE* ; dis_ci f() -> ci g()",
+        "eps -> dis ci g()",
+        "eps -/> dis_ci g()",
+        "eps -> dis_cbret unit = g()",
+    ])
+    def test_dis_kinds_rejected_in_atoms_and_targets(self, text):
+        with pytest.raises(SpecError, match="message kind"):
+            parse_rule(text)
+
     def test_bad_string_escape_is_a_spec_error(self):
         with pytest.raises(SpecError):
             parse_spec('TRUE* ; ci f("a\\t") -> ci g()')
@@ -99,36 +111,38 @@ class TestParseSpec:
 
 class TestApplyBinding:
     def test_identity_on_ground(self):
-        pm = ParamMessage("ci", "execute", (T1,))
+        pm = Message("ci", "execute", (T1,))
         assert apply_binding({}, pm) == pm
 
     def test_single_substitution(self):
-        pm = ParamMessage("ci", "execute", (SVar("t", "AsyncTask"),))
+        pm = Message("ci", "execute", (SVar("t", "AsyncTask"),))
         out = apply_binding({"t": T1}, pm)
-        assert out == ParamMessage("ci", "execute", (T1,))
-        assert out.is_ground()
+        assert out == Message("ci", "execute", (T1,))
+        assert not message_vars(out)
+        # A bound atom is the trace message it matches.
+        assert out == parse_message_line("ci execute(t#1:AsyncTask)", 1)
 
     def test_partial_substitution_keeps_symbols(self):
-        pm = ParamMessage("cb", "onClick", (SVar("l"), SVar("b")))
+        pm = Message("cb", "onClick", (SVar("l"), SVar("b")))
         out = apply_binding({"b": B1}, pm)
         assert out.args[0] == SVar("l")
         assert out.args[1] == B1
-        assert not out.is_ground()
+        assert message_vars(out) == {"l"}
 
     def test_idempotent_for_total_bindings(self):
-        pm = ParamMessage("cb", "onClick", (SVar("l"), SVar("b")))
+        pm = Message("cb", "onClick", (SVar("l"), SVar("b")))
         binding = {"l": L1, "b": B1}
         once = apply_binding(binding, pm)
         assert apply_binding(binding, once) == once
 
     def test_type_mismatch(self):
-        pm = ParamMessage("ci", "execute", (SVar("t", "AsyncTask"),))
+        pm = Message("ci", "execute", (SVar("t", "AsyncTask"),))
         with pytest.raises(BindingTypeError):
             apply_binding({"t": B1}, pm)
 
 
 class TestMatches:
-    EXEC_T = MConcat(MStar(MAny()), MAtom(ParamMessage("ci", "execute", (SVar("t", "AsyncTask"),))))
+    EXEC_T = MConcat(MStar(MAny()), MAtom(Message("ci", "execute", (SVar("t", "AsyncTask"),))))
 
     def test_eps_on_empty(self):
         assert matches([], {}, MEps())
@@ -162,7 +176,7 @@ class TestMatches:
 
     def test_de_morgan_on_random_traces(self):
         rng = random.Random(13)
-        r1 = MConcat(MStar(MAny()), MAtom(ParamMessage("ci", "start", (SVar("x", "Widget"),))))
+        r1 = MConcat(MStar(MAny()), MAtom(Message("ci", "start", (SVar("x", "Widget"),))))
         r2 = MEps()
         lhs = MNegate(MUnion(r1, r2))
         rhs = MIntersect(MNegate(r1), MNegate(r2))
@@ -195,8 +209,8 @@ class TestFreeVars:
 class TestDeMorganOnFixtures:
     def test_fixture_traces(self, trace_fixed, trace_buggy):
         r1 = MConcat(MStar(MAny()),
-                     MAtom(ParamMessage("ci", "execute", (SVar("t", "AsyncTask"),))))
-        r2 = MAtom(ParamMessage("cb", "onCreate", (SVar("a", "Activity"),)))
+                     MAtom(Message("ci", "execute", (SVar("t", "AsyncTask"),))))
+        r2 = MAtom(Message("cb", "onCreate", (SVar("a", "Activity"),)))
         lhs = MNegate(MUnion(r1, r2))
         rhs = MIntersect(MNegate(r1), MNegate(r2))
         binding = {"t": T1, "a": ObjectId("a", 1, "Activity")}

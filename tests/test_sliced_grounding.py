@@ -60,7 +60,7 @@ def reference_slice(spec, trace):
     seen = seen_messages(trace)
 
     def fires(rule, compiled):
-        if any(atom.to_message() in seen for atom in matcher_atoms(rule.matcher)):
+        if any(atom in seen for atom in matcher_atoms(rule.matcher)):
             return True
         state, visited = compiled.dfa.start, set()
         while state not in visited:
@@ -80,7 +80,7 @@ def reference_slice(spec, trace):
 def full_relevance(spec, trace):
     full = ground_spec(spec, trace)
     messages = {r.target for r in full.rules}
-    messages.update(a.to_message() for r in full.rules for a in matcher_atoms(r.matcher))
+    messages.update(a for r in full.rules for a in matcher_atoms(r.matcher))
     return frozenset(messages & seen_messages(trace))
 
 
@@ -128,7 +128,7 @@ def test_slice_matches_its_definition(request):
         assert sliced.instance_counts == tuple(
             sum(r.source_index == i for r in sliced.rules) for i in range(len(spec.rules)))
         expected = seen_messages(trace) | {r.target for r in sliced.rules}
-        expected |= {a.to_message() for r in sliced.rules for a in matcher_atoms(r.matcher)}
+        expected |= {a for r in sliced.rules for a in matcher_atoms(r.matcher)}
         assert sliced.alphabet == tuple(sorted(expected, key=lambda m: m.sort_key()))
         assert sliced.relevant == full.relevant == full_relevance(spec, trace)
         dropped += len(full.rules) - len(sliced.rules)

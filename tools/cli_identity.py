@@ -16,9 +16,10 @@ The set: ground (text and json), validate (text and json), verify (text,
 json, --stats, and --mode bounded:2 --report json) and explain for every
 fixtures/*.ls spec against both fixture traces and the n = 4 and n = 8
 pair traces with no and with one skipping pair; validate --corpus (text
-and json) per spec over all those traces; and run of both fixture
-programs and of a program that gets stuck, under each fixture schedule and
-seeds 1-3."""
+and json) per spec over all those traces; validate and verify (text and
+json) of a spec whose grounding exceeds the instantiation cap; and run of
+both fixture programs and of a program that gets stuck, under each fixture
+schedule and seeds 1-3."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from lifeguard.messages import serialize_trace  # noqa: E402
-from pairs import pair_trace  # noqa: E402
+from pairs import CAP_SPEC, init_trace, pair_trace  # noqa: E402
 
 STUCK_PROGRAM = """\
 let a = a#1:Activity in
@@ -45,8 +46,9 @@ invoke (bind boot a)
 
 
 def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[str]]:
-    """Copy the fixtures into work, write the pair traces and the stuck
-    program, and return the spec, trace, program and schedule names."""
+    """Copy the fixtures into work, write the pair traces, the stuck
+    program and the over-cap spec and trace, and return the spec, trace,
+    program and schedule names."""
     fixtures = REPO / "fixtures"
     for path in fixtures.iterdir():
         shutil.copy(path, work / path.name)
@@ -61,6 +63,8 @@ def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[s
     for name in traces:
         shutil.copy(work / name, corpus / name)
     (work / "program_stuck.ll").write_text(STUCK_PROGRAM, encoding="utf-8")
+    (work / "cap.ls").write_text(CAP_SPEC, encoding="utf-8")
+    (work / "cap.trace").write_text(serialize_trace(init_trace(60)), encoding="utf-8")
     specs = sorted(p.name for p in fixtures.glob("*.ls"))
     programs = sorted(p.name for p in fixtures.glob("*.ll")) + ["program_stuck.ll"]
     schedules = sorted(p.name for p in fixtures.glob("*.sched"))
@@ -80,6 +84,9 @@ def commands(specs, traces, programs, schedules) -> list[list[str]]:
                     ["explain", *st]]
         out += [["validate", "--spec", spec, "--corpus", "corpus"],
                 ["validate", "--spec", spec, "--corpus", "corpus", "--report", "json"]]
+    cap = ["--spec", "cap.ls", "--trace", "cap.trace"]
+    out += [[command, *cap, *report] for command in ("validate", "verify")
+            for report in ([], ["--report", "json"])]
     for program in programs:
         for how in [["--schedule", "@" + s] for s in schedules] + \
                    [["--seed", str(seed)] for seed in (1, 2, 3)]:
