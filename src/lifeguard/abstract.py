@@ -35,7 +35,8 @@ store to the full in-message alphabet, exactly as the update formulas read.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
@@ -198,6 +199,92 @@ class AbstractEngine:
                     delta |= (new ^ sid) << i * width
         return self._update(packed ^ delta, moved, state.permitted, state.prohibited)
 
+    # Verification alone reads the rest of the engine, so it is built on
+    # first use.
+
+    @cached_property
+    def _fixed(self) -> tuple[frozenset[int], ...]:
+        """Per rule, the DFA states fixed under OTHER, where it sits in a
+        settled state."""
+        fixed: dict[int, frozenset[int]] = {}
+        for other in self._other:  # one tuple per shared DFA
+            if id(other) not in fixed:
+                fixed[id(other)] = frozenset(sid for sid, to in enumerate(other) if to == sid)
+        return tuple(fixed[id(other)] for other in self._other)
+
+    @cached_property
+    def _steady(self) -> dict[int, int]:
+        """Per rule whose DFA accepts in a state fixed under OTHER (steady),
+        what it fires there at every step."""
+        return {i: _word(self._fire[i], fixed) for i, (rule, fixed)
+                in enumerate(zip(self.rules, self._fixed))
+                if any(rule.dfa.accepting[sid] for sid in fixed)}
+
+    def settled(self, state: AbstractState) -> bool:
+        """The last update was consistent and no rule moves under OTHER,
+        so a letter leaves every rule outside its patches where it is."""
+        return not state.inconsistent and all(
+            self.rule_state(state, i) in self._fixed[i] for i in state.live)
+
+    def footprint(self, letters: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
+        """What folding the letters from any settled state can touch: the
+        mask of rules the letters move, the mask of letters whose store
+        bits the steps read, and the permit and prohibit target bits of the
+        moved rules.  Each moved rule is followed from every DFA state
+        fixed under OTHER.  None where the fold may end with a moved rule
+        that moves under OTHER or take an inconsistent step, since then it
+        reaches rules or store bits outside these masks."""
+        columns: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        reads = 0
+        for k, letter in enumerate(letters):
+            reads |= 1 << letter
+            for i, move in self._patches.get(letter, ()):
+                columns.setdefault(i, []).append((k, move))
+        moved = permits = prohibits = steady = 0
+        for i in columns:
+            moved |= 1 << i
+            if self.rules[i].is_permit():
+                permits |= self.rules[i].target_bit
+            else:
+                prohibits |= self.rules[i].target_bit
+        for i, word in self._steady.items():
+            if not moved >> i & 1:
+                steady |= word  # an unmoved steady rule fires at every step
+        steady_permits, steady_prohibits = steady & self._permit_bits, steady >> self._shift
+        # Per step, what the moved rules may fire, where a moved rule fires
+        # a target one way and some rule the other.
+        words = [0] * len(letters) if (permits & (prohibits | steady_prohibits)
+                                       or prohibits & steady_permits) else []
+        for i, moved_at in columns.items():
+            if not self._settle(i, moved_at, len(letters), words):
+                return None
+        for word in words:
+            fired_permits, fired_prohibits = word & self._permit_bits, word >> self._shift
+            if fired_permits & (fired_prohibits | steady_prohibits) or \
+                    fired_prohibits & steady_permits:
+                return None
+        return moved, reads & (self.back_mask | self.in_mask), permits, prohibits
+
+    def _settle(self, i: int, moved_at: list[tuple[int, tuple[int, ...]]], n: int,
+                words: list[int]) -> bool:
+        """Follow rule i from every state fixed under OTHER through n
+        letters that move it at moved_at and by OTHER elsewhere, ORing into
+        words (if any) what it may fire at each step: whether it ends fixed
+        under OTHER."""
+        other, fire = self._other[i], self._fire[i]
+        states, k = self._fixed[i], 0
+        for column, move in moved_at + [(n, None)]:
+            while k < column and (words or any(other[s] != s for s in states)):
+                states = {other[sid] for sid in states}
+                if words:
+                    words[k] |= _word(fire, states)
+                k += 1
+            if move is not None:
+                states, k = {move[sid] for sid in states}, column + 1
+                if words:
+                    words[column] |= _word(fire, states)
+        return all(other[s] == s for s in states)
+
     def fold(self, state: AbstractState, letters: Iterable[int]) -> Iterator[StepEvent]:
         """Step through the letters from state, one event per letter; the
         fold ends after the first BLOCKED or BAD event."""
@@ -219,6 +306,14 @@ def _fire(rule: CompiledRule, shift: int, rest: tuple[bool, ...]
     bit = rule.target_bit << shift
     return tuple(None if at_rest else bit if accepting else 0
                  for accepting, at_rest in zip(rule.dfa.accepting, rest))
+
+
+def _word(fire: tuple[Optional[int], ...], states: Iterable[int]) -> int:
+    """What a rule fires in any of the states."""
+    word = 0
+    for sid in states:
+        word |= fire[sid] or 0
+    return word
 
 
 def _only(states: list[int]) -> Optional[int]:

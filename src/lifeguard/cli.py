@@ -111,10 +111,10 @@ def _validate_one(spec, path, timeout):
         trace = load_trace(path)
         report = validate(spec, trace, timeout=timeout)
         return _validation_report_dict(path, report)
-    except (ValidationTimeout, GroundingError) as e:
+    except (ValidationTimeout, GroundingCapError) as e:
         return {"command": "validate", "trace": str(path), "verdict": "unknown",
                 "reason": str(e)}
-    except (TraceError, OSError) as e:
+    except (TraceError, GroundingError, OSError) as e:
         return {"command": "validate", "trace": str(path), "verdict": "error",
                 "reason": str(e)}
 
@@ -211,9 +211,10 @@ def _cmd_verify(args) -> int:
         lines.append(f"witness written to {args.witness_out}")
     if args.stats:
         lines.append(f"states explored: {result.states_explored}")
+        lines.append(f"unit replays: {result.replays}")
     report = {"command": "verify", "trace": args.trace, "spec": args.spec,
               "verdict": verdict, "states_explored": result.states_explored,
-              "lines": lines}
+              "unit_replays": result.replays, "lines": lines}
     if isinstance(result, Violation):
         report["subtrace_sequence"] = [i + 1 for i in result.subtrace_sequence]
         report["witness"] = [format_message(m) for m in result.witness.messages]
@@ -223,6 +224,7 @@ def _cmd_verify(args) -> int:
     if isinstance(result, Unknown):
         report["depth_reached"] = result.depth_reached
         report["frontier"] = result.frontier
+        report["reason"] = result.reason
     _emit(report, args.report)
     return code
 

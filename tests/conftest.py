@@ -41,3 +41,8 @@ def spec_top():
 @pytest.fixture(scope="session")
 def spec_run_noenable():
     return load_spec(FIXTURES / "spec_run_noenable.ls")
+
+
+@pytest.fixture(scope="session")
+def spec_run_until():
+    return load_spec(FIXTURES / "spec_run_until.ls")

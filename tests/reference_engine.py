@@ -358,6 +358,26 @@ def reference_verify(spec, trace, mode="exhaustive", state_cap=5_000_000, ground
     return Safe(explored, len(visited), unreachable)
 
 
+# Bounded verify is exact BFS.  Past the depth of every state space the
+# tests build (a few dozen units at most), it explores what exhaustive
+# exact BFS explores; a deeper space would end in Unknown, not pass.
+EXACT = "bounded:64"
+
+
+def agrees_with_exact(reduced: VerificationResult, exact: VerificationResult) -> bool:
+    """The exhaustive (reduced) search against exact BFS: the same verdict;
+    a Violation byte-identical, states explored included; a Safe with the
+    same unreachable units and at most the exact state and certificate
+    counts."""
+    if type(reduced) is not type(exact):
+        return False
+    if isinstance(exact, Safe):
+        return (reduced.unreachable_units == exact.unreachable_units
+                and reduced.states_explored <= exact.states_explored
+                and reduced.certificate_size <= exact.certificate_size)
+    return reduced == exact
+
+
 class VerificationTimeout(Exception):
     pass
 

@@ -72,6 +72,32 @@ class TestVerifyCommand:
         assert code == 2 and doc["schema"] == 1 and doc["verdict"] == "unknown"
         assert (doc["depth_reached"], doc["frontier"]) == (2, 0)
 
+    def test_stats_and_json_count_unit_replays(self, capsys, fixtures_dir):
+        st = ["--spec", str(fixtures_dir / "spec_run.ls"),
+              "--trace", str(fixtures_dir / "trace_fixed.trace")]
+        code, out, _ = run_cli(capsys, "verify", *st, "--stats")
+        assert code == 0
+        replays = int(out.splitlines()[-1].removeprefix("unit replays: "))
+        assert out.splitlines()[-2].startswith("states explored: ")
+        _, out, _ = run_cli(capsys, "verify", *st, "--report", "json")
+        assert json.loads(out)["unit_replays"] == replays > 0
+
+    def test_unknown_json_gives_the_timeout_reason(self, capsys, fixtures_dir, monkeypatch):
+        # A clock that jumps a minute per reading: the deadline has passed
+        # by the first unit replay.
+        from lifeguard import verification
+
+        ticks = iter(range(0, 10 ** 6, 60))
+        monkeypatch.setattr(verification, "time", type("Clock", (), {
+            "monotonic": staticmethod(lambda: next(ticks))}))
+        code, out, _ = run_cli(capsys, "verify",
+                               "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--trace", str(fixtures_dir / "trace_fixed.trace"),
+                               "--timeout", "1", "--report", "json")
+        doc = json.loads(out)
+        assert code == 2 and doc["verdict"] == "unknown" and doc["reason"] == "timeout"
+        assert doc["lines"] == ["Unknown: timeout"]
+
     def test_state_cap_below_one_is_a_usage_error(self, capsys, fixtures_dir):
         with pytest.raises(SystemExit) as exc:
             main(["verify",
@@ -364,6 +390,26 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and err.startswith("error: spec rule #1, ")
         assert "exceeded 0 states" in err
 
+    def test_dfa_cap_overflow_is_an_error_row_in_a_corpus(self, capsys, fixtures_dir,
+                                                          monkeypatch, tmp_path):
+        from lifeguard import dfa
+
+        build = dfa.build_dfa
+        monkeypatch.setattr(dfa, "build_dfa",
+                            lambda regex, n_letters: build(regex, n_letters, 0))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("trace_fixed.trace", "trace_buggy.trace"):
+            (corpus / name).write_text((fixtures_dir / name).read_text())
+        code, out, err = run_cli(capsys, "validate",
+                                 "--spec", str(fixtures_dir / "spec_run.ls"),
+                                 "--corpus", str(corpus), "--report", "json")
+        assert code == 1 and err == ""
+        rows = json.loads(out)["results"]
+        assert [row["verdict"] for row in rows] == ["error", "error"]
+        assert all(row["reason"].startswith("spec rule #1, ") for row in rows)
+        assert all("exceeded 0 states" in row["reason"] for row in rows)
+
 
 class TestGroundingCap:
     """A single-trace validate or verify whose grounding exceeds the cap
@@ -389,8 +435,9 @@ class TestGroundingCap:
         code, out, err = run_cli(capsys, "verify", *inputs, "--report", "json")
         assert code == 2 and err == ""
         doc = json.loads(out)
-        assert doc["verdict"] == "unknown"
+        assert doc["verdict"] == "unknown" and doc["reason"].startswith(self.REASON)
         assert (doc["states_explored"], doc["depth_reached"], doc["frontier"]) == (0, 0, 0)
+        assert doc["unit_replays"] == 0
 
     @pytest.mark.parametrize("command, head", [("validate", "unknown: "),
                                                ("verify", "Unknown: ")])

@@ -20,7 +20,9 @@ from lifeguard.verification import verify
 from gen import random_spec, random_trace
 from pairs import pair_trace, random_order
 from reference_engine import (
+    EXACT,
     ReferenceEngine,
+    agrees_with_exact,
     fold_step,
     reference_validate,
     reference_verify,
@@ -194,9 +196,14 @@ def test_live_rules_and_firing_word_match_a_full_scan(request):
 def test_verify_matches_reference_bfs(request, mode):
     kinds = set()
     for spec, trace in verify_cases(request):
-        result = verify(spec, trace, mode=mode)
-        assert result == reference_verify(spec, trace, mode=mode,
-                                          ground=ground_spec(spec, trace, sliced=True))
+        # Exhaustive reference BFS is matched by the package's exact
+        # explorer; the reduced exhaustive search must agree with both.
+        result = verify(spec, trace, mode=EXACT if mode == "exhaustive" else mode)
+        reference = reference_verify(spec, trace, mode=mode,
+                                     ground=ground_spec(spec, trace, sliced=True))
+        assert result == reference
+        if mode == "exhaustive":
+            assert agrees_with_exact(verify(spec, trace), reference)
         kinds.add(type(result).__name__)
     assert kinds >= ({"Safe", "Violation"} if mode == "exhaustive" else {"Unknown"})
 
@@ -204,5 +211,5 @@ def test_verify_matches_reference_bfs(request, mode):
 def test_verify_matches_reference_at_state_cap(request):
     for spec, trace in fixture_pairs(request):
         for cap in (1, 2, 3):
-            assert verify(spec, trace, state_cap=cap) == reference_verify(
+            assert verify(spec, trace, mode=EXACT, state_cap=cap) == reference_verify(
                 spec, trace, state_cap=cap, ground=ground_spec(spec, trace, sliced=True))

@@ -13,7 +13,8 @@ recorded.  compare prints each command whose output or exit code differs
 and exits 1 if any does.
 
 The set: ground (text and json), validate (text and json), verify (text,
-json, --stats, and --mode bounded:2 --report json) and explain for every
+json, --stats, --mode bounded:2 --report json, and --mode bounded:64
+--stats, which pins exact BFS state counts) and explain for every
 fixtures/*.ls spec against both fixture traces and the n = 4 and n = 8
 pair traces with no and with one skipping pair; validate --corpus (text
 and json) per spec over all those traces; validate and verify (text and
@@ -81,6 +82,7 @@ def commands(specs, traces, programs, schedules) -> list[list[str]]:
                     ["verify", *st], ["verify", *st, "--report", "json"],
                     ["verify", *st, "--stats"],
                     ["verify", *st, "--mode", "bounded:2", "--report", "json"],
+                    ["verify", *st, "--mode", "bounded:64", "--stats"],
                     ["explain", *st]]
         out += [["validate", "--spec", spec, "--corpus", "corpus"],
                 ["validate", "--spec", spec, "--corpus", "corpus", "--report", "json"]]
