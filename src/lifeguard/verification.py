@@ -9,7 +9,8 @@ explicit-state reachability whether any such sequence reaches a prohibited
 in-message.  The result is a minimal violation witness or a proof that no
 rearrangement reaches bad.  Units that touch disjoint rules and store bits
 commute, so exhaustive mode follows one order of them where it can
-(partial-order reduction); bounded mode is exact breadth-first search.
+(partial-order reduction), and a unit whose touches cannot be bounded
+depends on every unit; bounded mode is exact breadth-first search.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import re
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState, StepEvent
@@ -145,21 +147,21 @@ class _Search:
     The exact search takes every unit whose opening callback is permitted
     as a successor.  The reduced search takes the units of a stubborn set
     (Valmari 1990; Godefroid 1996).  Units whose footprints
-    (AbstractEngine.footprint) overlap are dependent.  A member whose fold
-    reaches a state, or is blocked inside the unit, adds its dependents:
-    only they can change where its fold stops, or make it bad.  A member
-    whose opening is not permitted adds the units that permit it.  The
-    set grows from the first unit whose fold reaches another
-    state; a unit that moves no rule never does, and is folded for a BAD
-    step only when no other unit is enabled.  A path that avoids the set
-    commutes with its members, so it reaches a BAD fold, or a state where
-    some unit's opening is permitted, from their successors as well; the
-    reduced search therefore keeps the verdict and the exact unreachable
-    units.  A state that is not settled, or has a stubborn successor
-    discovered no deeper than itself (so no cycle of the reduced graph
-    ignores a unit), is expanded fully.  Folds of the reduced search are
-    kept per (state, unit) for the exact re-run that makes a witness
-    minimal."""
+    (AbstractEngine.footprint) overlap are dependent, and a unit without
+    one depends on every unit.  A member whose fold reaches a state, or is
+    blocked inside the unit, adds its dependents: only they can change
+    where its fold stops, or make it bad.  A member whose opening is not
+    permitted adds the units that permit it.  The set grows from the first
+    unit whose fold reaches another state; a unit that moves no rule never
+    does, and is folded for a BAD step only when no other unit is enabled.
+    A path that avoids the set commutes with its members, so it reaches a
+    BAD fold, or a state where some unit's opening is permitted, from their
+    successors as well; the reduced search therefore keeps the verdict and
+    the exact unreachable units.  A state that is not settled, or has a
+    stubborn successor discovered no deeper than itself (so no cycle of the
+    reduced graph ignores a unit), is expanded fully.  Folds of the reduced
+    search are kept per (state, unit) for the exact re-run that makes a
+    witness minimal."""
 
     def __init__(self, engine: AbstractEngine, units: list[SubTrace], state_cap: int,
                  deadline: Optional[float]):
@@ -171,11 +173,19 @@ class _Search:
         self.replays = 0
         self.init = engine.initial_state()
 
-    def plan(self) -> bool:
-        """The units' footprints for the reduced search; False where some
-        unit has none."""
-        self.prints = [self.engine.footprint(letters) for letters in self.letters]
-        return None not in self.prints
+    @cached_property
+    def prints(self) -> list[tuple[int, int, int, int]]:
+        """The units' footprints; all ones, so dependent on and permitting
+        every unit, where a unit has none."""
+        prints = []
+        for letters in self.letters:
+            self.check_deadline()
+            prints.append(self.engine.footprint(letters) or (-1, -1, -1, -1))
+        return prints
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Stop("timeout")
 
     def dependents_of(self, u: int) -> int:
         """The units whose footprints overlap unit u's."""
@@ -191,32 +201,28 @@ class _Search:
                    if permits >> letter & 1)
 
     def run(self, bound: Optional[int]) -> VerificationResult:
-        if bound is not None or not self.plan():
-            result = self.explore(bound)
-        else:
-            result = self.explore(None, reduced=True)
-            if isinstance(result, tuple):
-                exact = self.explore(len(result[0]))
-                result = exact if isinstance(exact, tuple) else result
+        result = self.explore(bound)
+        if bound is None and isinstance(result, tuple):
+            exact = self.explore(len(result[0]))
+            result = exact if isinstance(exact, tuple) else result
         return _violation(self.units, *result) if isinstance(result, tuple) else result
 
     def fold(self, state: AbstractState, u: int, keep: bool) -> StepEvent:
         """The last event of unit u's fold from state."""
         last = self.memo.get((state, u))
         if last is None:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _Stop("timeout")
+            self.check_deadline()
             self.replays += 1
             *_, last = self.engine.fold(state, self.letters[u])
             if keep:
                 self.memo[state, u] = last
         return last
 
-    def explore(self, bound: Optional[int], reduced: bool = False
+    def explore(self, bound: Optional[int]
                 ) -> Union[Safe, Unknown, tuple[list[int], StepEvent, int]]:
-        """BFS from the initial state, exact or reduced.  A BAD fold ends
-        it with the unit path, the fold's last event and the states
-        explored, from which _violation builds the witness."""
+        """BFS from the initial state: reduced, or exact to bound units.  A
+        BAD fold ends it with the unit path, the fold's last event and the
+        states explored, from which _violation builds the witness."""
         init = self.init
         # Every discovered state, with the state and unit it was first
         # reached by and its depth; witnesses are rebuilt from it.
@@ -236,10 +242,10 @@ class _Search:
                     continue
                 explored += 1
                 opened |= sum(1 << u for u in permitted)
-                if reduced and self.engine.settled(state):
+                if bound is None and self.engine.settled(state):
                     successors = self._stubborn(state, depth, permitted)
                 else:
-                    successors = ((u, self.fold(state, u, reduced)) for u in permitted)
+                    successors = ((u, self.fold(state, u, bound is None)) for u in permitted)
                 for u, last in successors:
                     if last.outcome == BAD:
                         return _unit_path(parent, state) + [u], last, explored
@@ -301,7 +307,8 @@ def verify(
 
     Bounded mode is exact BFS capped at K units per path, and may return
     Unknown.  Exhaustive mode terminates because the abstract state space
-    is finite; it searches the reduced graph, and after a violation re-runs
+    is finite; it searches the reduced graph, where a unit without a
+    footprint depends on every unit, and after a violation re-runs
     exact BFS bounded to the violation's depth, so a witness has the fewest
     units, ties broken by the lowest unit index sequence -- unless that
     re-run hits the state cap or the deadline, when the reduced search's
@@ -309,7 +316,8 @@ def verify(
     from the reduced search counts the states it visited, a subset of the
     reachable ones, and its unreachable units are exact.  The spec is
     grounded sliced.  The deadline counts from entry, so grounding and the
-    engine build spend it too, and it is checked before every unit replay."""
+    engine build spend it too, and it is checked before every unit's
+    footprint and every unit replay."""
     deadline = time.monotonic() + timeout if timeout is not None else None
     if is_violation(trace):
         # The recorded execution already witnesses the violation.

@@ -46,3 +46,8 @@ def spec_run_noenable():
 @pytest.fixture(scope="session")
 def spec_run_until():
     return load_spec(FIXTURES / "spec_run_until.ls")
+
+
+@pytest.fixture(scope="session")
+def spec_run_redundant():
+    return load_spec(FIXTURES / "spec_run_redundant.ls")

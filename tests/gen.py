@@ -6,6 +6,8 @@ collide with generated trace messages."""
 
 from __future__ import annotations
 
+import functools
+import pathlib
 import random
 
 from lifeguard.messages import (
@@ -32,6 +34,8 @@ from lifeguard.rules import (
     PROHIBIT,
     Rule,
     SVar,
+    load_spec,
+    parse_rule,
 )
 
 TYPES = ("Widget", "Task")
@@ -128,3 +132,45 @@ def random_spec(rng: random.Random, max_rules: int = 5) -> LifestateSpec:
             target = _param_message(rng, rng.choice((CB, CI)), pool)
             rules.append(Rule(matcher, rng.choice((PERMIT, PROHIBIT)), target))
     return LifestateSpec(tuple(rules))
+
+
+@functools.cache
+def _spec_run() -> LifestateSpec:
+    return load_spec(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "spec_run.ls")
+
+
+# The messages of the pair traces (tests/pairs.py), each object parameter
+# a typed variable.
+PAIR_MESSAGES = (
+    ("cb", "onCreate", ("a:Activity",)),
+    ("ci", "init", ("t:AsyncTask",)),
+    ("ci", "setOnClickListener", ("b:Button", "l:OnClickListener")),
+    ("cb", "onClick", ("l:OnClickListener", "b:Button")),
+    ("ci", "setEnabled", ("b:Button", "false")),
+    ("ci", "execute", ("t:AsyncTask",)),
+    ("cb", "onPostExecute", ("t:AsyncTask",)),
+)
+
+
+def random_pair_spec(rng: random.Random) -> LifestateSpec:
+    """fixtures/spec_run.ls plus 1-3 random rules over the pair traces'
+    vocabulary.  Each is triggered by a message or its return, as a suffix
+    (TRUE* ; m), since m (TRUE* ; m ; TRUE*) or never m (!(TRUE* ; m ;
+    TRUE*)), and permits or prohibits a callback or callin that shares one
+    of the trigger's variables.  A trigger left accepting at the end of a
+    unit, such as a suffix trigger on a return, leaves that unit without a
+    footprint."""
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        kind, name, params = rng.choice(PAIR_MESSAGES)
+        call = f"{name}({', '.join(params)})"
+        atom = rng.choice((f"{kind} {call}", f"{kind}ret unit = {call}"))
+        matcher = rng.choice(("TRUE* ; {}", "TRUE* ; {} ; TRUE*", "!(TRUE* ; {} ; TRUE*)"))
+        var, ty = rng.choice([p.split(":") for p in params if ":" in p])
+        target_kind, target, target_params = rng.choice(
+            [m for m in PAIR_MESSAGES if any(p.endswith(":" + ty) for p in m[2])])
+        args = [var if p.endswith(":" + ty) else f"forall u{i}:{p.split(':')[1]}" if ":" in p
+                else p for i, p in enumerate(target_params)]
+        rules.append(parse_rule(f"{matcher.format(atom)} {rng.choice(('->', '-/>'))} "
+                                f"{target_kind} {target}({', '.join(args)})"))
+    return LifestateSpec(_spec_run().rules + tuple(rules))

@@ -18,7 +18,6 @@
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -398,8 +397,8 @@ def brute_force_verify(
     integer engine together.
 
     Agrees with bounded verification on the violation verdict at depth k;
-    sequences interrupted by a blocked back-message are unrealizable and
-    skipped, with every longer sequence they start.  The engine is built
+    sequences interrupted by a blocked back-message are unrealizable, and
+    no longer sequence they start is enumerated.  The engine is built
     from ground, by default the sliced grounding that verify uses.  The
     deadline counts from entry, so grounding spends it too."""
     deadline = time.monotonic() + timeout if timeout is not None else None
@@ -410,17 +409,15 @@ def brute_force_verify(
     # The end state of every realizable sequence one unit shorter.
     ends = {(): engine.initial_state()}
     sequences_run = 0
-    for length in range(1, k + 1):
+    for _ in range(k):
         reached = {}
-        for seq in itertools.product(range(len(units)), repeat=length):
+        for seq in ((*prefix, u) for prefix in ends for u in range(len(units))):
             if deadline is not None and time.monotonic() > deadline:
                 raise VerificationTimeout(
                     f"brute-force enumeration timed out after {sequences_run} sequences"
                 )
             sequences_run += 1
-            state = ends.get(seq[:-1])
-            if state is None:
-                continue
+            state = ends[seq[:-1]]
             last = units[seq[-1]].messages
             for index, m in enumerate(last):
                 outcome, after = engine.step(state, m)

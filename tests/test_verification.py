@@ -23,7 +23,7 @@ from lifeguard.verification import (
 from lifeguard.abstract import BAD, BLOCKED, AbstractEngine
 from lifeguard.grounding import ground_spec
 
-from gen import random_spec, random_trace
+from gen import random_pair_spec, random_spec, random_trace
 from pairs import pair_trace, random_order
 from reference_engine import (EXACT, VerificationTimeout, agrees_with_exact, brute_force_verify,
                               fold_step)
@@ -333,6 +333,22 @@ class TestCapsAndTimeouts:
         assert sum(t > begin + 1 for t in starts) <= 2
         assert elapsed < 1.5
 
+    def test_timeout_is_checked_before_every_footprint(self, spec_run, monkeypatch):
+        # The reduced search builds the footprints of the 33 units at its
+        # first settled state; slowed by 0.05 s each, they outlast the
+        # deadline.
+        footprint = AbstractEngine.footprint
+
+        def slow_footprint(self, letters):
+            time.sleep(0.05)
+            return footprint(self, letters)
+
+        monkeypatch.setattr(AbstractEngine, "footprint", slow_footprint)
+        begin = time.monotonic()
+        result = verify(spec_run, pair_trace(16), timeout=1)
+        assert time.monotonic() - begin < 1.5
+        assert isinstance(result, Unknown) and result.reason == "timeout"
+
 
 class TestReducedSearch:
     """Exhaustive verify searches a stubborn-set reduction of the unit
@@ -368,12 +384,48 @@ class TestReducedSearch:
                 assert isinstance(brute, Violation) == found
         assert kinds == {"Safe", "Violation"} and fewer > 20
 
+    def test_units_without_footprints(self):
+        # Random rules over the pair vocabulary often leave a unit with no
+        # footprint, which the reduced search takes as dependent on every
+        # unit.
+        rng = random.Random(16)
+        hits = brute = 0
+        for _ in range(1000):
+            spec, n = random_pair_spec(rng), rng.randint(1, 4)
+            skip = frozenset(rng.sample(range(1, n + 1), min(rng.randint(0, 2), n)))
+            trace = pair_trace(n, skip, random_order(n, rng))
+            engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
+            hits += any(engine.footprint(engine.intern(unit.messages)) is None
+                        for unit in split_subtraces(trace))
+            result = verify(spec, trace)
+            assert agrees_with_exact(result, verify(spec, trace, mode=EXACT)), (spec, trace)
+            if n <= 3 and brute < 150:
+                brute, depth = brute + 1, 2 * n + 1
+                found = isinstance(result, Violation) and len(result.subtrace_sequence) <= depth
+                assert isinstance(brute_force_verify(spec, trace, depth), Violation) == found
+        assert hits >= 500
+
     @pytest.mark.parametrize("n, seconds", [(16, 0.5), (64, 2.0)])
     def test_safe_scales_linearly(self, spec_run, n, seconds):
         begin = time.monotonic()
         result = verify(spec_run, pair_trace(n))
         assert time.monotonic() - begin < seconds
         assert isinstance(result, Safe) and result.states_explored <= 2 * n + 2
+
+    def test_a_unit_without_a_footprint_keeps_the_search_reduced(self, spec_run_redundant):
+        # Rule (8) leaves the onCreate unit without a footprint.  Exact BFS
+        # takes 2**n + 1 states on this spec, the reduced search at most
+        # (n + 1)**2.
+        engine = AbstractEngine(ground_spec(spec_run_redundant, pair_trace(2), sliced=True))
+        create = split_subtraces(pair_trace(2))[0]
+        assert engine.footprint(engine.intern(create.messages)) is None
+        exact = verify(spec_run_redundant, pair_trace(8), mode=EXACT)
+        assert isinstance(exact, Safe) and exact.states_explored == 2 ** 8 + 1
+        for n in (14, 64):
+            begin = time.monotonic()
+            result = verify(spec_run_redundant, pair_trace(n))
+            assert time.monotonic() - begin < 2.0
+            assert isinstance(result, Safe) and result.states_explored <= (n + 1) ** 2
 
     def test_one_skip_witness_at_n24(self, spec_run):
         result = verify(spec_run, pair_trace(24, frozenset({13})))
@@ -462,8 +514,16 @@ class TestReducedSearch:
         ([("onZ", "init"), ("onT", "pre/z", "y", "post/x"), ("onE", "ez"), ("onA", "ay")],
          GATE + ["eps -/> cb x(forall w:Widget)", "TRUE* ; ci ez(w:Widget) -/> cb z(w)",
                  "TRUE* ; ci ay(w:Widget) -/> ci y(w)"], (0, 3, 1)),
+        # onU ends with its rule accepting, a state OTHER moves, so it has
+        # no footprint; onV runs once, and only onU before it prohibits go.
+        # The stubborn set from onV must hold onU, as a dependent of every
+        # unit.
+        ([("onZ", "init"), ("onU",), ("onV", "go")],
+         GATE + ["TRUE* ; cb onV(w:Widget) -/> cb onV(w)",
+                 "TRUE* ; cbret unit = onU(w:Widget) -/> ci go(w)"], (0, 1, 2)),
     ], ids=["blocked-permit", "blocked-prohibit", "own-state", "write-write", "one-rule",
-            "cycle", "read-write", "unmoved-bad", "unsettled", "blocked-read"])
+            "cycle", "read-write", "unmoved-bad", "unsettled", "blocked-read",
+            "footprint-less"])
     def test_each_dependence_keeps_the_violation(self, units, rules, sequence):
         # A unit is its callback and its calls in order; "run/onB" is a
         # call to run that calls back onB.
