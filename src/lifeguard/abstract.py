@@ -20,7 +20,7 @@ The engine interns every alphabet message as its index (its letter), and
 a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
 the store.  The OTHER letter's bit lies outside both store masks, so OTHER
 is never permitted, prohibited or blocked.  Messages are decoded back to
-dataclasses only for reports (decode).
+Message records only for reports (decode).
 Every rule's DFA state is packed into one int, w bits per rule (w fits
 the largest state index of any DFA), so a step XOR-patches the rules it
 moved and a state copies and hashes in one int.  A state is the plain

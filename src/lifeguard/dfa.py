@@ -16,58 +16,102 @@ the construction ends and repeated constructions cost the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
+from .messages import Nullary, Record
 
-class Re:
+
+class Re(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RSym(Re):
-    letter: int
+    __slots__ = ("letter",)
+
+    def __init__(self, letter: int):
+        self.letter = letter
+
+    def __eq__(self, other):
+        return self.letter == other.letter if other.__class__ is RSym else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letter,))
 
 
-@dataclass(frozen=True)
-class RAny(Re):
+class RAny(Re, Nullary):
     """Matches exactly one letter, whichever it is (including OTHER)."""
 
-
-@dataclass(frozen=True)
-class REps(Re):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class REmpty(Re):
-    pass
+class REps(Re, Nullary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class REmpty(Re, Nullary):
+    __slots__ = ()
+
+
 class RCat(Re):
-    left: Re
-    right: Re
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Re, right: Re):
+        self.left, self.right = left, right
+
+    def __eq__(self, other):
+        if other.__class__ is RCat:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class RStar(Re):
-    inner: Re
+class _Unary(Re):
+    """The methods of RStar and RNot, which each declare the slot inner."""
+
+    __slots__ = ()
+
+    def __init__(self, inner: Re):
+        self.inner = inner
+
+    def __eq__(self, other):
+        return self.inner == other.inner if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
 
 
-@dataclass(frozen=True)
-class ROr(Re):
-    items: FrozenSet[Re]  # flat frozensets: no item is itself an ROr; len >= 2
+class RStar(_Unary):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class RAnd(Re):
-    items: FrozenSet[Re]
+class RNot(_Unary):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class RNot(Re):
-    inner: Re
+class _Items(Re):
+    """The methods of ROr and RAnd, which each declare the slot items: a
+    flat frozenset of at least two regexes, none of the node's own class."""
+
+    __slots__ = ()
+
+    def __init__(self, items: FrozenSet[Re]):
+        self.items = items
+
+    def __eq__(self, other):
+        return self.items == other.items if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
+
+
+class ROr(_Items):
+    __slots__ = ("items",)
+
+
+class RAnd(_Items):
+    __slots__ = ("items",)
 
 
 EPS = REps()
@@ -194,14 +238,16 @@ class DfaSizeError(RuntimeError):
     """The construction reached more states than its cap allows."""
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """A total deterministic automaton over letters 0..n_letters-1."""
+class Dfa(Record):
+    """A total deterministic automaton over letters 0..n_letters-1, with
+    transitions[state][letter] the successor state."""
 
-    n_letters: int
-    transitions: tuple[tuple[int, ...], ...]  # transitions[state][letter]
-    accepting: tuple[bool, ...]
-    start: int = 0
+    __slots__ = ("n_letters", "transitions", "accepting", "start")
+
+    def __init__(self, n_letters: int, transitions: tuple[tuple[int, ...], ...],
+                 accepting: tuple[bool, ...], start: int = 0):
+        self.n_letters, self.transitions = n_letters, transitions
+        self.accepting, self.start = accepting, start
 
     @property
     def n_states(self) -> int:

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import dfa as _dfa
 from .messages import (
     Message,
+    Record,
     Trace,
     Value,
     format_message,
@@ -85,13 +85,15 @@ class GroundingCapError(GroundingError):
 DEFAULT_INSTANTIATION_CAP = 200000
 
 
-@dataclass(frozen=True)
-class ValueUniverse:
+class ValueUniverse(Record):
     """Values observed in a trace, keyed by object type, plus the primitive
     constants that occur (in argument or return position)."""
 
-    by_type: tuple[tuple[str, tuple[Value, ...]], ...]
-    constants: tuple[Value, ...]
+    __slots__ = ("by_type", "constants")
+
+    def __init__(self, by_type: tuple[tuple[str, tuple[Value, ...]], ...],
+                 constants: tuple[Value, ...]):
+        self.by_type, self.constants = by_type, constants
 
     def of_type(self, type_name: str) -> tuple[Value, ...]:
         for name, values in self.by_type:
@@ -123,28 +125,30 @@ def value_universe(t: Trace) -> ValueUniverse:
     return ValueUniverse(packed, tuple(sorted(constants, key=lambda v: v.sort_key())))
 
 
-@dataclass(frozen=True)
-class GroundRule:
-    """A variable-free rule instance."""
+class GroundRule(Record):
+    """A variable-free rule instance; source_index is the index of the
+    originating rule in the spec."""
 
-    matcher: Matcher
-    polarity: str
-    target: Message
-    source_index: int  # index of the originating rule in the spec
-    binding: tuple[tuple[str, Value], ...] = ()
+    __slots__ = ("matcher", "polarity", "target", "source_index", "binding")
+
+    def __init__(self, matcher: Matcher, polarity: str, target: Message, source_index: int,
+                 binding: tuple[tuple[str, Value], ...] = ()):
+        self.matcher, self.polarity, self.target = matcher, polarity, target
+        self.source_index, self.binding = source_index, binding
 
 
-@dataclass(frozen=True)
-class GroundSpec:
+class GroundSpec(Record):
     """Ground rules in spec order, the ground alphabet in message order,
     the number of instances of each source rule, and relevant: the trace's
     messages (dis unwrapped) that are an atom or the target of some
     instance of the full grounding, sliced or not."""
 
-    rules: tuple[GroundRule, ...]
-    alphabet: tuple[Message, ...]
-    instance_counts: tuple[int, ...]  # per source rule
-    relevant: frozenset[Message]
+    __slots__ = ("rules", "alphabet", "instance_counts", "relevant")
+
+    def __init__(self, rules: tuple[GroundRule, ...], alphabet: tuple[Message, ...],
+                 instance_counts: tuple[int, ...], relevant: frozenset[Message]):
+        self.rules, self.alphabet = rules, alphabet
+        self.instance_counts, self.relevant = instance_counts, relevant
 
     def back_alphabet(self) -> tuple[Message, ...]:
         return tuple(m for m in self.alphabet if m.is_back())
@@ -405,8 +409,7 @@ def _accepts_on_other(matcher: Matcher) -> bool:
 # Compilation to DFAs
 
 
-@dataclass(frozen=True)
-class CompiledRule:
+class CompiledRule(Record):
     """A ground rule with its matcher compiled to a total DFA over the
     rule's own atoms plus a last, OTHER letter; local letter i stands for
     the global letter columns[i], and every global letter outside columns
@@ -414,12 +417,12 @@ class CompiledRule:
     target_bit is 1 << (the target's letter), the rule's bit in the
     engine's store bitmasks."""
 
-    dfa: _dfa.Dfa
-    columns: tuple[int, ...]
-    polarity: str
-    target: Message
-    source_index: int
-    target_bit: int
+    __slots__ = ("dfa", "columns", "polarity", "target", "source_index", "target_bit")
+
+    def __init__(self, dfa: _dfa.Dfa, columns: tuple[int, ...], polarity: str, target: Message,
+                 source_index: int, target_bit: int):
+        self.dfa, self.columns, self.polarity = dfa, columns, polarity
+        self.target, self.source_index, self.target_bit = target, source_index, target_bit
 
     def is_permit(self) -> bool:
         return self.polarity == PERMIT

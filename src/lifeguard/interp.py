@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .messages import (
@@ -51,6 +50,7 @@ from .messages import (
     Int,
     Message,
     ObjectId,
+    Record,
     Str,
     Trace,
     Unit,
@@ -84,48 +84,49 @@ class ScheduleError(Exception):
 # Surface AST
 
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ELit(Expr):
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class EVar(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class EThk(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ELam(Expr):
-    params: tuple[str, ...]
-    package: str
-    body: Expr
-    name: str = "<anon>"
+    __slots__ = ("params", "package", "body", "name")
+
+    def __init__(self, params: tuple[str, ...], package: str, body: Expr, name: str = "<anon>"):
+        self.params, self.package, self.body, self.name = params, package, body, name
 
 
-@dataclass(frozen=True)
 class ELet(Expr):
-    var: str
-    bound: Expr
-    body: Expr
+    __slots__ = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Expr, body: Expr):
+        self.var, self.bound, self.body = var, bound, body
 
 
-@dataclass(frozen=True)
 class EIf(Expr):
-    cond: Expr
-    then: Expr
-    orelse: Expr
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Expr, then: Expr, orelse: Expr):
+        self.cond, self.then, self.orelse = cond, then, orelse
 
 
-@dataclass(frozen=True)
 class EPrim(Expr):
     """A primitive machine form: op applied to operand expressions.
 
@@ -133,8 +134,10 @@ class EPrim(Expr):
     add, eq.  After normalization every operand is an atom.
     """
 
-    op: str
-    operands: tuple[Expr, ...]
+    __slots__ = ("op", "operands")
+
+    def __init__(self, op: str, operands: tuple[Expr, ...]):
+        self.op, self.operands = op, operands
 
 
 UNARY_OPS = ("invoke", "enable", "disable", "allow", "disallow", "newcell", "get")
@@ -352,20 +355,29 @@ def load_program(path) -> Expr:
 # Runtime values
 
 
-@dataclass(frozen=True)
 class Closure(Value):
     """A function value with its captured environment.
 
     Closures compare by allocation identity: the uid is assigned when the
     function literal is evaluated, so two thunks over the same let-bound
-    function are equal while distinct literals never are."""
+    function are equal while distinct literals never are; body and env
+    are not compared."""
 
-    params: tuple[str, ...]
-    body: Expr = field(compare=False, hash=False, repr=False)
-    package: str
-    env: "Env" = field(compare=False, hash=False, repr=False)
-    name: str
-    uid: int
+    __slots__ = ("params", "body", "package", "env", "name", "uid")
+
+    def __init__(self, params: tuple[str, ...], body: Expr, package: str, env: "Env", name: str,
+                 uid: int):
+        self.params, self.body, self.package = params, body, package
+        self.env, self.name, self.uid = env, name, uid
+
+    def __eq__(self, other):
+        if other.__class__ is Closure:
+            return (self.params, self.package, self.name, self.uid) == (
+                other.params, other.package, other.name, other.uid)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.package, self.name, self.uid))
 
     def sort_key(self) -> tuple:
         return (5, self.name, self.uid)
@@ -374,10 +386,19 @@ class Closure(Value):
         return f"<fun {self.name} [{self.package}]>"
 
 
-@dataclass(frozen=True)
 class RThunk(Value):
-    closure: Closure
-    args: tuple[Value, ...]
+    __slots__ = ("closure", "args")
+
+    def __init__(self, closure: Closure, args: tuple[Value, ...]):
+        self.closure, self.args = closure, args
+
+    def __eq__(self, other):
+        if other.__class__ is RThunk:
+            return (self.closure, self.args) == (other.closure, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.closure, self.args))
 
     def sort_key(self) -> tuple:
         return (6, self.closure.name, self.closure.uid, tuple(a.sort_key() for a in self.args))
@@ -386,9 +407,17 @@ class RThunk(Value):
         return f"{self.closure.name}[{','.join(map(str, self.args))}]"
 
 
-@dataclass(frozen=True)
 class CellRef(Value):
-    cell: int
+    __slots__ = ("cell",)
+
+    def __init__(self, cell: int):
+        self.cell = cell
+
+    def __eq__(self, other):
+        return self.cell == other.cell if other.__class__ is CellRef else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cell,))
 
     def sort_key(self) -> tuple:
         return (7, self.cell)
@@ -687,16 +716,15 @@ class Machine:
 # Schedules and whole runs
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Event choices for a run: an explicit index list or a seeded RNG."""
 
-    picks: Optional[tuple[int, ...]] = None
-    seed: Optional[int] = None
+    __slots__ = ("picks", "seed")
 
-    def __post_init__(self) -> None:
-        if (self.picks is None) == (self.seed is None):
+    def __init__(self, picks: Optional[tuple[int, ...]] = None, seed: Optional[int] = None):
+        if (picks is None) == (seed is None):
             raise ValueError("schedule is either an explicit list or a seed")
+        self.picks, self.seed = picks, seed
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -716,14 +744,13 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 STUCK = "stuck"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """The recorded trace, how the run ended, and for a stuck run why."""
 
-    trace: Trace
-    status: str
-    steps: int
-    reason: str = ""
+    __slots__ = ("trace", "status", "steps", "reason")
+
+    def __init__(self, trace: Trace, status: str, steps: int, reason: str = ""):
+        self.trace, self.status, self.steps, self.reason = trace, status, steps, reason
 
 
 def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:

@@ -35,7 +35,6 @@ not end a line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 
@@ -59,10 +58,45 @@ class TraceNestingError(TraceError):
 
 
 # ---------------------------------------------------------------------------
-# Values
+# Records and values
 
 
-class Value:
+class Record:
+    """Base of the package's immutable records, which are not dataclasses
+    because ``@dataclass`` costs about 1 ms per class at every start.  The
+    fields are the ``__slots__``, set once by ``__init__``; records of one
+    class with equal fields are equal and hash alike."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Nullary(Record):
+    """A record without fields, hashed often: every instance of its class
+    is equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class Value(Record):
     """Base class for concrete values carried by messages.
 
     All concrete values are immutable and hashable; equality is structural.
@@ -74,8 +108,9 @@ class Value:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Unit(Value):
+class Unit(Value, Nullary):
+    __slots__ = ()
+
     def sort_key(self) -> tuple:
         return (0,)
 
@@ -83,9 +118,17 @@ class Unit(Value):
         return "unit"
 
 
-@dataclass(frozen=True)
 class Bool(Value):
-    flag: bool
+    __slots__ = ("flag",)
+
+    def __init__(self, flag: bool):
+        self.flag = flag
+
+    def __eq__(self, other):
+        return self.flag == other.flag if other.__class__ is Bool else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.flag,))
 
     def sort_key(self) -> tuple:
         return (1, self.flag)
@@ -94,9 +137,17 @@ class Bool(Value):
         return "true" if self.flag else "false"
 
 
-@dataclass(frozen=True)
 class Int(Value):
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __eq__(self, other):
+        return self.n == other.n if other.__class__ is Int else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
     def sort_key(self) -> tuple:
         return (2, self.n)
@@ -105,9 +156,17 @@ class Int(Value):
         return str(self.n)
 
 
-@dataclass(frozen=True)
 class Str(Value):
-    s: str
+    __slots__ = ("s",)
+
+    def __init__(self, s: str):
+        self.s = s
+
+    def __eq__(self, other):
+        return self.s == other.s if other.__class__ is Str else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.s,))
 
     def sort_key(self) -> tuple:
         return (3, self.s)
@@ -117,7 +176,6 @@ class Str(Value):
         return f'"{quoted}"'
 
 
-@dataclass(frozen=True)
 class ObjectId(Value):
     """An allocated object identity ``label#index:Type``.
 
@@ -125,13 +183,21 @@ class ObjectId(Value):
     part of the identity; the index disambiguates allocations.
     """
 
-    label: str
-    index: int
-    type_name: str
+    __slots__ = ("label", "index", "type_name")
 
-    def __post_init__(self) -> None:
-        if not self.type_name:
+    def __init__(self, label: str, index: int, type_name: str):
+        if not type_name:
             raise ValueError("object identity requires a non-empty type name")
+        self.label, self.index, self.type_name = label, index, type_name
+
+    def __eq__(self, other):
+        if other.__class__ is ObjectId:
+            return (self.label, self.index, self.type_name) == (
+                other.label, other.index, other.type_name)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.index, self.type_name))
 
     def sort_key(self) -> tuple:
         return (4, self.type_name, self.label, self.index)
@@ -168,8 +234,7 @@ RETURN_KINDS = (CBRET, CIRET, DIS_CBRET)
 _BASE_KIND = {DIS_CI: CI, DIS_CBRET: CBRET}
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Record):
     """One observable app-framework interaction.
 
     ``cb`` and ``ciret`` are back-messages (framework to app); ``ci`` and
@@ -179,18 +244,26 @@ class Message:
     ground messages.
     """
 
-    kind: str
-    fun: str
-    args: tuple[Value, ...] = ()
-    ret: Optional[Value] = None
+    __slots__ = ("kind", "fun", "args", "ret")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if not self.fun:
+    def __init__(self, kind: str, fun: str, args: tuple[Value, ...] = (),
+                 ret: Optional[Value] = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
+        if not fun:
             raise ValueError("message requires a function name")
-        if (self.ret is not None) != (self.kind in RETURN_KINDS):
-            raise ValueError(f"return value present iff kind is a return kind ({self.kind})")
+        if (ret is not None) != (kind in RETURN_KINDS):
+            raise ValueError(f"return value present iff kind is a return kind ({kind})")
+        self.kind, self.fun, self.args, self.ret = kind, fun, args, ret
+
+    def __eq__(self, other):
+        if other.__class__ is Message:
+            return (self.kind, self.fun, self.args, self.ret) == (
+                other.kind, other.fun, other.args, other.ret)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.fun, self.args, self.ret))
 
     def is_dis(self) -> bool:
         return self.kind in (DIS_CI, DIS_CBRET)
@@ -267,8 +340,7 @@ def _check_structure(messages: Sequence[Message]) -> None:
             stack.pop()
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """A finite sequence of observable messages.
 
     Invariants (checked on construction): at most one dis message and only
@@ -277,10 +349,10 @@ class Trace:
     trace may be the prefix of a longer recording.
     """
 
-    messages: tuple[Message, ...] = ()
+    __slots__ = ("messages",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
+    def __init__(self, messages: Sequence[Message] = ()):
+        self.messages = tuple(messages)
         _check_structure(self.messages)
 
     def __len__(self) -> int:

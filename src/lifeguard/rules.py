@@ -24,7 +24,6 @@ split into tokens by ``messages.tokenize``, which programs use too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .messages import (
@@ -35,6 +34,7 @@ from .messages import (
     NAMED_VALUES,
     Cursor,
     Message,
+    Record,
     Token,
     Value,
     parse_value,
@@ -63,16 +63,25 @@ class BindingTypeError(Exception):
 # Parameters
 
 
-@dataclass(frozen=True)
-class SVar:
+class SVar(Record):
     """A symbolic variable, optionally type-annotated.
 
     ``universal`` marks a target-only variable grounded over every
     type-compatible value of the universe."""
 
-    name: str
-    type_name: Optional[str] = None
-    universal: bool = False
+    __slots__ = ("name", "type_name", "universal")
+
+    def __init__(self, name: str, type_name: Optional[str] = None, universal: bool = False):
+        self.name, self.type_name, self.universal = name, type_name, universal
+
+    def __eq__(self, other):
+        if other.__class__ is SVar:
+            return (self.name, self.type_name, self.universal) == (
+                other.name, other.type_name, other.universal)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.type_name, self.universal))
 
     def __str__(self) -> str:
         prefix = "forall " if self.universal else ""
@@ -90,74 +99,86 @@ _PM_KINDS = (CB, CI, CBRET, CIRET)
 # Matchers
 
 
-class Matcher:
+class Matcher(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class MAtom(Matcher):
-    message: Message
+    __slots__ = ("message",)
+
+    def __init__(self, message: Message):
+        self.message = message
 
     def __str__(self) -> str:
         return str(self.message)
 
 
-@dataclass(frozen=True)
 class MAny(Matcher):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "TRUE"
 
 
-@dataclass(frozen=True)
 class MEps(Matcher):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "eps"
 
 
-@dataclass(frozen=True)
 class MEmpty(Matcher):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "empty"
 
 
-@dataclass(frozen=True)
 class MConcat(Matcher):
-    left: Matcher
-    right: Matcher
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Matcher, right: Matcher):
+        self.left, self.right = left, right
 
     def __str__(self) -> str:
         return f"{_paren(self.left, 2)} ; {_paren(self.right, 2)}"
 
 
-@dataclass(frozen=True)
 class MStar(Matcher):
-    inner: Matcher
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Matcher):
+        self.inner = inner
 
     def __str__(self) -> str:
         return f"{_paren(self.inner, 4)}*"
 
 
-@dataclass(frozen=True)
 class MUnion(Matcher):
-    left: Matcher
-    right: Matcher
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Matcher, right: Matcher):
+        self.left, self.right = left, right
 
     def __str__(self) -> str:
         return f"{_paren(self.left, 0)} + {_paren(self.right, 0)}"
 
 
-@dataclass(frozen=True)
 class MIntersect(Matcher):
-    left: Matcher
-    right: Matcher
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Matcher, right: Matcher):
+        self.left, self.right = left, right
 
     def __str__(self) -> str:
         return f"{_paren(self.left, 1)} & {_paren(self.right, 1)}"
 
 
-@dataclass(frozen=True)
 class MNegate(Matcher):
-    inner: Matcher
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Matcher):
+        self.inner = inner
 
     def __str__(self) -> str:
         return f"!{_paren(self.inner, 3)}"
@@ -181,23 +202,23 @@ PROHIBIT = "prohibit"
 ARROWS = {PERMIT: "->", PROHIBIT: "-/>"}
 
 
-@dataclass(frozen=True)
-class Rule:
-    matcher: Matcher
-    polarity: str
-    target: Message
+class Rule(Record):
+    __slots__ = ("matcher", "polarity", "target")
 
-    def __post_init__(self) -> None:
-        if self.polarity not in ARROWS:
-            raise ValueError(f"polarity must be permit or prohibit, got {self.polarity!r}")
+    def __init__(self, matcher: Matcher, polarity: str, target: Message):
+        if polarity not in ARROWS:
+            raise ValueError(f"polarity must be permit or prohibit, got {polarity!r}")
+        self.matcher, self.polarity, self.target = matcher, polarity, target
 
     def __str__(self) -> str:
         return f"{self.matcher} {ARROWS[self.polarity]} {self.target}"
 
 
-@dataclass(frozen=True)
-class LifestateSpec:
-    rules: tuple[Rule, ...] = ()
+class LifestateSpec(Record):
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: tuple[Rule, ...] = ()):
+        self.rules = rules
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)

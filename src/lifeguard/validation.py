@@ -12,12 +12,11 @@ from it and the explain command prints it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Sequence
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
 from .grounding import GroundSpec, ground_spec
-from .messages import Message, Trace
+from .messages import Message, Record, Trace
 from .rules import LifestateSpec
 
 NOT_PERMITTED = "back-message not permitted"
@@ -30,30 +29,32 @@ class ValidationTimeout(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of validating one trace.
 
     prefix_len counts every validated message; prefix_len_filtered counts
     only validated messages that occur in some ground rule (matcher atom or
     target), the relevance-filtered step count."""
 
-    valid: bool
-    prefix_len: int
-    prefix_len_filtered: int
-    total_len: int
-    blocking_message: Optional[Message] = None
-    blocking_permitted: Optional[FrozenSet[Message]] = None
-    blocking_prohibited: Optional[FrozenSet[Message]] = None
-    last_firing_rules: tuple[int, ...] = ()
-    reason: Optional[str] = None
-    inconsistency_steps: tuple[int, ...] = ()
+    __slots__ = ("valid", "prefix_len", "prefix_len_filtered", "total_len", "blocking_message",
+                 "blocking_permitted", "blocking_prohibited", "last_firing_rules", "reason",
+                 "inconsistency_steps")
 
-    def __post_init__(self) -> None:
-        if self.valid:
-            assert self.blocking_message is None and self.prefix_len == self.total_len
+    def __init__(self, valid: bool, prefix_len: int, prefix_len_filtered: int, total_len: int,
+                 blocking_message: Optional[Message] = None,
+                 blocking_permitted: Optional[FrozenSet[Message]] = None,
+                 blocking_prohibited: Optional[FrozenSet[Message]] = None,
+                 last_firing_rules: tuple[int, ...] = (), reason: Optional[str] = None,
+                 inconsistency_steps: tuple[int, ...] = ()):
+        if valid:
+            assert blocking_message is None and prefix_len == total_len
         else:
-            assert self.blocking_message is not None
+            assert blocking_message is not None
+        self.valid, self.prefix_len, self.total_len = valid, prefix_len, total_len
+        self.prefix_len_filtered, self.blocking_message = prefix_len_filtered, blocking_message
+        self.blocking_permitted, self.blocking_prohibited = blocking_permitted, blocking_prohibited
+        self.last_firing_rules, self.reason = last_firing_rules, reason
+        self.inconsistency_steps = inconsistency_steps
 
 
 def trace_mask(engine: AbstractEngine, messages: Sequence[Message]) -> int:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Union
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState, StepEvent
 from .grounding import ground_spec
-from .messages import CB, CBRET, CI, CIRET, Message, Trace, is_violation
+from .messages import CB, CBRET, CI, CIRET, Message, Record, Trace, is_violation
 from .rules import LifestateSpec
 
 
@@ -35,13 +34,14 @@ class SubTraceError(Exception):
 DEFAULT_STATE_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class SubTrace:
+class SubTrace(Record):
     """One callback unit: begins with a cb at depth 0 and ends with its
     matching cbret; internal messages are well-nested."""
 
-    messages: tuple[Message, ...]
-    index: int
+    __slots__ = ("messages", "index")
+
+    def __init__(self, messages: tuple[Message, ...], index: int):
+        self.messages, self.index = messages, index
 
 
 def split_subtraces(t: Trace) -> list[SubTrace]:
@@ -72,32 +72,43 @@ def split_subtraces(t: Trace) -> list[SubTrace]:
     return units
 
 
-@dataclass(frozen=True)
-class Safe:
+class _Result(Record):
+    """A verification result.  replays, the unit folds done, is a slot of
+    this base and not of the result's class, so equality leaves it out."""
+
+    __slots__ = ("replays",)
+
+
+class Safe(_Result):
     """No reachable rearrangement hits a prohibited in-message."""
 
-    states_explored: int
-    certificate_size: int
-    unreachable_units: tuple[int, ...] = ()
-    replays: int = field(default=0, compare=False)  # unit folds done
+    __slots__ = ("states_explored", "certificate_size", "unreachable_units")
+
+    def __init__(self, states_explored: int, certificate_size: int,
+                 unreachable_units: tuple[int, ...] = (), replays: int = 0):
+        self.states_explored, self.certificate_size = states_explored, certificate_size
+        self.unreachable_units, self.replays = unreachable_units, replays
 
 
-@dataclass(frozen=True)
-class Violation:
-    witness: Trace
-    subtrace_sequence: tuple[int, ...]
-    states_explored: int = 0
-    replays: int = field(default=0, compare=False)
+class Violation(_Result):
+    __slots__ = ("witness", "subtrace_sequence", "states_explored")
+
+    def __init__(self, witness: Trace, subtrace_sequence: tuple[int, ...],
+                 states_explored: int = 0, replays: int = 0):
+        self.witness, self.subtrace_sequence = witness, subtrace_sequence
+        self.states_explored, self.replays = states_explored, replays
 
 
-@dataclass(frozen=True)
-class Unknown:
-    bound_hit: bool
-    states_explored: int = 0
-    reason: str = ""
-    depth_reached: int = 0  # units on the longest path to a discovered state
-    frontier: int = 0  # states still queued when the search stopped
-    replays: int = field(default=0, compare=False)
+class Unknown(_Result):
+    """depth_reached counts the units on the longest path to a discovered
+    state, and frontier the states still queued when the search stopped."""
+
+    __slots__ = ("bound_hit", "states_explored", "reason", "depth_reached", "frontier")
+
+    def __init__(self, bound_hit: bool, states_explored: int = 0, reason: str = "",
+                 depth_reached: int = 0, frontier: int = 0, replays: int = 0):
+        self.bound_hit, self.states_explored, self.reason = bound_hit, states_explored, reason
+        self.depth_reached, self.frontier, self.replays = depth_reached, frontier, replays
 
 
 VerificationResult = Union[Safe, Violation, Unknown]
@@ -125,7 +136,7 @@ def _unit_path(parent: dict, state: AbstractState) -> list[int]:
 
 
 def _violation(units: list[SubTrace], path: list[int], event: StepEvent,
-               explored: int) -> Violation:
+               explored: int, replays: int) -> Violation:
     """The witness of a BAD step inside the last unit of path: every earlier
     unit, then that unit's messages before the prohibited one, then the
     prohibited one dis-wrapped."""
@@ -134,7 +145,7 @@ def _violation(units: list[SubTrace], path: list[int], event: StepEvent,
     messages += unit[:event.index]
     messages.append(unit[event.index].wrap_dis())
     return Violation(witness=Trace(tuple(messages)), subtrace_sequence=tuple(path),
-                     states_explored=explored)
+                     states_explored=explored, replays=replays)
 
 
 class _Stop(Exception):
@@ -205,7 +216,7 @@ class _Search:
         if bound is None and isinstance(result, tuple):
             exact = self.explore(len(result[0]))
             result = exact if isinstance(exact, tuple) else result
-        return _violation(self.units, *result) if isinstance(result, tuple) else result
+        return _violation(self.units, *result, self.replays) if isinstance(result, tuple) else result
 
     def fold(self, state: AbstractState, u: int, keep: bool) -> StepEvent:
         """The last event of unit u's fold from state."""
@@ -256,12 +267,12 @@ class _Search:
                         depth_reached = depth + 1
                         queue.append(last.after)
         except _Stop as stop:
-            return Unknown(False, explored, str(stop), depth_reached, len(queue))
+            return Unknown(False, explored, str(stop), depth_reached, len(queue), self.replays)
         if truncated:
             return Unknown(True, explored, "unit bound reached before closing the state space",
-                           depth_reached, len(queue))
+                           depth_reached, len(queue), self.replays)
         unreachable = tuple(u for u in range(len(self.units)) if not opened >> u & 1)
-        return Safe(explored, len(parent), unreachable)
+        return Safe(explored, len(parent), unreachable, self.replays)
 
     def _stubborn(self, state: AbstractState, depth: int,
                   permitted: list[int]) -> list[tuple[int, StepEvent]]:
@@ -325,4 +336,4 @@ def verify(
     bound = parse_mode(mode)
     search = _Search(AbstractEngine(ground_spec(spec, trace, sliced=True)),
                      split_subtraces(trace), state_cap, deadline)
-    return replace(search.run(bound), replays=search.replays)
+    return search.run(bound)

@@ -2,7 +2,7 @@
 
 - The frozenset abstract engine, validator and BFS verifier that the
   interned-integer engine replaced.  Stores are frozensets of Message
-  dataclasses rebuilt over the whole back or in alphabet at every step;
+  records rebuilt over the whole back or in alphabet at every step;
   the validator records blame at every step; the verifier carries the unit
   path and the full message history in every queue entry.  They share the
   compiled rule DFAs with lifeguard.abstract but step through each rule's

@@ -1,10 +1,15 @@
 """Source hygiene, checked with the standard library's ast: the package has
 no unused import, no unused module-private top-level name, no import of
-another module's private name, and nothing public that only code outside
-it reaches; the tests and tools have no unused import."""
+another module's private name, no import of dataclasses, and nothing
+public that only code outside it reaches; the tests and tools have no
+unused import.  A fresh import of the command line loads every package
+module and neither dataclasses nor inspect."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -112,3 +117,23 @@ def test_nothing_public_is_reached_only_from_outside_the_package():
                            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                            and not _is_property(node) and node.name not in attributes]
     assert unused == [], f"reached only from outside the package: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    """Records are slotted classes: ``@dataclass`` costs about 1 ms per class
+    at every start, and importing dataclasses loads inspect, ast and dis."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in imported, path.name
+
+
+def test_cli_import_loads_the_package_and_no_dataclasses():
+    code = "import sys, lifeguard.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert {f"lifeguard.{path.stem}" for path in MODULES} <= loaded
+    assert not {"dataclasses", "inspect"} & loaded
