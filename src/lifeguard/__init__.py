@@ -1,6 +1,8 @@
 """Lifeguard: trace-based validation and predictive verification for
 event-driven app-framework protocols."""
 
+import importlib
+
 from .messages import (
     Message,
     Trace,
@@ -12,7 +14,6 @@ from .rules import LifestateSpec, Rule, parse_spec
 from .grounding import ground_spec, value_universe
 from .validation import ValidationReport, validate
 from .verification import Safe, Unknown, Violation, split_subtraces, verify
-from .interp import Schedule, parse_program, parse_schedule, run
 
 __all__ = [
     "Message",
@@ -37,3 +38,14 @@ __all__ = [
     "parse_schedule",
     "run",
 ]
+
+# The interpreter is imported on first use, so that the checker commands
+# do not load it: lifeguard.interp and these of its names.
+_INTERP_NAMES = ("Schedule", "parse_program", "parse_schedule", "run")
+
+
+def __getattr__(name: str):
+    if name == "interp" or name in _INTERP_NAMES:
+        interp = importlib.import_module(f"{__name__}.interp")
+        return interp if name == "interp" else getattr(interp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import interp
 from .abstract import AbstractEngine
 from .grounding import (DEFAULT_INSTANTIATION_CAP, GroundingCapError, GroundingError,
                         compile_spec, ground_spec)
@@ -54,19 +53,25 @@ def _emit(report: dict, fmt: str, out=None) -> None:
 
 
 def _cmd_run(args) -> int:
-    program = interp.load_program(args.program)
-    if not interp.uses_framework_init(program):
-        print("error: program's main expression must begin by invoking a "
-              "framework (fwk) init function", file=sys.stderr)
+    from . import interp
+
+    try:
+        program = interp.load_program(args.program)
+        if not interp.uses_framework_init(program):
+            print("error: program's main expression must begin by invoking a "
+                  "framework (fwk) init function", file=sys.stderr)
+            return EXIT_UNKNOWN
+        if args.schedule is not None:
+            text = args.schedule
+            if text.startswith("@"):
+                text = read_source(text[1:], interp.ScheduleError)
+            schedule = interp.parse_schedule(text)
+        else:
+            schedule = interp.Schedule(seed=args.seed)
+        result = interp.run(program, schedule, max_steps=args.max_steps)
+    except (interp.ProgramError, interp.ScheduleError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
-    if args.schedule is not None:
-        text = args.schedule
-        if text.startswith("@"):
-            text = read_source(text[1:], interp.ScheduleError)
-        schedule = interp.parse_schedule(text)
-    else:
-        schedule = interp.Schedule(seed=args.seed)
-    result = interp.run(program, schedule, max_steps=args.max_steps)
     text = serialize_trace(result.trace)
     if args.trace_out:
         Path(args.trace_out).write_text(text, encoding="utf-8")
@@ -273,12 +278,13 @@ def _cmd_explain(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
     engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
-    shown = trace_mask(engine, trace.messages)
+    letters = engine.intern(trace.messages)
+    shown = trace_mask(letters)
     state = engine.initial_state()
     print(f"initial: permitted-back {(state.permitted & shown).bit_count()}, "
           f"prohibited-in {(state.prohibited & shown).bit_count()}"
           f"{_INCONSISTENT if state.inconsistent else ''}")
-    for index, _, reason, before, after in walk(engine, state, trace.messages):
+    for index, _, reason, before, after in walk(engine, state, trace.messages, letters):
         m = trace.messages[index]
         head = f"{index + 1:>4} {format_message(m):<60}"
         if m.is_dis():
@@ -399,8 +405,7 @@ def main(argv=None) -> int:
         if args.subcommand == "explain":
             return _cmd_explain(args)
         parser.error(f"unknown subcommand {args.subcommand}")
-    except (TraceError, SpecError, SubTraceError, GroundingError,
-            interp.ProgramError, interp.ScheduleError, OSError) as e:
+    except (TraceError, SpecError, SubTraceError, GroundingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     return EXIT_UNKNOWN

@@ -26,6 +26,14 @@ form is machine-internal and rejected in surface programs.
 One lowering pass checks scopes and let-normalizes the parsed program, so
 that primitive forms and if-conditions see only atoms.  Cells are numbered
 by allocation order within a run: cell n is the n-th ``newcell``.
+
+The machine is one register loop, ``Machine._exec``: it keeps a state's
+fields in local variables, applies every rule in place after one dispatch
+on the control's type, and packs a ``MachineState`` only when it stops.
+``run`` drives it to the end of a run; ``Machine.step`` and
+``Machine.advance`` load it from a state and run it for one step.  The
+package imports this module on first use, so the checker commands do not
+load it.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .messages import (
     CI,
     CIRET,
     DIS_CI,
+    FALSE,
     FWK,
     NAMED_VALUES,
     UNIT,
@@ -52,6 +61,7 @@ from .messages import (
     ObjectId,
     Record,
     Str,
+    TRUE,
     Trace,
     Unit,
     Value,
@@ -489,18 +499,15 @@ class MachineState(NamedTuple):
         return c is BAD or (isinstance(c, Value) and not self.cont and not self.enabled)
 
 
-_state = tuple.__new__  # _state(MachineState, fields) skips the keyword-handling __new__
-
-
-def _with_control(state: MachineState, control: object) -> MachineState:
-    return _state(MachineState, (control,) + state[1:])
+# _tuple(cls, fields) builds a named tuple without its keyword-handling __new__.
+_tuple = tuple.__new__
 
 
 def initial_state(program: Expr) -> MachineState:
     return MachineState(control=program)
 
 
-def _caller_package(cont: tuple) -> Optional[str]:
+def _caller_package(cont: list) -> Optional[str]:
     """Package of the running caller thunk, from the continuation."""
     for frame in reversed(cont):
         if type(frame) is not FLet:
@@ -525,7 +532,7 @@ def _observable_args(thunk: RThunk) -> tuple[Value, ...]:
 _CROSSINGS = {(APP, FWK): (CB, CBRET), (FWK, APP): (CI, CIRET)}
 
 
-def _label(thunk: RThunk, cont: tuple, value: Optional[Value] = None) -> Optional[Message]:
+def _label(thunk: RThunk, cont: list, value: Optional[Value] = None) -> Optional[Message]:
     """The message for forcing thunk under cont or, given its return value,
     for returning to cont; None if the call does not cross the interface."""
     kinds = _CROSSINGS.get((thunk.closure.package, _caller_package(cont)))
@@ -538,178 +545,207 @@ def _label(thunk: RThunk, cont: tuple, value: Optional[Value] = None) -> Optiona
     return Message(kinds[1], thunk.closure.name, _observable_args(thunk), value)
 
 
-# The value of an atom, by the atom's type: (atom, env, uid supply) -> value.
-_ATOMS = {
-    ELit: lambda e, env, uids: e.value,
-    EVar: lambda e, env, uids: env.lookup(e.name),
-    EThk: lambda e, env, uids: env.lookup("thk"),
-    ELam: lambda e, env, uids: Closure(e.params, e.body, e.package, env, e.name, next(uids)),
-}
+_ATOMS = (ELit, EVar, EThk, ELam)
 
 
 def _eval_atom(expr: Expr, env: Env, uids) -> Value:
-    atom = _ATOMS.get(type(expr))
-    if atom is None:
-        raise StuckError(f"operand {type(expr).__name__} is not an atom")
-    return atom(expr, env, uids)
+    """The value of an atom; a function literal takes the next closure uid."""
+    t = type(expr)
+    if t is EVar:
+        return env.lookup(expr.name)
+    if t is ELit:
+        return expr.value
+    if t is ELam:
+        return Closure(expr.params, expr.body, expr.package, env, expr.name, next(uids))
+    if t is EThk:
+        return env.lookup("thk")
+    raise StuckError(f"operand {t.__name__} is not an atom")
 
 
-# The rules, by the type of the control: (control, state, uid supply) ->
-# (label, successor).  Each builds its successor as one tuple.
-def _return(c: Value, state: MachineState, uids) -> tuple:
-    _, env, store, enabled, disallowed, cont = state
-    if not cont:
-        raise ValueError("advance at the event loop, where only step applies")
-    top, rest = cont[-1], cont[:-1]
-    if type(top) is FLet:
-        return None, _state(MachineState, (top.body, Env({top.var: c}, top.env), store,
-                                           enabled, disallowed, rest))
-    return _label(top.thunk, rest, c), _state(MachineState, (c, env, store, enabled,
-                                                            disallowed, rest))
+_VALUES = frozenset((Unit, Bool, Int, Str, ObjectId, Closure, RThunk, CellRef))
+_THUNK_OPS = frozenset(("invoke", "enable", "disable", "allow", "disallow"))
 
 
-def _force(c: MForce, state: MachineState, uids) -> tuple:
-    thunk = c.thunk
-    closure = thunk.closure
-    if len(thunk.args) != len(closure.params):
-        raise StuckError(f"forcing {closure.name} with {len(thunk.args)} of "
-                         f"{len(closure.params)} arguments")
-    frame = dict(zip(closure.params, thunk.args))
-    frame["thk"] = thunk
-    _, _, store, enabled, disallowed, cont = state
-    return _label(thunk, cont), _state(MachineState, (
-        closure.body, Env(frame, closure.env), store, enabled, disallowed,
-        cont + (FThunk(thunk),)))
+def _sort_key(value: Value) -> tuple:
+    return value.sort_key()
 
 
-def _let(c: ELet, state: MachineState, uids) -> tuple:
-    _, env, store, enabled, disallowed, cont = state
-    return None, _state(MachineState, (c.bound, env, store, enabled, disallowed,
-                                       cont + (FLet(c.var, c.body, env),)))
-
-
-def _if(c: EIf, state: MachineState, uids) -> tuple:
-    cond = _eval_atom(c.cond, state.env, uids)
-    if type(cond) is not Bool:
-        raise StuckError(f"if condition is {cond}, not a boolean")
-    return None, _with_control(state, c.then if cond.flag else c.orelse)
-
-
-def _prim(c: EPrim, state: MachineState, uids) -> tuple:
-    vals = [_eval_atom(a, state.env, uids) for a in c.operands]
-    prim = _PRIMS.get(c.op)
-    if prim is None:
-        raise StuckError(f"unknown primitive {c.op!r}")
-    return prim(c.op, vals, state)
-
-
-_RULES = {
-    **dict.fromkeys((Unit, Bool, Int, Str, ObjectId, Closure, RThunk, CellRef), _return),
-    **dict.fromkeys(_ATOMS, lambda c, state, uids: (
-        None, _with_control(state, _ATOMS[type(c)](c, state.env, uids)))),
-    MForce: _force, ELet: _let, EIf: _if, EPrim: _prim,
-}
-
-
-# The primitives, by op: (op, operand values, state) -> (label, successor).
-def _bind(op: str, vals: list, state: MachineState) -> tuple:
-    target, arg = vals
-    if type(target) is Closure:
-        return None, _with_control(state, RThunk(target, (arg,)))
-    if type(target) is not RThunk:
-        raise StuckError(f"bind on non-function {target}")
-    if len(target.args) >= len(target.closure.params):
-        raise StuckError(f"bind on saturated thunk {target}")
-    return None, _with_control(state, RThunk(target.closure, target.args + (arg,)))
-
-
-def _invoke(op: str, vals: list, state: MachineState) -> tuple:
-    (thunk,) = vals
-    if type(thunk) is not RThunk:
-        raise StuckError(f"invoke on non-thunk {thunk}")
-    if thunk not in state.disallowed:
-        return None, _with_control(state, MForce(thunk))
-    if thunk.closure.package != FWK:
-        raise StuckError(f"invoke of disallowed app thunk {thunk}")
-    return (Message(DIS_CI, thunk.closure.name, _observable_args(thunk)),
-            _with_control(state, BAD))
-
-
-# op -> (the permission store it updates, how)
-_PERMISSIONS = {"enable": ("enabled", frozenset.union),
-                "disable": ("enabled", frozenset.difference),
-                "disallow": ("disallowed", frozenset.union),
-                "allow": ("disallowed", frozenset.difference)}
-
-
-def _permit(op: str, vals: list, state: MachineState) -> tuple:
-    (thunk,) = vals
-    if type(thunk) is not RThunk:
-        raise StuckError(f"{op} on non-thunk {thunk}")
-    name, update = _PERMISSIONS[op]
-    return None, state._replace(control=thunk, **{name: update(getattr(state, name), (thunk,))})
-
-
-def _cell(op: str, vals: list, state: MachineState) -> tuple:
-    ref = vals[0]
-    if type(ref) is not CellRef:
-        raise StuckError(f"{op} on non-cell {ref}")
-    if not 0 < ref.cell <= len(state.store):
-        raise StuckError(f"read of unallocated cell {ref.cell}")
-    i = ref.cell - 1
-    if op == "get":
-        return None, _with_control(state, state.store[i])
-    store = state.store
-    return None, state._replace(control=UNIT, store=store[:i] + (vals[1],) + store[i + 1:])
-
-
-def _add(op: str, vals: list, state: MachineState) -> tuple:
-    a, b = vals
-    if not (type(a) is Int and type(b) is Int):
-        raise StuckError("add on non-integers")
-    return None, _with_control(state, Int(a.n + b.n))
-
-
-_PRIMS = {
-    "bind": _bind, "invoke": _invoke, **dict.fromkeys(_PERMISSIONS, _permit),
-    # Cell n is store[n - 1]: cells are numbered by allocation order.
-    "newcell": lambda op, vals, state: (None, state._replace(
-        control=CellRef(len(state.store) + 1), store=state.store + (vals[0],))),
-    "get": _cell, "set": _cell, "add": _add,
-    "eq": lambda op, vals, state: (None, _with_control(state, Bool(vals[0] == vals[1]))),
-}
+FINISHED = "finished"
+BAD_STATUS = "bad"
+BUDGET_EXHAUSTED = "budget_exhausted"
+STUCK = "stuck"
 
 
 class Machine:
     """Small-step executor.  A Machine owns the uid supply for closures so
-    that states from one run are internally consistent."""
+    that states from one run are internally consistent.
+
+    ``_exec`` is the machine: it holds a state's six fields in local
+    registers (the continuation and cell store as lists, the permission
+    stores as sets), applies one rule per step in place, chosen by the
+    control's type and for a primitive by its op, and packs a
+    MachineState only when it stops.  ``run``, ``advance`` and ``step`` all
+    go through it."""
 
     def __init__(self) -> None:
         self._uids = itertools.count(1)
 
+    def _exec(self, state: MachineState, max_steps: int, choose) -> tuple:
+        """Run from state for at most max_steps steps.
+
+        At the event loop with events enabled, ``choose(len(enabled))``
+        gives the index into the sorted enabled events, or None to finish.
+        Returns (labels, status, steps, stuck reason, final state); the
+        final state is None for a stuck run."""
+        c, env, store, enabled, disallowed, cont = state
+        store, enabled, disallowed, cont = list(store), set(enabled), set(disallowed), list(cont)
+        uids = self._uids
+        labels: list[Message] = []
+        steps = 0
+        try:
+            while True:
+                if c is BAD:
+                    status = BAD_STATUS
+                    break
+                if not cont and isinstance(c, Value):
+                    choice = choose(len(enabled)) if enabled else None
+                    if choice is None:
+                        status = FINISHED
+                        break
+                if steps == max_steps:
+                    status = BUDGET_EXHAUSTED
+                    break
+                t = type(c)
+                if t is ELet:
+                    cont.append(_tuple(FLet, (c.var, c.body, env)))
+                    c = c.bound
+                elif t in _VALUES:
+                    if not cont:
+                        # Event: pick an enabled thunk.  Its frame is the
+                        # bottom of the stack, so its return has no caller to
+                        # cross the interface to and is never labelled.
+                        events = sorted(enabled, key=_sort_key)
+                        if not 0 <= choice < len(events):
+                            raise ScheduleError(f"schedule index {choice} out of range for "
+                                                f"{len(events)} enabled events")
+                        thunk = events[choice]
+                        c = _tuple(MForce, (thunk,))
+                        cont.append(_tuple(FThunk, (thunk,)))
+                    elif type(cont[-1]) is FLet:
+                        top = cont.pop()
+                        env = Env({top.var: c}, top.env)
+                        c = top.body
+                    else:
+                        label = _label(cont.pop().thunk, cont, c)
+                        if label is not None:
+                            labels.append(label)
+                elif t is EIf:
+                    cond = _eval_atom(c.cond, env, uids)
+                    if type(cond) is not Bool:
+                        raise StuckError(f"if condition is {cond}, not a boolean")
+                    c = c.then if cond.flag else c.orelse
+                elif t is EPrim:
+                    op = c.op
+                    operands = c.operands
+                    v = _eval_atom(operands[0], env, uids)
+                    w = _eval_atom(operands[1], env, uids) if len(operands) > 1 else None
+                    if op == "eq":
+                        c = TRUE if v == w else FALSE
+                    elif op == "bind":
+                        if type(v) is Closure:
+                            c = RThunk(v, (w,))
+                        elif type(v) is not RThunk:
+                            raise StuckError(f"bind on non-function {v}")
+                        elif len(v.args) >= len(v.closure.params):
+                            raise StuckError(f"bind on saturated thunk {v}")
+                        else:
+                            c = RThunk(v.closure, v.args + (w,))
+                    elif op == "newcell":
+                        # Cell n is store[n - 1]: cells are numbered by allocation order.
+                        store.append(v)
+                        c = CellRef(len(store))
+                    elif op == "add":
+                        if not (type(v) is Int and type(w) is Int):
+                            raise StuckError("add on non-integers")
+                        c = Int(v.n + w.n)
+                    elif op in ("get", "set"):
+                        if type(v) is not CellRef:
+                            raise StuckError(f"{op} on non-cell {v}")
+                        if not 0 < v.cell <= len(store):
+                            raise StuckError(f"read of unallocated cell {v.cell}")
+                        if op == "get":
+                            c = store[v.cell - 1]
+                        else:
+                            store[v.cell - 1] = w
+                            c = UNIT
+                    elif op not in _THUNK_OPS:
+                        raise StuckError(f"unknown primitive {op!r}")
+                    elif type(v) is not RThunk:
+                        raise StuckError(f"{op} on non-thunk {v}")
+                    elif op != "invoke":
+                        if op == "enable":
+                            enabled.add(v)
+                        elif op == "disable":
+                            enabled.discard(v)
+                        elif op == "disallow":
+                            disallowed.add(v)
+                        else:
+                            disallowed.discard(v)
+                        c = v
+                    elif v not in disallowed:
+                        c = _tuple(MForce, (v,))
+                    elif v.closure.package != FWK:
+                        raise StuckError(f"invoke of disallowed app thunk {v}")
+                    else:
+                        labels.append(Message(DIS_CI, v.closure.name, _observable_args(v)))
+                        c = BAD
+                elif t is MForce:
+                    thunk = c.thunk
+                    closure = thunk.closure
+                    if len(thunk.args) != len(closure.params):
+                        raise StuckError(f"forcing {closure.name} with {len(thunk.args)} of "
+                                         f"{len(closure.params)} arguments")
+                    label = _label(thunk, cont)
+                    if label is not None:
+                        labels.append(label)
+                    frame = dict(zip(closure.params, thunk.args))
+                    frame["thk"] = thunk
+                    env = Env(frame, closure.env)
+                    c = closure.body
+                    cont.append(_tuple(FThunk, (thunk,)))
+                elif t in _ATOMS:
+                    c = _eval_atom(c, env, uids)
+                else:
+                    raise StuckError(f"no rule for control {t.__name__}")
+                steps += 1
+        except StuckError as e:
+            return labels, STUCK, steps, str(e), None
+        return labels, status, steps, "", _tuple(MachineState, (
+            c, env, tuple(store), frozenset(enabled), frozenset(disallowed), tuple(cont)))
+
     def advance(self, state: MachineState) -> tuple[Optional[Message], MachineState]:
         """The successor of a state that is neither terminal nor at the
-        event loop, with its message label: one rule, chosen by the
-        control's type."""
-        rule = _RULES.get(type(state.control))
-        if rule is None:
-            raise StuckError(f"no rule for control {type(state.control).__name__}")
-        return rule(state.control, state, self._uids)
+        event loop, with its message label: the one element of step."""
+        if not state.cont and state.is_value():
+            raise ValueError("advance at the event loop, where only step applies")
+        (succ,) = self.step(state)
+        return succ
 
     def step(self, state: MachineState) -> list[tuple[Optional[Message], MachineState]]:
-        """All successors of a non-terminal state with their message labels.
+        """All successors of a non-terminal state with their message labels,
+        each the machine run from state for one step.
 
         Every rule is deterministic except event dispatch, which yields one
         successor per enabled thunk (in sorted order)."""
         if state.is_terminal():
             raise ValueError("step on a terminal state")
         if state.cont or not state.is_value():
-            return [self.advance(state)]
-        # Event: value at the top level, pick any enabled thunk.  Its frame
-        # is the bottom of the stack, so its return has no caller to cross
-        # the interface to and is never labelled.
-        return [(None, state._replace(control=MForce(thunk), cont=(FThunk(thunk),)))
-                for thunk in sorted(state.enabled, key=lambda t: t.sort_key())]
+            labels, status, _, reason, succ = self._exec(state, 1, lambda n: None)
+            if status == STUCK:
+                raise StuckError(reason)
+            return [(labels[0] if labels else None, succ)]
+        return [(None, self._exec(state, 1, lambda n, i=i: i)[4])
+                for i in range(len(state.enabled))]
 
 
 # ---------------------------------------------------------------------------
@@ -738,12 +774,6 @@ def parse_schedule(text: str) -> Schedule:
                             f"event indices or seed:N") from None
 
 
-FINISHED = "finished"
-BAD_STATUS = "bad"
-BUDGET_EXHAUSTED = "budget_exhausted"
-STUCK = "stuck"
-
-
 class RunResult(Record):
     """The recorded trace, how the run ended, and for a stuck run why."""
 
@@ -763,46 +793,13 @@ def run(program: Expr, schedule: Schedule, max_steps: int = 10000) -> RunResult:
     finished."""
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    machine = Machine()
-    advance = machine.advance
-    state = initial_state(program)
-    rng = random.Random(schedule.seed) if schedule.seed is not None else None
-    picks = iter(schedule.picks or ())
-    labels: list[Message] = []
-    steps = 0
-    reason = ""
-    while True:
-        if state.control is BAD:
-            status = BAD_STATUS
-            break
-        at_loop = not state.cont and isinstance(state.control, Value)
-        if at_loop:
-            choice = None if not state.enabled else (
-                next(picks, None) if rng is None else rng.randrange(len(state.enabled)))
-            if choice is None:
-                status = FINISHED
-                break
-        if steps == max_steps:
-            status = BUDGET_EXHAUSTED
-            break
-        if at_loop:
-            succs = machine.step(state)
-            if not 0 <= choice < len(succs):
-                raise ScheduleError(
-                    f"schedule index {choice} out of range for {len(succs)} enabled events"
-                )
-            label, state = succs[choice]
-        else:
-            try:
-                label, state = advance(state)
-            except StuckError as e:
-                status, reason = STUCK, str(e)
-                break
-        if label is not None:
-            labels.append(label)
-        steps += 1
-    trace = Trace(tuple(labels))
-    return RunResult(trace, status, steps, reason)
+    if schedule.seed is not None:
+        choose = random.Random(schedule.seed).randrange
+    else:
+        picks = iter(schedule.picks)
+        choose = lambda n: next(picks, None)  # noqa: E731
+    labels, status, steps, reason, _ = Machine()._exec(initial_state(program), max_steps, choose)
+    return RunResult(Trace(tuple(labels)), status, steps, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from it and the explain command prints it.
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterator, Optional, Sequence
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
 from .grounding import GroundSpec, ground_spec
@@ -46,10 +46,10 @@ class ValidationReport(Record):
                  blocking_prohibited: Optional[FrozenSet[Message]] = None,
                  last_firing_rules: tuple[int, ...] = (), reason: Optional[str] = None,
                  inconsistency_steps: tuple[int, ...] = ()):
-        if valid:
-            assert blocking_message is None and prefix_len == total_len
-        else:
-            assert blocking_message is not None
+        if valid and (blocking_message is not None or prefix_len != total_len):
+            raise ValueError("a valid report has no blocking message and covers the trace")
+        if not valid and blocking_message is None:
+            raise ValueError("an invalid report has a blocking message")
         self.valid, self.prefix_len, self.total_len = valid, prefix_len, total_len
         self.prefix_len_filtered, self.blocking_message = prefix_len_filtered, blocking_message
         self.blocking_permitted, self.blocking_prohibited = blocking_permitted, blocking_prohibited
@@ -57,26 +57,26 @@ class ValidationReport(Record):
         self.inconsistency_steps = inconsistency_steps
 
 
-def trace_mask(engine: AbstractEngine, messages: Sequence[Message]) -> int:
-    """Bitmask of the letters of the messages: the part of the alphabet
-    that reports show, since the stores agree with the full grounding's
-    on exactly the messages of the trace."""
+def trace_mask(letters: Iterable[int]) -> int:
+    """Bitmask of the letters.  Over a trace's letters it is the part of
+    the alphabet that reports show, since the stores agree with the full
+    grounding's on exactly the messages of the trace."""
     mask = 0
-    for letter in engine.intern(messages):
+    for letter in letters:
         mask |= 1 << letter
     return mask
 
 
-def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[Message],
+def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[int],
                        target: int) -> tuple[int, ...]:
     """Blame for a failure on the target letter after the validated prefix:
     the spec rules targeting it that fired at the last state of the fold
     (the initial state or the state after a validated message) where any
-    of them fired.  Re-folds the prefix, so a valid trace never pays for it,
-    and reads the fired rules back from the last state."""
+    of them fired.  Re-folds the prefix's letters, so a valid trace never
+    pays for it, and reads the fired rules back from the last state."""
     bit = 1 << target
     states = [engine.initial_state()]
-    states += [event.after for event in engine.fold(states[0], engine.intern(prefix))]
+    states += [event.after for event in engine.fold(states[0], prefix)]
     for state in reversed(states):
         blame = tuple(rule.source_index for rule in engine.fired_rules(state)
                       if rule.target_bit == bit)
@@ -85,15 +85,16 @@ def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[Message],
     return ()
 
 
-def walk(engine: AbstractEngine, state: AbstractState, messages: Sequence[Message]
+def walk(engine: AbstractEngine, state: AbstractState, messages: Sequence[Message],
+         letters: Sequence[int]
          ) -> Iterator[tuple[int, int, Optional[str], AbstractState, Optional[AbstractState]]]:
-    """Fold the messages from state and judge every step against the model:
-    yields (index, letter, reason, before, after), where reason is None if
-    the model accepts the step and otherwise says why the trace is invalid
+    """Fold the messages from state, given with their letters (interned
+    once by the caller), and judge every step against the model: yields
+    (index, letter, reason, before, after), where reason is None if the
+    model accepts the step and otherwise says why the trace is invalid
     there.  A dis step is accepted iff the fold calls it BAD, that is, iff
     the model predicts the recorded violation.  The walk ends after the
     first step with a reason (a dis message is always last)."""
-    letters = engine.intern(messages)
     for index, outcome, before, after in engine.fold(state, letters):
         if messages[index].is_dis():
             reason = None if outcome == BAD else MISSED
@@ -110,13 +111,14 @@ def validate_ground(
     """Build the engine of a ground spec and walk the trace against it."""
     engine = AbstractEngine(ground)
     messages = trace.messages
-    relevant = trace_mask(engine, tuple(ground.relevant))
-    shown = trace_mask(engine, messages)
+    letters = engine.intern(messages)
+    relevant = trace_mask(engine.intern(ground.relevant))
+    shown = trace_mask(letters)
     state = engine.initial_state()
     filtered = 0
     inconsistent_at = [0] if state.inconsistent else []
     total = len(messages)
-    for i, letter, reason, before, after in walk(engine, state, messages):
+    for i, letter, reason, before, after in walk(engine, state, messages, letters):
         if deadline is not None and time.monotonic() > deadline:
             raise ValidationTimeout(f"validation exceeded its time budget at step {i}")
         if reason is not None:
@@ -125,7 +127,7 @@ def validate_ground(
                 blocking_message=messages[i],
                 blocking_permitted=frozenset(engine.decode(before.permitted & shown)),
                 blocking_prohibited=frozenset(engine.decode(before.prohibited & shown)),
-                last_firing_rules=_last_firing_rules(engine, messages[:i], letter),
+                last_firing_rules=_last_firing_rules(engine, letters[:i], letter),
                 reason=reason,
                 inconsistency_steps=tuple(inconsistent_at),
             )

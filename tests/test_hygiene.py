@@ -2,8 +2,9 @@
 no unused import, no unused module-private top-level name, no import of
 another module's private name, no import of dataclasses, and nothing
 public that only code outside it reaches; the tests and tools have no
-unused import.  A fresh import of the command line loads every package
-module and neither dataclasses nor inspect."""
+unused import.  A fresh import of the command line and the interpreter
+loads every package module and neither dataclasses nor inspect, and the
+command line alone does not load the interpreter."""
 
 import ast
 import os
@@ -130,10 +131,17 @@ def test_no_dataclasses_import(path):
     assert "dataclasses" not in imported, path.name
 
 
-def test_cli_import_loads_the_package_and_no_dataclasses():
-    code = "import sys, lifeguard.cli; print(' '.join(sorted(sys.modules)))"
+def _fresh_modules(imports: str) -> set[str]:
+    code = f"import sys, {imports}; print(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
-                                capture_output=True, text=True).stdout.split())
+    return set(subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.split())
+
+
+def test_cli_import_loads_the_package_and_no_dataclasses():
+    # The interpreter is imported on first use, so the command line and
+    # the interpreter together cover every module.
+    loaded = _fresh_modules("lifeguard.cli, lifeguard.interp")
     assert {f"lifeguard.{path.stem}" for path in MODULES} <= loaded
     assert not {"dataclasses", "inspect"} & loaded
+    assert "lifeguard.interp" not in _fresh_modules("lifeguard.cli")

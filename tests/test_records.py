@@ -194,9 +194,9 @@ def test_repr_names_the_class_and_fields():
     (lambda: Trace([Message(CI, "f")]), TraceNestingError),
     (lambda: Schedule(), ValueError),
     (lambda: Schedule(picks=(0,), seed=1), ValueError),
-    (lambda: ValidationReport(True, 1, 1, 2), AssertionError),
-    (lambda: ValidationReport(True, 2, 2, 2, blocking_message=CLICK), AssertionError),
-    (lambda: ValidationReport(False, 1, 1, 2), AssertionError),
+    (lambda: ValidationReport(True, 1, 1, 2), ValueError),
+    (lambda: ValidationReport(True, 2, 2, 2, blocking_message=CLICK), ValueError),
+    (lambda: ValidationReport(False, 1, 1, 2), ValueError),
 ])
 def test_construction_checks_raise(build, error):
     with pytest.raises(error):

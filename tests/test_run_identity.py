@@ -16,12 +16,20 @@ import random
 import pytest
 
 from lifeguard.interp import (
+    BAD,
+    BAD_STATUS,
+    BUDGET_EXHAUSTED,
+    FINISHED,
+    STUCK,
     Env,
     Machine,
     Schedule,
+    ScheduleError,
+    StuckError,
     initial_state,
     load_program,
     parse_program,
+    parse_schedule,
     run,
 )
 from lifeguard.messages import serialize_trace
@@ -203,3 +211,101 @@ def test_step_is_advance_off_the_event_loop(fixtures_dir, name):
             stepper.step(state)
         result = run(program, Schedule(seed=seed))
         assert (tuple(labels), steps) == (result.trace.messages, result.steps)
+
+
+# Budget and stuck cut-offs: run against a driver that takes every step
+# through Machine.step, so that each state is packed and loaded again.
+
+STUCK_PROGRAMS = {
+    "stuck-disallowed-app": """
+        let a = a#1:Activity in
+        let cb = (a =>[app] unit) in
+        let boot = (a =>[fwk] (disallow (bind cb a); invoke (bind cb a))) in
+        invoke (bind boot a)
+        """,
+    "stuck-non-thunk": "let f = (x =>[fwk] (enable thk; invoke unit)) in invoke (bind f unit)",
+}
+
+
+def _sweep_programs():
+    gen = _load_gen()
+    fixtures = REPO / "fixtures"
+    programs = {name: load_program(fixtures / name)
+                for name in ("program_buggy.ll", "program_fixed.ll")}
+    for n in range(1, 7):
+        for skip in (frozenset(), frozenset({(n + 1) // 2})):
+            programs[f"pairs{n}-skip{sorted(skip)}"] = parse_program(gen.pairs_program(n, skip))
+    programs.update((name, parse_program(text)) for name, text in STUCK_PROGRAMS.items())
+    return programs
+
+
+SWEEP_PROGRAMS = _sweep_programs()
+SCHEDULES = [Schedule(seed=seed) for seed in range(1, 9)] + [
+    parse_schedule((REPO / "fixtures" / name).read_text())
+    for name in ("schedule_buggy_recorded.sched", "schedule_double_click.sched",
+                 "schedule_fixed.sched")] + [parse_schedule("0,9")]  # index 9 is out of range
+
+
+def _stepped(program, schedule, max_steps):
+    """(status, steps, trace, reason) of a run driven through Machine.step."""
+    machine = Machine()
+    state = initial_state(program)
+    rng = random.Random(schedule.seed) if schedule.seed is not None else None
+    picks = iter(schedule.picks or ())
+    labels, steps = [], 0
+    while True:
+        if state.control is BAD:
+            return BAD_STATUS, steps, tuple(labels), ""
+        at_loop = not state.cont and state.is_value()
+        if at_loop:
+            choice = None if not state.enabled else (
+                next(picks, None) if rng is None else rng.randrange(len(state.enabled)))
+            if choice is None:
+                return FINISHED, steps, tuple(labels), ""
+        if steps == max_steps:
+            return BUDGET_EXHAUSTED, steps, tuple(labels), ""
+        try:
+            succs = machine.step(state)
+        except StuckError as e:
+            return STUCK, steps, tuple(labels), str(e)
+        if at_loop:
+            if not 0 <= choice < len(succs):
+                raise ScheduleError(f"schedule index {choice} out of range for "
+                                    f"{len(succs)} enabled events")
+        else:
+            assert len(succs) == 1
+            choice = 0
+        label, state = succs[choice]
+        labels += [label] if label is not None else []
+        steps += 1
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ScheduleError as e:
+        return "ScheduleError", str(e)
+    if isinstance(result, tuple):
+        return result
+    return result.status, result.steps, result.trace.messages, result.reason
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROGRAMS))
+def test_run_equals_a_stepped_driver_at_every_cut_off(name):
+    program = SWEEP_PROGRAMS[name]
+    statuses = set()
+    for schedule in SCHEDULES:
+        full = _outcome(run, program, schedule)
+        statuses.add(full[0])
+        if full[0] == "ScheduleError":
+            # The bad pick is read where the run without it finishes.
+            full = _outcome(run, program, Schedule(picks=schedule.picks[:-1]))
+        steps = full[1]
+        for budget in sorted({1, 2, 3, 17, steps - 1, steps, steps + 1} - {0}):
+            assert _outcome(run, program, schedule, budget) == \
+                _outcome(_stepped, program, schedule, budget), (schedule, budget)
+    # The full runs end every way but by the budget, and every program
+    # that does not get stuck first reads the out-of-range pick.
+    assert statuses & {BAD_STATUS, FINISHED, STUCK}
+    assert BUDGET_EXHAUSTED not in statuses
+    assert "ScheduleError" in statuses or statuses == {STUCK}

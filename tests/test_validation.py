@@ -1,5 +1,8 @@
+import os
+import pathlib
 import random
-
+import subprocess
+import sys
 
 from lifeguard.messages import (
     Message,
@@ -102,3 +105,17 @@ class TestPrefixMaximality:
         assert 0 <= report.prefix_len_filtered <= report.prefix_len
         # six of the sixteen fixture messages occur in the rules
         assert report.prefix_len_filtered == 6
+
+
+class TestReportInvariants:
+    def test_checks_survive_python_o(self):
+        # assert statements are dropped under -O; the report's invariants
+        # (tests/test_records.py) are not.
+        code = ("from lifeguard.validation import ValidationReport\n"
+                "try:\n    ValidationReport(True, 1, 1, 2)\n"
+                "except ValueError:\n    print('refused')\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "refused\n"

@@ -20,7 +20,8 @@ pair traces with no and with one skipping pair; validate --corpus (text
 and json) per spec over all those traces; validate and verify (text and
 json) of a spec whose grounding exceeds the instantiation cap; and run of
 both fixture programs and of a program that gets stuck, under each fixture
-schedule and seeds 1-3."""
+schedule and seeds 1-3, with the default step budget and with budgets that
+cut the run short (1 and 40 steps) or land near its end (150 steps)."""
 
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from lifeguard.messages import serialize_trace  # noqa: E402
 from pairs import CAP_SPEC, init_trace, pair_trace  # noqa: E402
+
+RUN_BUDGETS = (1, 40, 150)
 
 STUCK_PROGRAM = """\
 let a = a#1:Activity in
@@ -92,7 +95,8 @@ def commands(specs, traces, programs, schedules) -> list[list[str]]:
     for program in programs:
         for how in [["--schedule", "@" + s] for s in schedules] + \
                    [["--seed", str(seed)] for seed in (1, 2, 3)]:
-            out.append(["run", "--program", program, *how])
+            out += [["run", "--program", program, *how, *budget]
+                    for budget in ([], *(["--max-steps", str(k)] for k in RUN_BUDGETS))]
     return out
 
 
