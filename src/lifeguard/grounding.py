@@ -24,14 +24,17 @@ and unit sequences, and equal stores on every trace message; merged states
 can only make verify explore fewer.  The full grounding stays the reference
 and what `lifeguard ground` prints.
 
-Compilation works per rule shape.  Each ground rule gets a local alphabet:
-its distinct atom messages, numbered in order of first occurrence, plus a
-local OTHER letter.  Instances of one spec rule translate to equal local
-regexes (unless binding makes two of their atoms coincide), so
-compile_spec builds each distinct local regex once and every instance
-shares that DFA, keeping only the global letters of its atoms.  This is
-exact: a message that is not one of the rule's atoms is rejected by every
-atom and accepted by the wildcard, just as the local OTHER letter is.
+Compilation works per rule template.  A ground rule keeps no matcher,
+only its binding and atoms: its rule's distinct atoms, bound, which like
+its target are the trace's own messages where the trace holds them.  Its
+local alphabet is those atoms, numbered in order, plus a local OTHER
+letter, so its DFA depends only on the spec rule and on the local letter
+each distinct atom of the rule gets (unless binding makes two coincide,
+its own position).  compile_spec looks the DFA up under that pair and
+translates the spec rule's matcher only on a miss, building each distinct
+local regex once.  This is exact: a message that is not one of the rule's
+atoms is rejected by every atom and accepted by the wildcard, just as the
+local OTHER letter is.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import dfa as _dfa
 from .messages import (
+    RETURN_KINDS,
     Message,
     Record,
     Trace,
@@ -126,15 +130,25 @@ def value_universe(t: Trace) -> ValueUniverse:
 
 
 class GroundRule(Record):
-    """A variable-free rule instance; source_index is the index of the
-    originating rule in the spec."""
+    """The instance of rule, the spec's rule number source_index, under
+    binding (its free variables in sorted order, each with its value): the
+    bound target, and atoms, the rule's distinct atoms bound, each once in
+    order of first occurrence.  The matcher is built only when read."""
 
-    __slots__ = ("matcher", "polarity", "target", "source_index", "binding")
+    __slots__ = ("rule", "source_index", "target", "atoms", "binding")
 
-    def __init__(self, matcher: Matcher, polarity: str, target: Message, source_index: int,
-                 binding: tuple[tuple[str, Value], ...] = ()):
-        self.matcher, self.polarity, self.target = matcher, polarity, target
-        self.source_index, self.binding = source_index, binding
+    def __init__(self, rule: Rule, source_index: int, target: Message,
+                 atoms: tuple[Message, ...], binding: tuple[tuple[str, Value], ...] = ()):
+        self.rule, self.source_index, self.target = rule, source_index, target
+        self.atoms, self.binding = atoms, binding
+
+    @property
+    def matcher(self) -> Matcher:
+        return apply_binding_matcher(dict(self.binding), self.rule.matcher)
+
+    @property
+    def polarity(self) -> str:
+        return self.rule.polarity
 
 
 class GroundSpec(Record):
@@ -225,24 +239,16 @@ def ground_spec(
         kept = [itertools.product(*domains) for _, domains in plans]
     ground_rules: list[GroundRule] = []
     counts: list[int] = []
-    for idx, (rule, (names, _), assignments) in enumerate(zip(spec.rules, plans, kept)):
-        before = len(ground_rules)
-        for assignment in assignments:
-            binding = dict(zip(names, assignment))
-            ground_rules.append(
-                GroundRule(
-                    apply_binding_matcher(binding, rule.matcher),
-                    rule.polarity,
-                    apply_binding(binding, rule.target),
-                    idx,
-                    tuple(sorted(binding.items())),
-                )
-            )
-        counts.append(len(ground_rules) - before)
     alphabet = set(seen)
-    for gr in ground_rules:
-        alphabet.add(gr.target)
-        alphabet.update(matcher_atoms(gr.matcher))
+    for idx, (rule, (names, _), assignments) in enumerate(zip(spec.rules, plans, kept)):
+        before, patterns = len(ground_rules), slicer.joins[idx].patterns
+        for assignment in assignments:
+            target, *atoms = [slicer.message(pattern, assignment) for pattern in patterns]
+            atoms = tuple(dict.fromkeys(atoms))
+            ground_rules.append(GroundRule(rule, idx, target, atoms, tuple(zip(names, assignment))))
+            alphabet.add(target)
+            alphabet.update(atoms)
+        counts.append(len(ground_rules) - before)
     ordered = tuple(sorted(alphabet, key=lambda m: m.sort_key()))
     return GroundSpec(tuple(ground_rules), ordered, tuple(counts), slicer.relevant())
 
@@ -272,7 +278,7 @@ class _Join:
         self.domains = domains
         self.index = [{v: j for j, v in enumerate(d)} for d in domains]
         self.patterns = []
-        for pm in (rule.target, *dict.fromkeys(matcher_atoms(rule.matcher))):
+        for pm in (rule.target, *_distinct_atoms(rule.matcher)):
             shape, params = _key(pm)
             self.patterns.append(
                 (shape, tuple(slot[p.name] if isinstance(p, SVar) else p for p in params)))
@@ -330,6 +336,17 @@ class _Slicer:
         self.by_shape = _by_shape(self.seen)
         self.joins = [_Join(rule, names, domains)
                       for rule, (names, domains) in zip(spec.rules, plans)]
+
+    def message(self, pattern, assignment: tuple[Value, ...]) -> Message:
+        """The pattern under a value assignment: the trace's own message
+        where one is equal, so each is built and hashed once."""
+        (kind, fun, _), params = pattern
+        values = tuple([assignment[p] if isinstance(p, int) else p for p in params])
+        m = self.seen.get((pattern[0], values))
+        if m is None:
+            ret = values[-1] if kind in RETURN_KINDS else None
+            m = Message(kind, fun, values if ret is None else values[:-1], ret)
+        return m
 
     def relevant(self) -> frozenset[Message]:
         """Trace messages that unify with an atom or the target of a rule
@@ -457,32 +474,40 @@ def letter_map(alphabet: Iterable[Message]) -> dict[Message, int]:
     return {m: i for i, m in enumerate(alphabet)}
 
 
-def _compile(
-    rule: GroundRule,
-    letter_of: dict[Message, int],
-    shapes: dict[_dfa.Re, _dfa.Dfa],
-) -> CompiledRule:
-    """Compile the matcher over its own atoms plus a local OTHER letter,
-    reusing the DFA of an equal local regex from shapes."""
-    local: dict[int, int] = {}  # global letter -> local letter
-    regex = _translate(rule.matcher, lambda m: local.setdefault(letter_of[m], len(local)))
-    automaton = shapes.get(regex)
-    if automaton is None:
-        try:
-            automaton = _dfa.build_dfa(regex, n_letters=len(local) + 1)
-        except _dfa.DfaSizeError as e:
-            raise GroundingError(
-                f"spec rule #{rule.source_index + 1}, instance {rule.matcher} "
-                f"{rule.polarity} {format_message(rule.target)}: {e}"
-            ) from None
-        shapes[regex] = automaton
-    return CompiledRule(automaton, tuple(local), rule.polarity, rule.target,
-                        rule.source_index, 1 << letter_of[rule.target])
-
-
 def compile_spec(ground: GroundSpec) -> tuple[CompiledRule, ...]:
     """Compile every ground rule; instances whose local regexes are equal
-    (the same rule shape, whichever objects it binds) share one DFA."""
+    share one DFA, across rules too."""
     letter_of = letter_map(ground.alphabet)
+    templates: dict[int, tuple[Message, ...]] = {}  # per source index, its distinct atoms
+    dfas: dict[tuple[int, tuple[int, ...]], _dfa.Dfa] = {}  # per (source index, numbering)
     shapes: dict[_dfa.Re, _dfa.Dfa] = {}
-    return tuple(_compile(r, letter_of, shapes) for r in ground.rules)
+    out = []
+    for rule in ground.rules:
+        template = templates.get(rule.source_index)
+        if template is None:
+            template = templates[rule.source_index] = _distinct_atoms(rule.rule.matcher)
+        numbering = tuple(range(len(template)))
+        if len(rule.atoms) < len(template):
+            local, binding = {m: i for i, m in enumerate(rule.atoms)}, dict(rule.binding)
+            numbering = tuple(local[apply_binding(binding, a)] for a in template)
+        key = rule.source_index, numbering
+        if key not in dfas:
+            regex = _translate(rule.rule.matcher, dict(zip(template, numbering)).__getitem__)
+            if regex not in shapes:
+                try:
+                    shapes[regex] = _dfa.build_dfa(regex, n_letters=len(rule.atoms) + 1)
+                except _dfa.DfaSizeError as e:
+                    raise GroundingError(
+                        f"spec rule #{rule.source_index + 1}, instance {rule.matcher} "
+                        f"{rule.polarity} {format_message(rule.target)}: {e}"
+                    ) from None
+            dfas[key] = shapes[regex]
+        out.append(CompiledRule(dfas[key], tuple([letter_of[m] for m in rule.atoms]),
+                                rule.polarity, rule.target, rule.source_index,
+                                1 << letter_of[rule.target]))
+    return tuple(out)
+
+
+def _distinct_atoms(matcher: Matcher) -> tuple[Message, ...]:
+    """The matcher's atoms, each once, in order of first occurrence."""
+    return tuple(dict.fromkeys(matcher_atoms(matcher)))

@@ -30,8 +30,7 @@ by allocation order within a run: cell n is the n-th ``newcell``.
 The machine is one register loop, ``Machine._exec``: it keeps a state's
 fields in local variables, applies every rule in place after one dispatch
 on the control's type, and packs a ``MachineState`` only when it stops.
-``run`` drives it to the end of a run; ``Machine.step`` and
-``Machine.advance`` load it from a state and run it for one step.  The
+``run`` drives it from the initial state to the end of a run.  The
 package imports this module on first use, so the checker commands do not
 load it.
 """
@@ -491,13 +490,6 @@ class MachineState(NamedTuple):
     disallowed: frozenset = frozenset()
     cont: tuple[FLet | FThunk, ...] = ()
 
-    def is_value(self) -> bool:
-        return isinstance(self.control, Value)
-
-    def is_terminal(self) -> bool:
-        c = self.control
-        return c is BAD or (isinstance(c, Value) and not self.cont and not self.enabled)
-
 
 # _tuple(cls, fields) builds a named tuple without its keyword-handling __new__.
 _tuple = tuple.__new__
@@ -584,8 +576,8 @@ class Machine:
     registers (the continuation and cell store as lists, the permission
     stores as sets), applies one rule per step in place, chosen by the
     control's type and for a primitive by its op, and packs a
-    MachineState only when it stops.  ``run``, ``advance`` and ``step`` all
-    go through it."""
+    MachineState only when it stops, so it can also be run from any state
+    for one step."""
 
     def __init__(self) -> None:
         self._uids = itertools.count(1)
@@ -722,30 +714,6 @@ class Machine:
             return labels, STUCK, steps, str(e), None
         return labels, status, steps, "", _tuple(MachineState, (
             c, env, tuple(store), frozenset(enabled), frozenset(disallowed), tuple(cont)))
-
-    def advance(self, state: MachineState) -> tuple[Optional[Message], MachineState]:
-        """The successor of a state that is neither terminal nor at the
-        event loop, with its message label: the one element of step."""
-        if not state.cont and state.is_value():
-            raise ValueError("advance at the event loop, where only step applies")
-        (succ,) = self.step(state)
-        return succ
-
-    def step(self, state: MachineState) -> list[tuple[Optional[Message], MachineState]]:
-        """All successors of a non-terminal state with their message labels,
-        each the machine run from state for one step.
-
-        Every rule is deterministic except event dispatch, which yields one
-        successor per enabled thunk (in sorted order)."""
-        if state.is_terminal():
-            raise ValueError("step on a terminal state")
-        if state.cont or not state.is_value():
-            labels, status, _, reason, succ = self._exec(state, 1, lambda n: None)
-            if status == STUCK:
-                raise StuckError(reason)
-            return [(labels[0] if labels else None, succ)]
-        return [(None, self._exec(state, 1, lambda n, i=i: i)[4])
-                for i in range(len(state.enabled))]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ class Record:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
@@ -94,6 +96,20 @@ class Nullary(Record):
 
     def __hash__(self) -> int:
         return hash(())
+
+
+class _Hashed(Record):
+    """A record hashed often that stores its hash on first use, in a slot
+    of this base: the class's fields, equality and repr leave it out, and
+    ``__init__`` does no work for it."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            self._hash = h = hash(self._key())
+        return h
 
 
 class Value(Record):
@@ -176,7 +192,7 @@ class Str(Value):
         return f'"{quoted}"'
 
 
-class ObjectId(Value):
+class ObjectId(Value, _Hashed):
     """An allocated object identity ``label#index:Type``.
 
     The label is a human-readable tag with no semantic weight beyond being
@@ -190,14 +206,8 @@ class ObjectId(Value):
             raise ValueError("object identity requires a non-empty type name")
         self.label, self.index, self.type_name = label, index, type_name
 
-    def __eq__(self, other):
-        if other.__class__ is ObjectId:
-            return (self.label, self.index, self.type_name) == (
-                other.label, other.index, other.type_name)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.index, self.type_name))
+    def _key(self) -> tuple:
+        return (self.label, self.index, self.type_name)
 
     def sort_key(self) -> tuple:
         return (4, self.type_name, self.label, self.index)
@@ -234,7 +244,7 @@ RETURN_KINDS = (CBRET, CIRET, DIS_CBRET)
 _BASE_KIND = {DIS_CI: CI, DIS_CBRET: CBRET}
 
 
-class Message(Record):
+class Message(_Hashed):
     """One observable app-framework interaction.
 
     ``cb`` and ``ciret`` are back-messages (framework to app); ``ci`` and
@@ -256,14 +266,8 @@ class Message(Record):
             raise ValueError(f"return value present iff kind is a return kind ({kind})")
         self.kind, self.fun, self.args, self.ret = kind, fun, args, ret
 
-    def __eq__(self, other):
-        if other.__class__ is Message:
-            return (self.kind, self.fun, self.args, self.ret) == (
-                other.kind, other.fun, other.args, other.ret)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.fun, self.args, self.ret))
+    def _key(self) -> tuple:
+        return (self.kind, self.fun, self.args, self.ret)
 
     def is_dis(self) -> bool:
         return self.kind in (DIS_CI, DIS_CBRET)
@@ -375,7 +379,7 @@ def is_violation(t: Trace) -> bool:
 #
 # One set of patterns for names, object identities, strings and integers
 # serves all three formats: specs and programs are split into tokens by
-# tokenize, and a trace line is matched whole by _MESSAGE_RE.
+# tokenize, and a trace line is matched whole by _LINE_RE.
 
 _NAME = r"[A-Za-z_]\w*"
 _OBJECT = rf"{_NAME}#\d+:{_NAME}"
@@ -398,10 +402,14 @@ _TOKEN_RE = re.compile(
 )
 
 _VALUE_RE = re.compile(_VALUE)
-_MESSAGE_RE = re.compile(
+_MESSAGE = (
     rf"(?:(?P<dis>dis)\s+)?(?P<kind>cbret|ciret|cb|ci)\s+(?:(?P<ret>{_VALUE})\s*=\s*)?"
     rf"(?P<fun>{_NAME})\s*\((?P<args>\s*(?:(?:{_VALUE})\s*(?:,\s*(?:{_VALUE})\s*)*)?)\)"
 )
+# A raw trace line: a message or nothing, then a comment or nothing.  No
+# two whitespace runs meet, so a line it rejects fails in linear time; only
+# such lines need _MESSAGE alone, which the re cache compiles on first use.
+_LINE_RE = re.compile(rf"\s*(?:(?P<message>{_MESSAGE})\s*)?(?:(?<!\S)#.*)?")
 
 
 def strip_comment(line: str) -> str:
@@ -477,7 +485,12 @@ class Cursor:
 
 def parse_message_line(text: str, line: int) -> Message:
     """Parse one trace line (comment and surrounding whitespace removed)."""
-    m = _MESSAGE_RE.fullmatch(text)
+    return _message(re.fullmatch(_MESSAGE, text), text, line, {})
+
+
+def _message(m: Optional[re.Match], text: str, line: int, values: dict[str, Value]) -> Message:
+    """The message of m, a match of _MESSAGE on text; values maps the
+    text of each value parsed before to its Value."""
     if m is None:
         raise TraceParseError(f"expected '[dis] kind [ret =] f(args)', got {text!r}", line)
     dis, kind, ret, fun, args = m.group("dis", "kind", "ret", "fun", "args")
@@ -488,19 +501,29 @@ def parse_message_line(text: str, line: int) -> Message:
         if kind not in (CI, CBRET):
             raise TraceParseError("dis wraps in-messages only (ci or cbret)", line)
         kind = DIS_CI if kind == CI else DIS_CBRET
-    values = tuple(parse_value(v, line) for v in _VALUE_RE.findall(args))
-    return Message(kind, fun, values, None if ret is None else parse_value(ret, line))
+    parsed = [values.get(v) or values.setdefault(v, parse_value(v, line))
+              for v in _VALUE_RE.findall(args)]
+    if ret is not None:
+        ret = values.get(ret) or values.setdefault(ret, parse_value(ret, line))
+    return Message(kind, fun, tuple(parsed), ret)
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse trace file content into a Trace; round-trips with serialize_trace."""
+    """Parse trace file content into a Trace; round-trips with serialize_trace.
+    Each distinct value text is parsed once, and a line _LINE_RE rejects
+    takes the per-line path, which raises the error."""
     messages: list[Message] = []
     lines_of: list[int] = []
+    values: dict[str, Value] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        stripped = strip_comment(raw).strip()
-        if not stripped:
+        m = _LINE_RE.fullmatch(raw)
+        if m is None:
+            message = parse_message_line(strip_comment(raw).strip(), lineno)
+        elif m["message"] is None:
             continue
-        messages.append(parse_message_line(stripped, lineno))
+        else:
+            message = _message(m, m["message"], lineno, values)
+        messages.append(message)
         lines_of.append(lineno)
     try:
         return Trace(tuple(messages))

@@ -4,7 +4,6 @@ from lifeguard.interp import (
     FINISHED,
     BAD_STATUS,
     BUDGET_EXHAUSTED,
-    Machine,
     ProgramError,
     Schedule,
     ScheduleError,
@@ -17,6 +16,8 @@ from lifeguard.interp import (
 )
 from lifeguard.messages import DIS_CI, Trace, serialize_trace
 from lifeguard.validation import validate
+
+from stepping import SteppingMachine, is_terminal, is_value
 
 
 def run_source(source, schedule="", max_steps=1000):
@@ -67,9 +68,9 @@ class TestStepRules:
         let g = (x =>[fwk] x) in
         (enable (bind f unit); enable (bind g unit); unit)
         """
-        machine = Machine()
+        machine = SteppingMachine()
         state = initial_state(parse_program(src))
-        while not (state.is_value() and not state.cont):
+        while not (is_value(state) and not state.cont):
             succs = machine.step(state)
             assert len(succs) == 1
             state = succs[0][1]
@@ -79,9 +80,9 @@ class TestStepRules:
 
     def test_determinism_outside_event(self):
         src = "let f = (x =>[fwk] disallow thk) in invoke (bind f unit)"
-        machine = Machine()
+        machine = SteppingMachine()
         state = initial_state(parse_program(src))
-        while not state.is_terminal():
+        while not is_terminal(state):
             succs = machine.step(state)
             assert len(succs) == 1
             state = succs[0][1]

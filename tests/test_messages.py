@@ -1,4 +1,6 @@
+import pathlib
 import random
+import time
 
 import pytest
 
@@ -15,12 +17,15 @@ from lifeguard.messages import (
     TraceNestingError,
     TraceParseError,
     is_violation,
+    parse_message_line,
     parse_trace,
     parse_value,
     serialize_trace,
+    strip_comment,
 )
 
 from gen import random_trace
+from pairs import pair_trace
 
 
 def msg(kind, name, *args, ret=None):
@@ -179,3 +184,128 @@ class TestMessageInvariants:
         # the structural checker accepts unclosed calls at the end.
         for k in range(len(trace_fixed) + 1):
             Trace(trace_fixed.messages[:k])
+
+
+def per_line_parse(text):
+    """The per-line path parse_trace takes only for lines its one regex does
+    not match: strip_comment and parse_message_line on every line."""
+    messages, lines_of = [], []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        stripped = strip_comment(raw).strip()
+        if stripped:
+            messages.append(parse_message_line(stripped, lineno))
+            lines_of.append(lineno)
+    try:
+        return Trace(messages)
+    except TraceNestingError as e:
+        raise TraceNestingError(e.reason, lines_of[e.line - 1]) from None
+
+
+def outcome(parse, text):
+    """The trace with the class of every value, or the error's type, text
+    and line."""
+    try:
+        trace = parse(text)
+    except (TraceParseError, TraceNestingError) as e:
+        return type(e), str(e), e.line
+    return trace, [repr(m) for m in trace]
+
+
+FIXTURE_TRACES = sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures")
+                        .glob("*.trace"))
+
+# Lines on their own and inside an open callback, so that callins nest.
+EDGE_LINES = [
+    "# a full-line comment",
+    "   # an indented comment",
+    "#",
+    "cb onCreate(a#1:Activity)  # trailing comment",
+    "cb onCreate(a#1:Activity)\t# after a tab",
+    "cb onCreate(a#1:Activity) #",
+    "cb onCreate(a#1:Activity)#c",
+    "cb onCreate(a#1:Activity)# c",
+    "ci f(a#1:Activity,b#12:Button)",
+    "ci f(a #1:Activity)",
+    "ci f(a#1 :Activity)",
+    'ci f("a #b", "#", "x\\"#y")',
+    'ci f("a #b") # "c #d"',
+    'ciret "#" = f()',
+    "\tci f(\ta#1:Activity\t,\t2\t)\t",
+    "ci f(a#1:Activity)\r",
+    "ci f()\r# c\r",
+    "",
+    "   ",
+    "\t\r",
+    "\x0c\x85ci f(-3, true, false, unit)\xa0",
+    "ci f( )",
+    "dis ci f(a#1:Activity)",
+    "dis  ci   f ( a#1:Activity )  # blocked",
+    "dis cbret unit = onCreate(a#1:Activity)",
+    "dis cb f()",
+    "dis ciret unit = f()",
+    "dis ci",
+    "cb unit = f()",
+    "ci unit = f()",
+    "cbret f()",
+    "ciret f(a#1:Activity)",
+    "ciret unit=f()",
+    'ci f("abc)',
+    'ci f("abc',
+    'ci f("a\\q")',
+    "ci f(foo)",
+    "ci f(1,)",
+    "ci f(,1)",
+    "ci 1f()",
+    "cix f()",
+    "wat",
+    "ci f()) # extra",
+    "ciret unit = f()",
+    "cbret unit = onCreate(a#1:Activity)",
+    "cbret unit = g(a#1:Activity)",
+    "cb g()",
+]
+
+
+def _edge_texts():
+    for line in EDGE_LINES:
+        yield line
+        yield f"cb onCreate(a#1:Activity)\n{line}\nci g()\n"
+        yield f"# header\n\ncb onCreate(a#1:Activity)\r\n{line}\r\nci g()\r\n"
+
+
+@pytest.mark.parametrize("text", list(_edge_texts()))
+def test_parse_trace_agrees_with_the_per_line_path_on_edge_lines(text):
+    assert outcome(parse_trace, text) == outcome(per_line_parse, text)
+
+
+@pytest.mark.parametrize("path", FIXTURE_TRACES, ids=lambda p: p.name)
+def test_parse_trace_agrees_with_the_per_line_path_on_fixtures(path):
+    text = path.read_text(encoding="utf-8")
+    assert outcome(parse_trace, text) == outcome(per_line_parse, text)
+    assert outcome(parse_trace, text.replace("\n", "\r\n")) == \
+        outcome(per_line_parse, text.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parse_trace_agrees_with_the_per_line_path_on_pair_traces(n):
+    for skip in (frozenset(), frozenset({1})):
+        text = serialize_trace(pair_trace(n, skip))
+        assert outcome(parse_trace, text) == outcome(per_line_parse, text)
+        assert parse_trace(text) == pair_trace(n, skip)
+
+
+def test_parse_trace_parses_each_value_text_once():
+    t = parse_trace("cb onCreate(a#1:Activity)\nci f(a#1:Activity, 7)\n"
+                    "ciret 7 = f(a#1:Activity,7)\n")
+    assert t[0].args[0] is t[1].args[0] is t[2].args[0]
+    assert t[1].args[1] is t[2].args[1] is t[2].ret
+
+
+def test_a_long_malformed_line_is_rejected_in_linear_time():
+    # A line regex with two adjacent optional whitespace runs backtracks
+    # quadratically on a line it does not match: 4,000 blanks and one bad
+    # character took 0.7 s.
+    start = time.perf_counter()
+    with pytest.raises(TraceParseError):
+        parse_trace(" " * 20000 + "x")
+    assert time.perf_counter() - start < 1.0

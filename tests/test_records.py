@@ -53,9 +53,11 @@ SAMPLES = [
     lambda: RNot(REmpty()),
     lambda: Dfa(2, ((0, 1), (1, 1)), (False, True)),
     lambda: ValueUniverse((("Button", (ObjectId("b", 1, "Button"),)),), (Unit(),)),
-    lambda: GroundRule(MAny(), PERMIT, Message(CB, "f"), 0, (("b", Int(1)),)),
-    lambda: GroundSpec((GroundRule(MEps(), PERMIT, Message(CB, "f"), 0),), (Message(CB, "f"),),
-                       (1,), frozenset({Message(CB, "f")})),
+    lambda: GroundRule(Rule(MAtom(Message(CB, "f", (SVar("b"),))), PERMIT, Message(CB, "g")), 0,
+                       Message(CB, "g"), (Message(CB, "f", (Int(1),)),), (("b", Int(1)),)),
+    lambda: GroundSpec((GroundRule(Rule(MEps(), PERMIT, Message(CB, "f")), 0, Message(CB, "f"),
+                                   ()),),
+                       (Message(CB, "f"),), (1,), frozenset({Message(CB, "f")})),
     lambda: CompiledRule(DFA, (0,), PERMIT, Message(CB, "f"), 0, 1),
     lambda: ELit(Int(1)),
     lambda: EVar("x"),
@@ -83,9 +85,11 @@ NOT_COMPARED = {Closure: {"body", "env"}, Safe: {"replays"}, Violation: {"replay
 
 
 def _fields(record) -> list[str]:
-    """Every field of the record: the slots of its class and its bases."""
+    """Every field of the record: the slots of its class and its bases.  A
+    slot whose name starts with an underscore stores a value computed from
+    the fields (a hash) and is not one."""
     return [name for cls in reversed(type(record).__mro__)
-            for name in cls.__dict__.get("__slots__", ())]
+            for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")]
 
 
 def _compared(record) -> tuple:
@@ -148,6 +152,18 @@ def test_records_of_different_classes_are_unequal(a, b):
     assert len({a, b}) == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ObjectId("b", 1, "Button"),
+    lambda: Message(CBRET, "onClick", (ObjectId("b", 1, "Button"),), UNIT),
+], ids=["ObjectId", "Message"])
+def test_a_stored_hash_is_the_hash_of_the_fields(make):
+    record, fresh = make(), make()
+    before = repr(record)
+    assert hash(record) == hash(record) == hash(_compared(record)) == hash(fresh)
+    assert record == fresh and fresh == record and repr(record) == before == repr(fresh)
+    assert {record: 1}[fresh] == 1 and {fresh: 1}[record] == 1
+
+
 def test_fields_outside_equality_are_ignored():
     other_env = Env({"y": UNIT}, EMPTY_ENV)
     assert Closure(("x",), EThk(), APP, EMPTY_ENV, "f", 1) == Closure(
@@ -171,7 +187,7 @@ def test_defaults():
     assert (unknown.bound_hit, unknown.states_explored, unknown.reason, unknown.depth_reached,
             unknown.frontier, unknown.replays) == (True, 0, "", 0, 0, 0)
     assert Safe(1, 2).unreachable_units == () and Safe(1, 2).replays == 0
-    assert GroundRule(MAny(), PERMIT, CLICK, 0).binding == ()
+    assert GroundRule(Rule(MAny(), PERMIT, CLICK), 0, CLICK, ()).binding == ()
     assert RunResult(Trace(), "finished", 0).reason == ""
     assert Trace().messages == () and LifestateSpec().rules == ()
     assert ValidationReport(True, 0, 0, 0).blocking_message is None

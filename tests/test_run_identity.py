@@ -2,7 +2,7 @@
 
 The pins are (status, steps, the first 16 hex digits of the sha256 of the
 serialized trace) of seeded runs, recorded with the frozen-dataclass
-machine that the table-driven Machine.advance replaced: both fixture
+machine that the table-driven machine replaced: both fixture
 programs under seeds 1-20, and the benchmark's pair programs
 (perfbench/gen.py pairs_program(n, skip)) for n = 1..4, with no pair and
 with pair 1 skipping setEnabled, under seeds 1-8.  A rule that changes
@@ -22,7 +22,6 @@ from lifeguard.interp import (
     FINISHED,
     STUCK,
     Env,
-    Machine,
     Schedule,
     ScheduleError,
     StuckError,
@@ -33,6 +32,8 @@ from lifeguard.interp import (
     run,
 )
 from lifeguard.messages import serialize_trace
+
+from stepping import SteppingMachine, is_terminal, is_value
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -191,11 +192,11 @@ def test_step_is_advance_off_the_event_loop(fixtures_dir, name):
     # the labels along the way are the run's trace.
     program = load_program(fixtures_dir / name)
     for seed in range(1, 21):
-        stepper, advancer = Machine(), Machine()
+        stepper, advancer = SteppingMachine(), SteppingMachine()
         rng = random.Random(seed)
         state, labels, steps = initial_state(program), [], 0
-        while not state.is_terminal():
-            if state.is_value() and not state.cont:
+        while not is_terminal(state):
+            if is_value(state) and not state.cont:
                 with pytest.raises(ValueError):
                     advancer.advance(state)
                 succs = stepper.step(state)
@@ -214,7 +215,7 @@ def test_step_is_advance_off_the_event_loop(fixtures_dir, name):
 
 
 # Budget and stuck cut-offs: run against a driver that takes every step
-# through Machine.step, so that each state is packed and loaded again.
+# through SteppingMachine.step, so that each state is packed and loaded again.
 
 STUCK_PROGRAMS = {
     "stuck-disallowed-app": """
@@ -247,8 +248,8 @@ SCHEDULES = [Schedule(seed=seed) for seed in range(1, 9)] + [
 
 
 def _stepped(program, schedule, max_steps):
-    """(status, steps, trace, reason) of a run driven through Machine.step."""
-    machine = Machine()
+    """(status, steps, trace, reason) of a run driven through SteppingMachine.step."""
+    machine = SteppingMachine()
     state = initial_state(program)
     rng = random.Random(schedule.seed) if schedule.seed is not None else None
     picks = iter(schedule.picks or ())
@@ -256,7 +257,7 @@ def _stepped(program, schedule, max_steps):
     while True:
         if state.control is BAD:
             return BAD_STATUS, steps, tuple(labels), ""
-        at_loop = not state.cont and state.is_value()
+        at_loop = not state.cont and is_value(state)
         if at_loop:
             choice = None if not state.enabled else (
                 next(picks, None) if rng is None else rng.randrange(len(state.enabled)))

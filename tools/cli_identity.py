@@ -18,7 +18,10 @@ json, --stats, --mode bounded:2 --report json, and --mode bounded:64
 fixtures/*.ls spec against both fixture traces and the n = 4 and n = 8
 pair traces with no and with one skipping pair; validate --corpus (text
 and json) per spec over all those traces; validate and verify (text and
-json) of a spec whose grounding exceeds the instantiation cap; and run of
+json) of a spec whose grounding exceeds the instantiation cap; ground,
+validate, verify and explain under every spec of trace_fixed.trace
+rewritten with comments, blank lines, tabs and CRLF line ends, and the
+four under spec_run.ls of a copy with one malformed line; and run of
 both fixture programs and of a program that gets stuck, under each fixture
 schedule and seeds 1-3, with the default step budget and with budgets that
 cut the run short (1 and 40 steps) or land near its end (150 steps)."""
@@ -49,10 +52,22 @@ invoke (bind boot a)
 """
 
 
+def _noisy(text: str) -> str:
+    """The trace text with a comment header, blank and whitespace-only
+    lines, tabs around each line's parts, a trailing comment on every
+    other line and CRLF line ends."""
+    out = ["# trace_fixed.trace, rewritten", "", " \t "]
+    for i, line in enumerate(text.splitlines()):
+        line = "\t" + line.replace(" ", " \t").replace("(", "\t(\t").replace(",", "\t, ")
+        out.append(line + (f"  # message {i + 1}" if i % 2 else "\t"))
+    return "\r\n".join(out + ["# end", ""])
+
+
 def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[str]]:
     """Copy the fixtures into work, write the pair traces, the stuck
-    program and the over-cap spec and trace, and return the spec, trace,
-    program and schedule names."""
+    program, the over-cap spec and trace and the rewritten and malformed
+    fixture traces, and return the spec, trace, program and schedule
+    names."""
     fixtures = REPO / "fixtures"
     for path in fixtures.iterdir():
         shutil.copy(path, work / path.name)
@@ -69,6 +84,12 @@ def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[s
     (work / "program_stuck.ll").write_text(STUCK_PROGRAM, encoding="utf-8")
     (work / "cap.ls").write_text(CAP_SPEC, encoding="utf-8")
     (work / "cap.trace").write_text(serialize_trace(init_trace(60)), encoding="utf-8")
+    noisy = _noisy((fixtures / "trace_fixed.trace").read_text(encoding="utf-8"))
+    (work / "noisy.trace").write_bytes(noisy.encode("utf-8"))
+    # A comment must follow whitespace, so message 10 no longer parses.
+    malformed = noisy.replace(")  # message 10", ")# message 10")
+    assert malformed != noisy
+    (work / "malformed.trace").write_bytes(malformed.encode("utf-8"))
     specs = sorted(p.name for p in fixtures.glob("*.ls"))
     programs = sorted(p.name for p in fixtures.glob("*.ll")) + ["program_stuck.ll"]
     schedules = sorted(p.name for p in fixtures.glob("*.sched"))
@@ -89,6 +110,11 @@ def commands(specs, traces, programs, schedules) -> list[list[str]]:
                     ["explain", *st]]
         out += [["validate", "--spec", spec, "--corpus", "corpus"],
                 ["validate", "--spec", spec, "--corpus", "corpus", "--report", "json"]]
+    for spec in specs:
+        out += [[command, "--spec", spec, "--trace", "noisy.trace"]
+                for command in ("ground", "validate", "verify", "explain")]
+    out += [[command, "--spec", "spec_run.ls", "--trace", "malformed.trace"]
+            for command in ("ground", "validate", "verify", "explain")]
     cap = ["--spec", "cap.ls", "--trace", "cap.trace"]
     out += [[command, *cap, *report] for command in ("validate", "verify")
             for report in ([], ["--report", "json"])]
