@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable
 
-from .messages import Nullary, Record
+from .messages import Record
 
 
 class Re(Record):
@@ -31,24 +31,18 @@ class RSym(Re):
     def __init__(self, letter: int):
         self.letter = letter
 
-    def __eq__(self, other):
-        return self.letter == other.letter if other.__class__ is RSym else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.letter,))
-
-
-class RAny(Re, Nullary):
+class RAny(Re):
     """Matches exactly one letter, whichever it is (including OTHER)."""
 
     __slots__ = ()
 
 
-class REps(Re, Nullary):
+class REps(Re):
     __slots__ = ()
 
 
-class REmpty(Re, Nullary):
+class REmpty(Re):
     __slots__ = ()
 
 
@@ -58,28 +52,15 @@ class RCat(Re):
     def __init__(self, left: Re, right: Re):
         self.left, self.right = left, right
 
-    def __eq__(self, other):
-        if other.__class__ is RCat:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
 
 class _Unary(Re):
-    """The methods of RStar and RNot, which each declare the slot inner."""
+    """The ``__init__`` of RStar and RNot, which each declare the slot
+    inner, so that each class compares it."""
 
     __slots__ = ()
 
     def __init__(self, inner: Re):
         self.inner = inner
-
-    def __eq__(self, other):
-        return self.inner == other.inner if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.inner,))
 
 
 class RStar(_Unary):
@@ -91,19 +72,14 @@ class RNot(_Unary):
 
 
 class _Items(Re):
-    """The methods of ROr and RAnd, which each declare the slot items: a
-    flat frozenset of at least two regexes, none of the node's own class."""
+    """The ``__init__`` of ROr and RAnd, which each declare the slot items,
+    so that each class compares it: a flat frozenset of at least two
+    regexes, none of the node's own class."""
 
     __slots__ = ()
 
     def __init__(self, items: FrozenSet[Re]):
         self.items = items
-
-    def __eq__(self, other):
-        return self.items == other.items if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
 
 
 class ROr(_Items):

@@ -364,29 +364,27 @@ def load_program(path) -> Expr:
 # Runtime values
 
 
-class Closure(Value):
+class _Code(Value):
+    """The slots of a Closure that its key leaves out: the body and the
+    captured environment."""
+
+    __slots__ = ("body", "env")
+
+
+class Closure(_Code):
     """A function value with its captured environment.
 
     Closures compare by allocation identity: the uid is assigned when the
     function literal is evaluated, so two thunks over the same let-bound
-    function are equal while distinct literals never are; body and env
-    are not compared."""
+    function are equal while distinct literals never are.  The body and
+    env are slots of the base class, so they are not compared."""
 
-    __slots__ = ("params", "body", "package", "env", "name", "uid")
+    __slots__ = ("params", "package", "name", "uid")
 
     def __init__(self, params: tuple[str, ...], body: Expr, package: str, env: "Env", name: str,
                  uid: int):
         self.params, self.body, self.package = params, body, package
         self.env, self.name, self.uid = env, name, uid
-
-    def __eq__(self, other):
-        if other.__class__ is Closure:
-            return (self.params, self.package, self.name, self.uid) == (
-                other.params, other.package, other.name, other.uid)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.package, self.name, self.uid))
 
     def sort_key(self) -> tuple:
         return (5, self.name, self.uid)
@@ -401,14 +399,6 @@ class RThunk(Value):
     def __init__(self, closure: Closure, args: tuple[Value, ...]):
         self.closure, self.args = closure, args
 
-    def __eq__(self, other):
-        if other.__class__ is RThunk:
-            return (self.closure, self.args) == (other.closure, other.args)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.closure, self.args))
-
     def sort_key(self) -> tuple:
         return (6, self.closure.name, self.closure.uid, tuple(a.sort_key() for a in self.args))
 
@@ -421,12 +411,6 @@ class CellRef(Value):
 
     def __init__(self, cell: int):
         self.cell = cell
-
-    def __eq__(self, other):
-        return self.cell == other.cell if other.__class__ is CellRef else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cell,))
 
     def sort_key(self) -> tuple:
         return (7, self.cell)

@@ -35,6 +35,7 @@ not end a line.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 
@@ -64,51 +65,53 @@ class TraceNestingError(TraceError):
 class Record:
     """Base of the package's immutable records, which are not dataclasses
     because ``@dataclass`` costs about 1 ms per class at every start.  The
-    fields are the ``__slots__``, set once by ``__init__``; records of one
-    class with equal fields are equal and hash alike."""
+    slots are set once by ``__init__``.  A record's key is the tuple of the
+    slots its own class declares, except names that start with an
+    underscore: records of one class with equal keys are equal, and a
+    record hashes as its key.  A slot that a base class declares is not
+    compared."""
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = [n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("_")]
+        # attrgetter of one name gives the bare value, not a 1-tuple.
+        if not names:
+            key = lambda record: ()  # noqa: E731
+        elif len(names) == 1:
+            key = lambda record, get=attrgetter(names[0]): (get(record),)  # noqa: E731
+        else:
+            key = attrgetter(*names)
+        cls._key = staticmethod(key)
 
     def __eq__(self, other):
         if self is other:
             return True
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 
-class Nullary(Record):
-    """A record without fields, hashed often: every instance of its class
-    is equal."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
-
 class _Hashed(Record):
     """A record hashed often that stores its hash on first use, in a slot
-    of this base: the class's fields, equality and repr leave it out, and
-    ``__init__`` does no work for it."""
+    of this base that the subclass's ``__init__`` sets to None, so the
+    key and repr leave it out."""
 
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
+        h = self._hash
         if h is None:
-            self._hash = h = hash(self._key())
+            self._hash = h = hash(self._key(self))
         return h
 
 
@@ -124,7 +127,7 @@ class Value(Record):
         raise NotImplementedError
 
 
-class Unit(Value, Nullary):
+class Unit(Value):
     __slots__ = ()
 
     def sort_key(self) -> tuple:
@@ -140,12 +143,6 @@ class Bool(Value):
     def __init__(self, flag: bool):
         self.flag = flag
 
-    def __eq__(self, other):
-        return self.flag == other.flag if other.__class__ is Bool else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.flag,))
-
     def sort_key(self) -> tuple:
         return (1, self.flag)
 
@@ -159,12 +156,6 @@ class Int(Value):
     def __init__(self, n: int):
         self.n = n
 
-    def __eq__(self, other):
-        return self.n == other.n if other.__class__ is Int else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
     def sort_key(self) -> tuple:
         return (2, self.n)
 
@@ -177,12 +168,6 @@ class Str(Value):
 
     def __init__(self, s: str):
         self.s = s
-
-    def __eq__(self, other):
-        return self.s == other.s if other.__class__ is Str else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.s,))
 
     def sort_key(self) -> tuple:
         return (3, self.s)
@@ -205,9 +190,7 @@ class ObjectId(Value, _Hashed):
         if not type_name:
             raise ValueError("object identity requires a non-empty type name")
         self.label, self.index, self.type_name = label, index, type_name
-
-    def _key(self) -> tuple:
-        return (self.label, self.index, self.type_name)
+        self._hash = None
 
     def sort_key(self) -> tuple:
         return (4, self.type_name, self.label, self.index)
@@ -265,9 +248,7 @@ class Message(_Hashed):
         if (ret is not None) != (kind in RETURN_KINDS):
             raise ValueError(f"return value present iff kind is a return kind ({kind})")
         self.kind, self.fun, self.args, self.ret = kind, fun, args, ret
-
-    def _key(self) -> tuple:
-        return (self.kind, self.fun, self.args, self.ret)
+        self._hash = None
 
     def is_dis(self) -> bool:
         return self.kind in (DIS_CI, DIS_CBRET)

@@ -74,15 +74,6 @@ class SVar(Record):
     def __init__(self, name: str, type_name: Optional[str] = None, universal: bool = False):
         self.name, self.type_name, self.universal = name, type_name, universal
 
-    def __eq__(self, other):
-        if other.__class__ is SVar:
-            return (self.name, self.type_name, self.universal) == (
-                other.name, other.type_name, other.universal)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.type_name, self.universal))
-
     def __str__(self) -> str:
         prefix = "forall " if self.universal else ""
         suffix = f":{self.type_name}" if self.type_name else ""

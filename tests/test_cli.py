@@ -9,6 +9,7 @@ import pytest
 
 from lifeguard.abstract import AbstractEngine
 from lifeguard.cli import main
+from lifeguard.interp import Schedule, load_program, run
 from lifeguard.messages import load_trace, serialize_trace
 from lifeguard.rules import load_spec
 from lifeguard.validation import validate
@@ -126,6 +127,20 @@ class TestVerifyCommand:
         assert "Safe" in text_out
         assert json.loads(json_out)["verdict"] == "safe"
 
+    def test_text_names_the_units_never_openable(self, capsys, fixtures_dir, tmp_path):
+        # The spec of test_verification's never-permitted case: nothing
+        # enables onPostExecute, so its unit (the third) never opens.
+        spec = tmp_path / "never.ls"
+        spec.write_text("eps -/> cb onPostExecute(forall t:AsyncTask)\n"
+                        "TRUE* ; cb onCreate(a:Activity) -/> cb onCreate(a)\n")
+        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec),
+                               "--trace", str(fixtures_dir / "trace_fixed.trace"))
+        assert code == 0
+        assert out.splitlines() == [
+            "Safe: no rearrangement reaches a protocol violation "
+            "(3 states explored, certificate size 3)",
+            "units never openable: [3]"]
+
 
 class TestValidateCommand:
     def test_valid_exits_zero(self, capsys, fixtures_dir):
@@ -202,6 +217,16 @@ class TestValidateCommand:
                                    "--trace", str(corpus / bad))
             assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_corpus_without_traces_is_one_error_line(self, capsys, fixtures_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "notes.txt").write_text("cb onCreate(a#1:Activity)\n")
+        code, out, err = run_cli(capsys, "validate",
+                                 "--spec", str(fixtures_dir / "spec_run.ls"),
+                                 "--corpus", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == f"error: no *.trace files under {corpus}\n"
+
     def test_needs_exactly_one_input(self, capsys, fixtures_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["validate", "--spec", str(fixtures_dir / "spec_run.ls")])
@@ -218,6 +243,14 @@ class TestRunCommand:
         assert code == 0
         assert "finished" in err
         assert load_trace(out_path) == trace_fixed
+
+    def test_run_seed_prints_the_library_trace(self, capsys, fixtures_dir):
+        program = fixtures_dir / "program_fixed.ll"
+        code, out, err = run_cli(capsys, "run", "--program", str(program), "--seed", "1")
+        result = run(load_program(program), Schedule(seed=1))
+        assert code == 0
+        assert out == serialize_trace(result.trace)
+        assert err.startswith(f"status: {result.status} ")
 
     def test_run_schedule_from_file(self, capsys, fixtures_dir, tmp_path):
         out_path = tmp_path / "out.trace"
@@ -330,6 +363,23 @@ class TestGroundAndExplain:
         assert code == 1
         assert out.splitlines()[0] == ("initial: permitted-back 0, prohibited-in 8"
                                        "  (WARNING: permit/prohibit inconsistency)")
+
+    def test_explain_flags_an_inconsistent_step(self, capsys, tmp_path, fixtures_dir):
+        # Both rules fire on the first message, so step 1, not the initial
+        # state, is the inconsistent one.
+        spec = tmp_path / "inconsistent.ls"
+        spec.write_text("TRUE* ; cb onCreate(a:Activity) -> ci finish(a)\n"
+                        "TRUE* ; cb onCreate(a:Activity) -/> ci finish(a)\n")
+        argv = ["--spec", str(spec), "--trace", str(fixtures_dir / "trace_fixed.trace")]
+        code, out, _ = run_cli(capsys, "validate", *argv, "--report", "json")
+        assert json.loads(out)["inconsistent_steps"] == [1]
+        code, out, _ = run_cli(capsys, "explain", *argv)
+        initial, first = out.splitlines()[:2]
+        assert code == 1
+        assert initial == "initial: permitted-back 8, prohibited-in 0"
+        assert first.startswith("   1 cb onCreate(a#1:Activity) ")
+        assert " ok  fires [#1->ci finish(a#1:Activity), #2-/>ci finish(a#1:Activity)] " in first
+        assert first.endswith("  (WARNING: permit/prohibit inconsistency)")
 
 
 def test_explain_agrees_with_validate(capsys, fixtures_dir, tmp_path):
@@ -518,7 +568,8 @@ class TestTimeouts:
 
 def test_output_does_not_depend_on_hash_seed(fixtures_dir, tmp_path):
     # Set iteration order varies with the hash seed; none of it may reach
-    # what the commands print.
+    # what the commands print.  run hashes the interpreter's thunks and
+    # closures into its set of enabled callbacks.
     trace = tmp_path / "pairs.trace"
     trace.write_text(serialize_trace(pair_trace(4, frozenset({2}))))
     run_spec = ["--spec", str(fixtures_dir / "spec_run.ls"), "--trace", str(trace)]
@@ -526,7 +577,8 @@ def test_output_does_not_depend_on_hash_seed(fixtures_dir, tmp_path):
                 ["explain", *run_spec],
                 ["verify", *run_spec, "--report", "json"],
                 ["explain", "--spec", str(fixtures_dir / "spec_lifecycle.ls"),
-                 "--trace", str(fixtures_dir / "trace_buggy.trace")]]
+                 "--trace", str(fixtures_dir / "trace_buggy.trace")],
+                ["run", "--program", str(fixtures_dir / "program_fixed.ll"), "--seed", "1"]]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
 
     def outputs(seed):

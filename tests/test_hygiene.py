@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's ast: the package has
 no unused import, no unused module-private top-level name, no import of
-another module's private name, no import of dataclasses, and nothing
-public that only code outside it reaches; the tests and tools have no
+another module's private name, no import of dataclasses, no record
+identity defined outside ``messages.Record`` and ``messages._Hashed``, and
+nothing public that only code outside it reaches; the tests and tools have no
 unused import.  A fresh import of the command line and the interpreter
 loads every package module and neither dataclasses nor inspect, and the
 command line alone does not load the interpreter."""
@@ -153,6 +154,26 @@ def test_no_dataclasses_import(path):
                 for alias in node.names]
     imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "dataclasses" not in imported, path.name
+
+
+IDENTITY = {"__eq__", "__hash__", "_key"}
+
+
+def test_only_record_defines_identity():
+    """Record keys each class by the slots it declares itself, so no other
+    class of the package defines __eq__, __hash__ or _key; _Hashed only
+    stores the hash that key gives."""
+    defined = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+                names |= {t.id for n in cls.body if isinstance(n, ast.Assign)
+                          for t in n.targets if isinstance(t, ast.Name)}
+                if names & IDENTITY:
+                    defined.append(f"{path.stem}.{cls.name}")
+    others = sorted(set(defined) - {"messages.Record", "messages._Hashed"})
+    assert others == [], f"{len(others)} classes define their own identity: {', '.join(others)}"
 
 
 def _fresh_modules(imports: str) -> set[str]:

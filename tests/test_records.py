@@ -158,6 +158,7 @@ def test_records_of_different_classes_are_unequal(a, b):
 ], ids=["ObjectId", "Message"])
 def test_a_stored_hash_is_the_hash_of_the_fields(make):
     record, fresh = make(), make()
+    assert record._hash is None and fresh._hash is None
     before = repr(record)
     assert hash(record) == hash(record) == hash(_compared(record)) == hash(fresh)
     assert record == fresh and fresh == record and repr(record) == before == repr(fresh)
