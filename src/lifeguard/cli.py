@@ -342,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--seed", type=int, help="pseudorandom schedule seed")
     p_run.add_argument("--max-steps", type=int, default=10000)
     p_run.add_argument("--trace-out")
+    p_run.set_defaults(command=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a spec against recorded traces")
     p_val.add_argument("--spec", required=True)
@@ -349,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--corpus", help="directory of *.trace files")
     p_val.add_argument("--timeout", type=float, help="seconds per trace")
     p_val.add_argument("--report", choices=("text", "json"), default="text")
+    p_val.set_defaults(command=_cmd_validate)
 
     p_ver = sub.add_parser("verify", help="predictive-trace verification")
     p_ver.add_argument("--spec", required=True)
@@ -360,16 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--timeout", type=float)
     p_ver.add_argument("--state-cap", type=int, dest="state_cap", default=DEFAULT_STATE_CAP)
     p_ver.add_argument("--report", choices=("text", "json"), default="text")
+    p_ver.set_defaults(command=_cmd_verify)
 
     p_gnd = sub.add_parser("ground", help="dump the ground spec for a trace")
     p_gnd.add_argument("--spec", required=True)
     p_gnd.add_argument("--trace", required=True)
     p_gnd.add_argument("--grounding-cap", type=int, default=DEFAULT_INSTANTIATION_CAP)
     p_gnd.add_argument("--report", choices=("text", "json"), default="text")
+    p_gnd.set_defaults(command=_cmd_ground)
 
     p_exp = sub.add_parser("explain", help="per-step store diagnostics")
     p_exp.add_argument("--spec", required=True)
     p_exp.add_argument("--trace", required=True)
+    p_exp.set_defaults(command=_cmd_explain)
 
     return parser
 
@@ -382,6 +387,8 @@ def main(argv=None) -> int:
         parser.error("--timeout must be at least 1 second")
     if getattr(args, "state_cap", 1) < 1:
         parser.error("--state-cap must be at least 1")
+    if args.subcommand == "validate" and bool(args.trace) == bool(args.corpus):
+        parser.error("validate needs exactly one of --trace / --corpus")
     # Checked before any file is read, and reported as one line like a bad file.
     try:
         if args.subcommand == "verify":
@@ -392,23 +399,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     try:
-        if args.subcommand == "run":
-            return _cmd_run(args)
-        if args.subcommand == "validate":
-            if bool(args.trace) == bool(args.corpus):
-                parser.error("validate needs exactly one of --trace / --corpus")
-            return _cmd_validate(args)
-        if args.subcommand == "verify":
-            return _cmd_verify(args)
-        if args.subcommand == "ground":
-            return _cmd_ground(args)
-        if args.subcommand == "explain":
-            return _cmd_explain(args)
-        parser.error(f"unknown subcommand {args.subcommand}")
+        return args.command(args)
     except (TraceError, SpecError, SubTraceError, GroundingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
-    return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

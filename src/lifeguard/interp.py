@@ -23,9 +23,12 @@ into tokens by ``messages.tokenize``, which specs use too.  ``#`` starts a
 comment at the beginning of a line or after whitespace.  The ``force``
 form is machine-internal and rejected in surface programs.
 
-One lowering pass checks scopes and let-normalizes the parsed program, so
-that primitive forms and if-conditions see only atoms.  Cells are numbered
-by allocation order within a run: cell n is the n-th ``newcell``.
+The parser reads a program in one pass: as it reads, it checks scopes,
+and it let-binds every operand of a primitive form and every
+if-condition that is not an atom, so the machine sees only atoms there.
+A program with several errors reports the first one in source order.
+Cells are numbered by allocation order within a run: cell n is the n-th
+``newcell``.
 
 The machine is one register loop, ``Machine._exec``: it keeps a state's
 fields in local variables, applies every rule in place after one dispatch
@@ -137,11 +140,10 @@ class EIf(Expr):
 
 
 class EPrim(Expr):
-    """A primitive machine form: op applied to operand expressions.
+    """A primitive machine form: op applied to operand atoms.
 
     Ops: bind, invoke, enable, disable, allow, disallow, newcell, get, set,
-    add, eq.  After normalization every operand is an atom.
-    """
+    add, eq."""
 
     __slots__ = ("op", "operands")
 
@@ -149,12 +151,15 @@ class EPrim(Expr):
         self.op, self.operands = op, operands
 
 
-UNARY_OPS = ("invoke", "enable", "disable", "allow", "disallow", "newcell", "get")
-BINARY_OPS = ("bind", "set", "add", "eq")
+_ATOMS = (ELit, EVar, EThk, ELam)
+
+_PERMISSION_OPS = ("enable", "disable", "allow", "disallow")
+_ARITY = {**dict.fromkeys(("invoke", *_PERMISSION_OPS, "newcell", "get"), 1),
+          **dict.fromkeys(("bind", "set", "add", "eq"), 2)}
 
 KEYWORDS = {
     "let", "in", "if", "then", "else", "thk", "unit", "true", "false",
-    "app", "fwk", "force", *UNARY_OPS, *BINARY_OPS,
+    "app", "fwk", "force", *_ARITY,
 }
 
 
@@ -163,11 +168,30 @@ KEYWORDS = {
 
 
 class _Parser(Cursor):
+    """Parses, scope-checks and let-normalizes in one pass.
+
+    Each parse method takes the names in scope and the package of the
+    enclosing function (None at top level), and returns lowered syntax:
+    an operand of a primitive form or an if-condition that is not an atom
+    is let-bound to a fresh ``%n`` temporary as soon as it is parsed, so
+    temporaries are numbered in source order, inner ones first."""
+
+    def __init__(self, tokens):
+        super().__init__(tokens, ProgramError)
+        self.fresh = itertools.count()
+
+    def atom(self, expr: Expr, lets: list[tuple[str, Expr]]) -> Expr:
+        if isinstance(expr, _ATOMS):
+            return expr
+        tmp = f"%{next(self.fresh)}"
+        lets.append((tmp, expr))
+        return EVar(tmp)
+
     # expr := (let | if | prefix) [';' expr]
     # Without seq a following ';' belongs to the enclosing context (used for
     # let right-hand sides and if arms, which extend rightwards only via
     # explicit parentheses).
-    def parse_expr(self, seq: bool = True) -> Expr:
+    def parse_expr(self, bound: frozenset[str], pkg: Optional[str], seq: bool = True) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ProgramError("unexpected end of program")
@@ -177,40 +201,38 @@ class _Parser(Cursor):
             if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
                 raise ProgramError(f"bad binder {name_tok.text!r}", name_tok.line)
             self.expect("=")
-            bound = self.parse_expr(seq=False)
+            value = self.parse_expr(bound, pkg, seq=False)
             self.expect("in")
-            body = self.parse_expr()
-            if isinstance(bound, ELam) and bound.name == "<anon>":
-                bound = ELam(bound.params, bound.package, bound.body, name_tok.text)
-            return ELet(name_tok.text, bound, body)
+            body = self.parse_expr(bound | {name_tok.text}, pkg)
+            if isinstance(value, ELam) and value.name == "<anon>":
+                value = ELam(value.params, value.package, value.body, name_tok.text)
+            return ELet(name_tok.text, value, body)
         if tok.text == "if":
             self.next()
-            cond = self.parse_expr(seq=False)
+            lets: list[tuple[str, Expr]] = []
+            cond = self.atom(self.parse_expr(bound, pkg, seq=False), lets)
             self.expect("then")
-            then = self.parse_expr(seq=False)
+            then = self.parse_expr(bound, pkg, seq=False)
             self.expect("else")
-            first: Expr = EIf(cond, then, self.parse_expr(seq=False))
+            first = _let_all(lets, EIf(cond, then, self.parse_expr(bound, pkg, seq=False)))
         else:
-            first = self.parse_prefix()
+            first = self.parse_prefix(bound, pkg)
         if seq and self.at(";"):
             self.next()
-            return ELet("%seq", first, self.parse_expr())
+            return ELet("%seq", first, self.parse_expr(bound, pkg))
         return first
 
-    def parse_prefix(self) -> Expr:
+    def parse_prefix(self, bound: frozenset[str], pkg: Optional[str]) -> Expr:
         tok = self.peek()
-        if tok is not None and tok.kind == "ident":
-            if tok.text == "force":
-                raise ProgramError("'force' is machine-internal", tok.line)
-            if tok.text in UNARY_OPS:
-                self.next()
-                return EPrim(tok.text, (self.parse_operand(),))
-            if tok.text in BINARY_OPS:
-                self.next()
-                a = self.parse_operand()
-                b = self.parse_operand()
-                return EPrim(tok.text, (a, b))
-        return self.parse_operand()
+        arity = _ARITY.get(tok.text) if tok is not None and tok.kind == "ident" else None
+        if arity is None:
+            return self.parse_operand(bound, pkg)
+        self.next()
+        if tok.text in _PERMISSION_OPS and pkg == APP:
+            raise ProgramError(f"app code may not use {tok.text!r}")
+        lets: list[tuple[str, Expr]] = []
+        operands = tuple(self.atom(self.parse_operand(bound, pkg), lets) for _ in range(arity))
+        return _let_all(lets, EPrim(tok.text, operands))
 
     def _lambda_ahead(self) -> bool:
         # '(' ident (',' ident)* ')' '=>' ...
@@ -226,7 +248,7 @@ class _Parser(Cursor):
                 return sep.text == ")" and nxt is not None and nxt.text == "=>"
             i += 2
 
-    def parse_lambda(self) -> ELam:
+    def parse_lambda(self, bound: frozenset[str]) -> ELam:
         params: list[str] = []
         paren = self.at("(")
         if paren:
@@ -247,22 +269,22 @@ class _Parser(Cursor):
         if pkg_tok.text not in (APP, FWK):
             raise ProgramError(f"package tag must be app or fwk, got {pkg_tok.text!r}", pkg_tok.line)
         self.expect("]")
-        body = self.parse_expr()
         if len(set(params)) != len(params):
             raise ProgramError("duplicate parameter names", pkg_tok.line)
+        body = self.parse_expr(bound | set(params), pkg_tok.text)
         return ELam(tuple(params), pkg_tok.text, body)
 
-    def parse_operand(self) -> Expr:
+    def parse_operand(self, bound: frozenset[str], pkg: Optional[str]) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ProgramError("unexpected end of program")
         if self._lambda_ahead():
-            return self.parse_lambda()
+            return self.parse_lambda(bound)
         if tok.kind == "ident" and self.peek(1) is not None and self.peek(1).text == "=>":
-            return self.parse_lambda()
+            return self.parse_lambda(bound)
         if tok.text == "(":
             self.next()
-            inner = self.parse_expr()
+            inner = self.parse_expr(bound, pkg)
             self.expect(")")
             return inner
         if tok.kind in ("objlit", "int") or tok.text in NAMED_VALUES:
@@ -270,90 +292,38 @@ class _Parser(Cursor):
             return ELit(parse_value(tok.text))
         if tok.kind == "ident":
             if tok.text == "thk":
+                if pkg is None:
+                    raise ProgramError("'thk' outside a function body")
                 self.next()
                 return EThk()
             if tok.text == "force":
                 raise ProgramError("'force' is machine-internal", tok.line)
             if tok.text in KEYWORDS:
                 raise ProgramError(f"unexpected keyword {tok.text!r}", tok.line)
+            if tok.text not in bound:
+                raise ProgramError(f"unbound identifier {tok.text!r}")
             self.next()
             return EVar(tok.text)
         raise ProgramError(f"unexpected token {tok.text!r}", tok.line)
 
 
-# ---------------------------------------------------------------------------
-# Lowering: scope checks and let-normalization in one walk
-
-
-def _is_atom(expr: Expr) -> bool:
-    return isinstance(expr, (ELit, EVar, EThk, ELam))
-
-
-def _lower(program: Expr) -> Expr:
-    """Scope-check a surface program and rewrite the operands of primitive
-    forms and if-conditions into atoms.
-
-    Compound operands are let-bound to fresh ``%n`` temporaries so that the
-    machine's primitive steps only ever see values, mirroring a let-normal
-    form presentation.  Nodes are visited in source order, so the first
-    scope error in the program is the one reported."""
-    fresh = itertools.count()
-
-    def atomize(expr: Expr, bound: frozenset[str], fun_pkg: Optional[str],
-                lets: list[tuple[str, Expr]]) -> Expr:
-        expr = lower(expr, bound, fun_pkg)
-        if _is_atom(expr):
-            return expr
-        tmp = f"%{next(fresh)}"
-        lets.append((tmp, expr))
-        return EVar(tmp)
-
-    def lower(expr: Expr, bound: frozenset[str], fun_pkg: Optional[str]) -> Expr:
-        if isinstance(expr, ELit):
-            return expr
-        if isinstance(expr, EVar):
-            if expr.name not in bound:
-                raise ProgramError(f"unbound identifier {expr.name!r}")
-            return expr
-        if isinstance(expr, EThk):
-            if fun_pkg is None:
-                raise ProgramError("'thk' outside a function body")
-            return expr
-        if isinstance(expr, ELam):
-            body = lower(expr.body, bound | set(expr.params), expr.package)
-            return ELam(expr.params, expr.package, body, expr.name)
-        if isinstance(expr, ELet):
-            return ELet(expr.var, lower(expr.bound, bound, fun_pkg),
-                        lower(expr.body, bound | {expr.var}, fun_pkg))
-        lets: list[tuple[str, Expr]] = []
-        if isinstance(expr, EIf):
-            cond = atomize(expr.cond, bound, fun_pkg, lets)
-            out: Expr = EIf(cond, lower(expr.then, bound, fun_pkg),
-                            lower(expr.orelse, bound, fun_pkg))
-        elif isinstance(expr, EPrim):
-            if expr.op in ("enable", "disable", "allow", "disallow") and fun_pkg == APP:
-                raise ProgramError(f"app code may not use {expr.op!r}")
-            out = EPrim(expr.op, tuple(atomize(sub, bound, fun_pkg, lets)
-                                       for sub in expr.operands))
-        else:
-            raise ProgramError(f"unknown expression node {type(expr).__name__}")
-        for tmp, value in reversed(lets):
-            out = ELet(tmp, value, out)
-        return out
-
-    return lower(program, frozenset(), None)
+def _let_all(lets: list[tuple[str, Expr]], body: Expr) -> Expr:
+    """body under the let-bindings of lets, the first outermost."""
+    for var, value in reversed(lets):
+        body = ELet(var, value, body)
+    return body
 
 
 def parse_program(text: str) -> Expr:
     """Parse, scope-check, and normalize a surface program."""
     tokens = [tok for lineno, raw in enumerate(text.split("\n"), start=1)
               for tok in tokenize(strip_comment(raw), lineno, ProgramError)]
-    parser = _Parser(tokens, ProgramError)
-    expr = parser.parse_expr()
+    parser = _Parser(tokens)
+    expr = parser.parse_expr(frozenset(), None)
     if parser.peek() is not None:
         tok = parser.peek()
         raise ProgramError(f"trailing tokens starting at {tok.text!r}", tok.line)
-    return _lower(expr)
+    return expr
 
 
 def load_program(path) -> Expr:
@@ -521,9 +491,6 @@ def _label(thunk: RThunk, cont: list, value: Optional[Value] = None) -> Optional
     return Message(kinds[1], thunk.closure.name, _observable_args(thunk), value)
 
 
-_ATOMS = (ELit, EVar, EThk, ELam)
-
-
 def _eval_atom(expr: Expr, env: Env, uids) -> Value:
     """The value of an atom; a function literal takes the next closure uid."""
     t = type(expr)
@@ -539,7 +506,7 @@ def _eval_atom(expr: Expr, env: Env, uids) -> Value:
 
 
 _VALUES = frozenset((Unit, Bool, Int, Str, ObjectId, Closure, RThunk, CellRef))
-_THUNK_OPS = frozenset(("invoke", "enable", "disable", "allow", "disallow"))
+_THUNK_OPS = frozenset(("invoke", *_PERMISSION_OPS))
 
 
 def _sort_key(value: Value) -> tuple:

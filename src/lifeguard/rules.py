@@ -381,9 +381,6 @@ class _RuleParser(Cursor):
             self.next()
             inner = self.parse_union()
             self.expect(")")
-            while self.at("*"):
-                self.next()
-                inner = MStar(inner)
             return inner
         if tok.text == "eps":
             self.next()

@@ -228,8 +228,11 @@ class TestValidateCommand:
         assert err == f"error: no *.trace files under {corpus}\n"
 
     def test_needs_exactly_one_input(self, capsys, fixtures_dir, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["validate", "--spec", str(fixtures_dir / "spec_run.ls")])
+        for inputs in ([], ["--trace", "trace_fixed.trace", "--corpus", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", "--spec", str(fixtures_dir / "spec_run.ls"), *inputs])
+            assert exc.value.code == 2
+            assert "validate needs exactly one of --trace / --corpus" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -505,6 +508,14 @@ class TestGroundingCap:
         row = json.loads(out)["results"][0]
         assert code == 1 and row["verdict"] == "unknown"
         assert row["reason"].startswith(self.REASON)
+
+
+@pytest.mark.parametrize("argv", [[], ["check"]], ids=repr)
+def test_a_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: lifeguard" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

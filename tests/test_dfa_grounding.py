@@ -132,6 +132,11 @@ OPERATOR_COVERAGE = [
     MNegate(MEmpty()),                      # universal language
     MConcat(MStar(MAny()), MConcat(A, MStar(MAny()))),            # contains A
     MNegate(MConcat(MStar(MAny()), MConcat(A, MStar(MAny())))),   # avoids A
+    MConcat(A, MEps()),                     # eps on the right is dropped
+    MStar(MEps()),                          # the star of eps is eps
+    MStar(MEmpty()),                        # ... and so is the star of empty
+    MStar(MStar(A)),                        # a star of a star is the star
+    MNegate(MNegate(A)),                    # a double complement cancels
 ]
 
 
@@ -158,6 +163,12 @@ class TestDfaMatcherEquivalence:
                 expected = matches(list(word), {}, matcher)
                 got = accepts(auto, (letter_of.get(m, other_idx) for m in word))
                 assert got == expected, (str(matcher), [str(m) for m in word])
+
+    @pytest.mark.parametrize("matcher", OPERATOR_COVERAGE, ids=lambda m: str(m))
+    def test_matcher_text_parses_back(self, matcher):
+        # Concatenation prints without parentheses and parses left-nested,
+        # so the text, not the tree, is what the round trip keeps.
+        assert str(parse_spec(f"{matcher} -> ci g()").rules[0].matcher) == str(matcher)
 
     def test_eps_dfa_is_two_states(self):
         auto, _ = compile_matcher(MEps(), LETTERS)

@@ -17,6 +17,7 @@ from lifeguard.interp import (
 from lifeguard.messages import DIS_CI, Trace, serialize_trace
 from lifeguard.validation import validate
 
+from programs import BROKEN, STUCK
 from stepping import SteppingMachine, is_terminal, is_value
 
 
@@ -48,6 +49,33 @@ class TestParseProgram:
     def test_thk_needs_function_body(self):
         with pytest.raises(ProgramError, match="thk"):
             parse_program("invoke thk")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "unexpected end of program"),
+        ("# only a comment\n", "unexpected end of program"),
+        ("let f = ((x, y, x) =>[fwk] x) in unit", "line 1: duplicate parameter names"),
+        ("invoke force", "line 1: 'force' is machine-internal"),
+        *BROKEN.values(),
+    ])
+    def test_program_errors(self, text, message):
+        with pytest.raises(ProgramError) as caught:
+            parse_program(text)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        # A scope error before a syntax error is the one reported.
+        ("let f = (x =>[fwk] y) in (", "unbound identifier 'y'"),
+        ("let f = (x =>[fwk] thk) in invoke thk )", "'thk' outside a function body"),
+        # Duplicate parameters are checked before the body is read.
+        ("let f = ((x, x) =>[fwk] y) in unit", "line 1: duplicate parameter names"),
+        # The op is checked before its operands.
+        ("let f = (x =>[app] enable (bind g y)) in unit", "app code may not use 'enable'"),
+        ("let f = (x =>[fwk] if y then z else unit) in unit", "unbound identifier 'y'"),
+    ])
+    def test_the_first_error_in_source_order_is_reported(self, text, message):
+        with pytest.raises(ProgramError) as caught:
+            parse_program(text)
+        assert str(caught.value) == message
 
     def test_fixture_programs_parse(self, fixtures_dir):
         for name in ("program_fixed.ll", "program_buggy.ll"):
@@ -157,6 +185,12 @@ class TestStepRules:
         result = run_source(src)
         assert result.status == "stuck"
         assert result.reason == "invoke of disallowed app thunk cb[a#1:Activity]"
+
+    @pytest.mark.parametrize("name", sorted(STUCK))
+    def test_stuck_reason(self, name):
+        text, reason = STUCK[name]
+        result = run(parse_program(text), Schedule(seed=1))
+        assert (result.status, result.reason) == ("stuck", reason)
 
 
 class TestRun:

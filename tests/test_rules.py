@@ -12,6 +12,7 @@ from lifeguard.rules import (
     MAny,
     MAtom,
     MConcat,
+    MEmpty,
     MEps,
     MIntersect,
     MNegate,
@@ -81,6 +82,14 @@ class TestParseSpec:
         rule = parse_rule("!(eps + TRUE) & TRUE* -> cb onShow(forall x:Widget)")
         assert isinstance(rule.matcher, MIntersect)
         assert isinstance(rule.matcher.left, MNegate)
+
+    def test_empty_matcher_parses(self):
+        assert parse_rule("empty -> ci g()").matcher == MEmpty()
+
+    @pytest.mark.parametrize("text", ["TRUE ;", "(TRUE + "])
+    def test_matcher_cut_short(self, text):
+        with pytest.raises(SpecError, match="unexpected end of matcher"):
+            parse_rule(text)
 
     def test_spec_roundtrip_through_str(self, spec_run):
         again = parse_spec(str(spec_run))

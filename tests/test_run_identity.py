@@ -6,7 +6,9 @@ machine that the table-driven machine replaced: both fixture
 programs under seeds 1-20, and the benchmark's pair programs
 (perfbench/gen.py pairs_program(n, skip)) for n = 1..4, with no pair and
 with pair 1 skipping setEnabled, under seeds 1-8.  A rule that changes
-what a run labels, or merges or splits a step, changes a pin."""
+what a run labels, or merges or splits a step, changes a pin.  LOWERED
+pins what parse_program makes of the programs that the cut-off sweep
+runs."""
 
 import hashlib
 import importlib.util
@@ -289,6 +291,51 @@ def _outcome(fn, *args):
     if isinstance(result, tuple):
         return result
     return result.status, result.steps, result.trace.messages, result.reason
+
+
+# The sha256 of repr(parse_program(text)) of each program above, recorded
+# with the two-pass front end that the one-pass parser replaced: a
+# temporary numbered differently or an operand left compound changes a pin.
+LOWERED = {
+    'program_fixed.ll':
+        'a7645b373313e81fa0ac3297a98c3c738c41394b10c28e723ed6c9ed22db01fd',
+    'program_buggy.ll':
+        'f0c33435507f2e46632930ded4ae2441ef26c2537acd5442ee47fe45c9140127',
+    'stuck-disallowed-app':
+        '2476522ddd7a46862f5594da74e2aa22d843079278ca9286d6f252ad43cbdc55',
+    'stuck-non-thunk':
+        '1e15c61d62cb7b9f87c457bbf768fff11434c95846b9ceeb9886e616ee606e6a',
+    'pairs1-skip[]':
+        'dc65d6b860d370cfd0ddcd2438da59e414e6431df9cb69034f2f1ddd3e3ad58e',
+    'pairs1-skip[1]':
+        'bcda23b531d5ac7b08f8df54cd30675acb1f256ad0ff9cc53e5c619a7562c3e3',
+    'pairs2-skip[]':
+        '73174aafe5391319d1bdd2015cf56556afca6c8bb0821f0e9a597501d720cff7',
+    'pairs2-skip[1]':
+        '2f3a4d03aac08bbc98d30dad42b6b31b459e3cf49d0ccd7115c85c7e51111d09',
+    'pairs3-skip[]':
+        '1f754506837d1f8d188860de089de64599a92626cc14eeb8a45fe672c9fd43df',
+    'pairs3-skip[2]':
+        '78bc52f6bda9d54a8a9a4e549420a701fe3b03af9479fb9bfe08e5afaf917f82',
+    'pairs4-skip[]':
+        'd14f9fc868da5982f371a2ec21b8019afc7ea429c89ff699af31d44e448ad7c4',
+    'pairs4-skip[2]':
+        'ec8deb6f0a939e74973c22f01e386c866aee828be35bffe19be7647b86d10811',
+    'pairs5-skip[]':
+        '512d1f18ce8040b8356a178d9c9b7b3319bb7c1201da1c756bd20dc048694446',
+    'pairs5-skip[3]':
+        'c333e80b3474b4fdb1f3f52d30ef290887eba0b4be06048effbe9a2c72ee6e00',
+    'pairs6-skip[]':
+        'ff1e6e4a78678c14530d1c728b6f4a7d92e1cd3f40006fb4805add9b8aeece8a',
+    'pairs6-skip[3]':
+        '2df6a67e976f04c3c84fc14762d770d68ac92a0a10b7ad08a2e28663f2e9679b',
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROGRAMS))
+def test_lowered_programs_are_pinned(name):
+    digest = hashlib.sha256(repr(SWEEP_PROGRAMS[name]).encode()).hexdigest()
+    assert digest == LOWERED[name]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PROGRAMS))

@@ -24,7 +24,9 @@ rewritten with comments, blank lines, tabs and CRLF line ends, and the
 four under spec_run.ls of a copy with one malformed line; and run of
 both fixture programs and of a program that gets stuck, under each fixture
 schedule and seeds 1-3, with the default step budget and with budgets that
-cut the run short (1 and 40 steps) or land near its end (150 steps)."""
+cut the run short (1 and 40 steps) or land near its end (150 steps); and
+run --seed 1 of each program in tests/programs.py, which gets stuck or
+does not parse."""
 
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from lifeguard.messages import serialize_trace  # noqa: E402
 from pairs import CAP_SPEC, init_trace, pair_trace  # noqa: E402
+from programs import BROKEN, STUCK  # noqa: E402
 
 RUN_BUDGETS = (1, 40, 150)
 
@@ -63,11 +66,11 @@ def _noisy(text: str) -> str:
     return "\r\n".join(out + ["# end", ""])
 
 
-def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[str]]:
+def _inputs(work: pathlib.Path) -> tuple[list[str], ...]:
     """Copy the fixtures into work, write the pair traces, the stuck
-    program, the over-cap spec and trace and the rewritten and malformed
-    fixture traces, and return the spec, trace, program and schedule
-    names."""
+    programs, the programs that do not parse, the over-cap spec and trace
+    and the rewritten and malformed fixture traces, and return the spec,
+    trace, program, schedule and failing program names."""
     fixtures = REPO / "fixtures"
     for path in fixtures.iterdir():
         shutil.copy(path, work / path.name)
@@ -82,6 +85,10 @@ def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[s
     for name in traces:
         shutil.copy(work / name, corpus / name)
     (work / "program_stuck.ll").write_text(STUCK_PROGRAM, encoding="utf-8")
+    failing = []
+    for name, (text, _) in {**STUCK, **BROKEN}.items():
+        failing.append(f"{name}.ll")
+        (work / failing[-1]).write_text(text, encoding="utf-8")
     (work / "cap.ls").write_text(CAP_SPEC, encoding="utf-8")
     (work / "cap.trace").write_text(serialize_trace(init_trace(60)), encoding="utf-8")
     noisy = _noisy((fixtures / "trace_fixed.trace").read_text(encoding="utf-8"))
@@ -93,10 +100,10 @@ def _inputs(work: pathlib.Path) -> tuple[list[str], list[str], list[str], list[s
     specs = sorted(p.name for p in fixtures.glob("*.ls"))
     programs = sorted(p.name for p in fixtures.glob("*.ll")) + ["program_stuck.ll"]
     schedules = sorted(p.name for p in fixtures.glob("*.sched"))
-    return specs, traces, programs, schedules
+    return specs, traces, programs, schedules, failing
 
 
-def commands(specs, traces, programs, schedules) -> list[list[str]]:
+def commands(specs, traces, programs, schedules, failing) -> list[list[str]]:
     out = []
     for spec in specs:
         for trace in traces:
@@ -123,6 +130,7 @@ def commands(specs, traces, programs, schedules) -> list[list[str]]:
                    [["--seed", str(seed)] for seed in (1, 2, 3)]:
             out += [["run", "--program", program, *how, *budget]
                     for budget in ([], *(["--max-steps", str(k)] for k in RUN_BUDGETS))]
+    out += [["run", "--program", program, "--seed", "1"] for program in failing]
     return out
 
 
