@@ -24,6 +24,15 @@ and unit sequences, and equal stores on every trace message; merged states
 can only make verify explore fewer.  The full grounding stays the reference
 and what `lifeguard ground` prints.
 
+A spec is planned once and each trace joined with the plan.  The plan
+(_Plan) holds per rule its sorted variables and their types, its target
+and distinct atoms as patterns, its polarity, whether it accepts on OTHER
+alone, and the template DFAs compile_spec fills.  It lives as long as the
+spec object, so validate --corpus plans its spec once.  Nothing in it
+depends on a trace, and a DfaSizeError is never kept, so each compilation
+names its own instance.  The join (_Join) numbers the trace's values and
+the plan's constants once, in sort_key order, and works on those ids.
+
 Compilation works per rule template.  A ground rule keeps no matcher,
 only its binding and atoms: its rule's distinct atoms, bound, which like
 its target are the trace's own messages where the trace holds them.  Its
@@ -45,6 +54,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import dfa as _dfa
 from .messages import (
+    KINDS,
     RETURN_KINDS,
     Message,
     Record,
@@ -99,17 +109,6 @@ class ValueUniverse(Record):
                  constants: tuple[Value, ...]):
         self.by_type, self.constants = by_type, constants
 
-    def of_type(self, type_name: str) -> tuple[Value, ...]:
-        for name, values in self.by_type:
-            if name == type_name:
-                return values
-        return ()
-
-    def all_values(self) -> tuple[Value, ...]:
-        out = [v for _, values in self.by_type for v in values]
-        out.extend(self.constants)
-        return tuple(sorted(out, key=lambda v: v.sort_key()))
-
 
 def value_universe(t: Trace) -> ValueUniverse:
     """Exactly the values occurring in the trace, including return positions."""
@@ -155,14 +154,17 @@ class GroundSpec(Record):
     """Ground rules in spec order, the ground alphabet in message order,
     the number of instances of each source rule, and relevant: the trace's
     messages (dis unwrapped) that are an atom or the target of some
-    instance of the full grounding, sliced or not."""
+    instance of the full grounding, sliced or not.  _plan is the plan of
+    the spec it grounds, whose DFA tables compile_spec fills; a GroundSpec
+    built by hand has none and cannot be compiled."""
 
-    __slots__ = ("rules", "alphabet", "instance_counts", "relevant")
+    __slots__ = ("rules", "alphabet", "instance_counts", "relevant", "_plan")
 
     def __init__(self, rules: tuple[GroundRule, ...], alphabet: tuple[Message, ...],
-                 instance_counts: tuple[int, ...], relevant: frozenset[Message]):
+                 instance_counts: tuple[int, ...], relevant: frozenset[Message],
+                 _plan: Optional[_Plan] = None):
         self.rules, self.alphabet = rules, alphabet
-        self.instance_counts, self.relevant = instance_counts, relevant
+        self.instance_counts, self.relevant, self._plan = instance_counts, relevant, _plan
 
     def back_alphabet(self) -> tuple[Message, ...]:
         return tuple(m for m in self.alphabet if m.is_back())
@@ -171,20 +173,37 @@ class GroundSpec(Record):
         return tuple(m for m in self.alphabet if m.is_in())
 
 
-def _domains(spec: LifestateSpec, universe: ValueUniverse
-             ) -> list[tuple[tuple[str, ...], tuple[tuple[Value, ...], ...]]]:
-    """Per rule, its free variables in sorted order and the values each
-    ranges over (typed variables over same-type object identities, untyped
-    ones over every value)."""
-    all_values = universe.all_values()
-    out = []
-    for rule in spec.rules:
-        annotations = rule_annotations(rule)
-        names = tuple(sorted(free_vars(rule)))
-        out.append((names, tuple(universe.of_type(annotations[name])
-                                 if annotations[name] is not None else all_values
-                                 for name in names)))
-    return out
+class _Plan:
+    """What grounding and compilation need of a spec on any trace (see
+    the module docstring).  Per rule: names, types (None for untyped),
+    patterns (shape, params) with each variable as its slot, templates (the
+    distinct atoms), permit and accepts; then the patterns' constants and
+    compile_spec's DFAs, keyed by (source index, numbering) and by regex."""
+
+    __slots__ = ("names", "types", "patterns", "templates", "permit", "accepts", "constants",
+                 "dfas", "shapes")
+
+    def __init__(self, spec: LifestateSpec):
+        self.names, self.types, self.patterns, self.permit, self.accepts = [], [], [], [], []
+        self.templates = [_distinct_atoms(rule.matcher) for rule in spec.rules]
+        self.constants: set[Value] = set()
+        for rule, atoms in zip(spec.rules, self.templates):
+            annotations = rule_annotations(rule)
+            names = tuple(sorted(free_vars(rule)))
+            slot = {name: s for s, name in enumerate(names)}
+            patterns = []
+            for pm in (rule.target, *atoms):
+                params = tuple(values_of_message(pm))
+                self.constants.update(p for p in params if not isinstance(p, SVar))
+                patterns.append(((pm.kind, pm.fun, len(params)),
+                                 tuple(slot[p.name] if isinstance(p, SVar) else p for p in params)))
+            self.names.append(names)
+            self.types.append(tuple(annotations[name] for name in names))
+            self.patterns.append(patterns)
+            self.permit.append(rule.polarity == PERMIT)
+            self.accepts.append(_accepts_on_other(rule.matcher))
+        self.dfas: dict[tuple[int, tuple[int, ...]], _dfa.Dfa] = {}
+        self.shapes: dict[_dfa.Re, _dfa.Dfa] = {}
 
 
 class _Cap:
@@ -219,45 +238,35 @@ def ground_spec(
 ) -> GroundSpec:
     """Instantiate every rule over the trace's value universe; with sliced,
     only the instances that can change a verdict on the trace (see
-    _Slicer).
+    _Join.kept).
 
     Deterministic: rules in spec order, assignments in sorted value order,
     so a sliced grounding is a subsequence of the full one.  Aborts with a
     diagnostic naming the worst rule when the full grounding's instance
     count exceeds the cap or, with sliced, when the assignments the slicer
-    enumerates do."""
-    universe = value_universe(trace)
-    plans = _domains(spec, universe)
-    seen = {m.unwrap() if m.is_dis() else m for m in trace.messages}
-    slicer = _Slicer(spec, plans, seen)
+    enumerates do.  The spec's plan is built on its first grounding and
+    kept in the spec object."""
+    plan = spec._plan = spec._plan or _Plan(spec)
+    join = _Join(plan, trace)
     charges = _Cap(spec, cap, sliced)
     if sliced:
-        kept = slicer.kept(charges)
+        kept = join.kept(charges)
     else:
-        for idx, (_, domains) in enumerate(plans):
-            charges.charge(idx, math.prod(len(d) for d in domains))
-        kept = [itertools.product(*domains) for _, domains in plans]
+        for idx, domains in enumerate(join.domains):
+            charges.charge(idx, math.prod(map(len, domains)))
+        kept = [itertools.product(*domains) for domains in join.domains]
     ground_rules: list[GroundRule] = []
     counts: list[int] = []
-    alphabet = set(seen)
-    for idx, (rule, (names, _), assignments) in enumerate(zip(spec.rules, plans, kept)):
-        before, patterns = len(ground_rules), slicer.joins[idx].patterns
-        for assignment in assignments:
-            target, *atoms = [slicer.message(pattern, assignment) for pattern in patterns]
-            atoms = tuple(dict.fromkeys(atoms))
-            ground_rules.append(GroundRule(rule, idx, target, atoms, tuple(zip(names, assignment))))
-            alphabet.add(target)
-            alphabet.update(atoms)
+    values = join.values
+    for idx, (rule, names, patterns, assignments) in enumerate(
+            zip(spec.rules, plan.names, join.patterns, kept)):
+        before = len(ground_rules)
+        for a in assignments:
+            target, *atoms = [join.message(pattern, a) for pattern in patterns]
+            ground_rules.append(GroundRule(rule, idx, target, tuple(dict.fromkeys(atoms)),
+                                           tuple(zip(names, [values[i] for i in a]))))
         counts.append(len(ground_rules) - before)
-    ordered = tuple(sorted(alphabet, key=lambda m: m.sort_key()))
-    return GroundSpec(tuple(ground_rules), ordered, tuple(counts), slicer.relevant())
-
-
-def _key(m) -> tuple:
-    """A message or atom as its shape (kind, function, parameter count) and
-    its parameters, the return last."""
-    params = tuple(values_of_message(m))
-    return (m.kind, m.fun, len(params)), params
+    return GroundSpec(tuple(ground_rules), join.alphabet(), tuple(counts), join.relevant, plan)
 
 
 def _by_shape(keys: Iterable[tuple]) -> dict[tuple, list[tuple]]:
@@ -267,57 +276,20 @@ def _by_shape(keys: Iterable[tuple]) -> dict[tuple, list[tuple]]:
     return out
 
 
+def _order(key: tuple) -> tuple:
+    """A message key's place in message order (Message.sort_key): value
+    ids are numbered in sort_key order."""
+    (kind, fun, n), ids = key
+    n -= kind in RETURN_KINDS
+    return KINDS.index(kind), fun, ids[:n], ids[n:]
+
+
 class _Join:
-    """One source rule's assignments, as tuples of indices into its
-    variables' domains, joined with message keys.  In a pattern (an atom or
-    the target) a variable is its slot in the sorted variables."""
-
-    def __init__(self, rule: Rule, names: tuple[str, ...],
-                 domains: tuple[tuple[Value, ...], ...]):
-        slot = {name: s for s, name in enumerate(names)}
-        self.domains = domains
-        self.index = [{v: j for j, v in enumerate(d)} for d in domains]
-        self.patterns = []
-        for pm in (rule.target, *_distinct_atoms(rule.matcher)):
-            shape, params = _key(pm)
-            self.patterns.append(
-                (shape, tuple(slot[p.name] if isinstance(p, SVar) else p for p in params)))
-        self.matcher = rule.matcher
-        self.permit = rule.polarity == PERMIT
-
-    def unify(self, pattern, keys: dict) -> Iterator[tuple[tuple, dict[int, int]]]:
-        """The keys the pattern unifies with, each with the domain index it
-        fixes for each of the pattern's variables."""
-        shape, params = pattern
-        for values in keys.get(shape, ()):
-            fixed: dict[int, int] = {}
-            for p, v in zip(params, values):
-                if isinstance(p, int):
-                    j = self.index[p].get(v)
-                    if j is None or fixed.setdefault(p, j) != j:
-                        break
-                elif p != v:
-                    break
-            else:
-                yield (shape, values), fixed
-
-    def size(self, fixed: dict[int, int]) -> int:
-        """How many assignments agree with fixed."""
-        return math.prod(len(d) for s, d in enumerate(self.domains) if s not in fixed)
-
-    def extend(self, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        """Every assignment that agrees with fixed."""
-        return itertools.product(*[(fixed[s],) if s in fixed else range(len(d))
-                                   for s, d in enumerate(self.domains)])
-
-    def key(self, pattern, a: tuple[int, ...]) -> tuple:
-        shape, params = pattern
-        return shape, tuple(self.domains[p][a[p]] if isinstance(p, int) else p for p in params)
-
-
-class _Slicer:
-    """Joins a spec's atoms and targets with the messages of one trace, so
-    nothing is instantiated until it is kept.
+    """A spec's plan joined with one trace's messages on value ids.  A
+    message is keyed by (kind, function, parameter count) and its
+    parameters' ids, the return last; an assignment is a tuple of ids; in
+    a pattern a variable is its slot s and the constant with id i is ~i.
+    A Message is built only for an unseen target or atom of a kept instance.
 
     An instance is kept unless it is of one of two kinds that cannot
     change a verdict, since validation and verification only ever step
@@ -329,39 +301,98 @@ class _Slicer:
        sets a store bit nothing reads and can never make a step
        inconsistent.
     Atoms never match OTHER, so whether a matcher accepts on OTHER* does
-    not depend on the binding; it is decided once per source rule."""
+    not depend on the binding; the plan decides it once per source rule."""
 
-    def __init__(self, spec: LifestateSpec, plans, seen: set[Message]):
-        self.seen = {_key(m): m for m in seen}
-        self.by_shape = _by_shape(self.seen)
-        self.joins = [_Join(rule, names, domains)
-                      for rule, (names, domains) in zip(spec.rules, plans)]
+    def __init__(self, plan: _Plan, trace: Trace):
+        self.plan = plan
+        # Equal values of one parsed trace are one object, so most are
+        # told apart by identity, and hashed once each.
+        params = [(m, m.args if m.ret is None else (*m.args, m.ret))
+                  for m in (m.unwrap() if m.is_dis() else m for m in trace.messages)]
+        flat = [v for _, values in params for v in values]
+        objects = dict(zip(map(id, flat), flat))
+        in_trace = set(objects.values())
+        self.values = sorted(in_trace | plan.constants, key=lambda v: v.sort_key())
+        ids = {v: i for i, v in enumerate(self.values)}
+        id_of = {key: ids[v] for key, v in objects.items()}
+        # Per annotation (None for untyped) the ids of the trace's values.
+        domain: dict[Optional[str], list[int]] = {None: []}
+        for i, v in enumerate(self.values):
+            if v in in_trace:
+                domain[None].append(i)
+                if value_type_name(v) is not None:
+                    domain.setdefault(value_type_name(v), []).append(i)
+        members = {ty: frozenset(d) for ty, d in domain.items()}
+        self.domains = [tuple(domain.get(ty, ()) for ty in types) for types in plan.types]
+        self.members = [tuple(members.get(ty, frozenset()) for ty in types)
+                        for types in plan.types]
+        self.patterns = [[(shape, tuple(p if isinstance(p, int) else ~ids[p] for p in params))
+                          for shape, params in patterns] for patterns in plan.patterns]
+        # The trace's messages, then every target and atom built.
+        self.messages: dict[tuple, Message] = {}
+        for m, values in params:
+            self.messages.setdefault(((m.kind, m.fun, len(values)),
+                                      tuple([id_of[id(v)] for v in values])), m)
+        self.seen = frozenset(self.messages)
+        by_shape = _by_shape(self.seen)
+        # Per rule and pattern, the trace messages it unifies with.
+        self.hits = [[list(self.unify(r, pattern, by_shape)) for pattern in patterns]
+                     for r, patterns in enumerate(self.patterns)]
+        # Trace messages that unify with a pattern of a rule with instances.
+        self.relevant = frozenset(self.messages[key] for r, hits in enumerate(self.hits)
+                                  if all(self.domains[r]) for pattern in hits
+                                  for key, _ in pattern)
 
-    def message(self, pattern, assignment: tuple[Value, ...]) -> Message:
-        """The pattern under a value assignment: the trace's own message
-        where one is equal, so each is built and hashed once."""
-        (kind, fun, _), params = pattern
-        values = tuple([assignment[p] if isinstance(p, int) else p for p in params])
-        m = self.seen.get((pattern[0], values))
+    def unify(self, r: int, pattern, keys: dict) -> Iterator[tuple[tuple, dict[int, int]]]:
+        """The keys rule r's pattern unifies with, each with the id it
+        fixes for each of the pattern's variables."""
+        shape, params = pattern
+        members = self.members[r]
+        for ids in keys.get(shape, ()):
+            fixed: dict[int, int] = {}
+            for p, v in zip(params, ids):
+                if p >= 0:
+                    if v not in members[p] or fixed.setdefault(p, v) != v:
+                        break
+                elif p != ~v:
+                    break
+            else:
+                yield (shape, ids), fixed
+
+    def size(self, r: int, fixed: dict[int, int]) -> int:
+        """How many of rule r's assignments agree with fixed."""
+        return math.prod(len(d) for s, d in enumerate(self.domains[r]) if s not in fixed)
+
+    def extend(self, r: int, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        """Every assignment of rule r that agrees with fixed."""
+        return itertools.product(*[(fixed[s],) if s in fixed else d
+                                   for s, d in enumerate(self.domains[r])])
+
+    @staticmethod
+    def key(pattern, a: tuple[int, ...]) -> tuple:
+        shape, params = pattern
+        return shape, tuple([a[p] if p >= 0 else ~p for p in params])
+
+    def message(self, pattern, a: tuple[int, ...]) -> Message:
+        """The pattern under assignment a: the trace's own message where
+        one is equal, so each is built and hashed once."""
+        key = self.key(pattern, a)
+        m = self.messages.get(key)
         if m is None:
-            ret = values[-1] if kind in RETURN_KINDS else None
-            m = Message(kind, fun, values if ret is None else values[:-1], ret)
+            (kind, fun, _), ids = key
+            values = [self.values[i] for i in ids]
+            ret = values.pop() if kind in RETURN_KINDS else None
+            m = self.messages[key] = Message(kind, fun, tuple(values), ret)
         return m
 
-    def relevant(self) -> frozenset[Message]:
-        """Trace messages that unify with an atom or the target of a rule
-        whose every variable has a value: the full grounding's atom and
-        target messages among the trace's."""
-        out = set()
-        for join in self.joins:
-            if all(join.domains):
-                for pattern in join.patterns:
-                    out.update(self.seen[key] for key, _ in join.unify(pattern, self.by_shape))
-        return frozenset(out)
+    def alphabet(self) -> tuple[Message, ...]:
+        """The trace's messages and every target and atom built, in
+        message order."""
+        return tuple(self.messages[key] for key in sorted(self.messages, key=_order))
 
-    def kept(self, charges: _Cap) -> list[list[tuple[Value, ...]]]:
-        """Per rule, the value assignments of the kept instances, in the
-        full grounding's order.
+    def kept(self, charges: _Cap) -> list[list[tuple[int, ...]]]:
+        """Per rule, the assignments of the kept instances, in the full
+        grounding's order.
 
         They are the kind-1 survivors whose target occurs in the trace or
         is mixed: an unseen target that kind-1 survivors of both
@@ -370,44 +401,41 @@ class _Slicer:
         other assignment comes from joining a target with the seen and
         mixed messages.  Every enumerated assignment is charged to its
         rule before it is made."""
-        def extend(idx: int, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-            charges.charge(idx, self.joins[idx].size(fixed))
-            return self.joins[idx].extend(fixed)
+        def extend(r: int, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
+            charges.charge(r, self.size(r, fixed))
+            return self.extend(r, fixed)
 
-        accepts = [_accepts_on_other(join.matcher) for join in self.joins]
+        permit = self.plan.permit
+        # Per rule, partial assignments whose every extension survives kind 1.
         survivors, sizes = [], {True: 0, False: 0}
-        for join, accept in zip(self.joins, accepts):
-            # Partial assignments whose every extension survives kind 1.
-            fixings = [{}] if accept else [fixed for atom in join.patterns[1:]
-                                           for _, fixed in join.unify(atom, self.by_shape)]
+        for r, (hits, accepts) in enumerate(zip(self.hits, self.plan.accepts)):
+            fixings = [{}] if accepts else [fixed for atom in hits[1:] for _, fixed in atom]
             survivors.append(fixings)
-            sizes[join.permit] += sum(map(join.size, fixings))
+            sizes[permit[r]] += sum(self.size(r, fixed) for fixed in fixings)
         few = sizes[True] <= sizes[False]
         unseen = set()
-        for idx, (join, fixings) in enumerate(zip(self.joins, survivors)):
-            if join.permit == few:
+        for r, fixings in enumerate(survivors):
+            if permit[r] == few:
                 for fixed in fixings:
-                    for a in extend(idx, fixed):
-                        unseen.add(join.key(join.patterns[0], a))
+                    for a in extend(r, fixed):
+                        unseen.add(self.key(self.patterns[r][0], a))
         unseen = _by_shape(unseen.difference(self.seen))
-        targets = set(self.seen)
-        for idx, (join, accept) in enumerate(zip(self.joins, accepts)):
-            if join.permit != few:
-                for key, fixed in join.unify(join.patterns[0], unseen):
-                    if any(self._fires(join, accept, a) for a in extend(idx, fixed)):
-                        targets.add(key)
-        targets = _by_shape(targets)
-        out = []
-        for idx, (join, accept) in enumerate(zip(self.joins, accepts)):
-            kept = sorted(a for _, fixed in join.unify(join.patterns[0], targets)
-                          for a in extend(idx, fixed) if self._fires(join, accept, a))
-            out.append([tuple(d[j] for d, j in zip(join.domains, a)) for a in kept])
-        return out
+        mixed = set()
+        for r, patterns in enumerate(self.patterns):
+            if permit[r] != few:
+                for key, fixed in self.unify(r, patterns[0], unseen):
+                    if any(self._fires(r, a) for a in extend(r, fixed)):
+                        mixed.add(key)
+        mixed = _by_shape(mixed)
+        return [sorted(a for _, fixed in [*hits[0], *self.unify(r, self.patterns[r][0], mixed)]
+                       for a in extend(r, fixed) if self._fires(r, a))
+                for r, hits in enumerate(self.hits)]
 
-    def _fires(self, join: _Join, accepts: bool, a: tuple[int, ...]) -> bool:
-        """Whether assignment a survives kind 1: the matcher accepts on
-        OTHER* or one of its atoms occurs in the trace."""
-        return accepts or any(join.key(atom, a) in self.seen for atom in join.patterns[1:])
+    def _fires(self, r: int, a: tuple[int, ...]) -> bool:
+        """Whether rule r's assignment a survives kind 1: the matcher
+        accepts on OTHER* or one of its atoms occurs in the trace."""
+        return self.plan.accepts[r] or any(self.key(atom, a) in self.seen
+                                           for atom in self.patterns[r][1:])
 
 
 def _accepts_on_other(matcher: Matcher) -> bool:
@@ -476,16 +504,16 @@ def letter_map(alphabet: Iterable[Message]) -> dict[Message, int]:
 
 def compile_spec(ground: GroundSpec) -> tuple[CompiledRule, ...]:
     """Compile every ground rule; instances whose local regexes are equal
-    share one DFA, across rules too."""
+    share one DFA, across rules and across the groundings of one spec
+    object, whose plan keeps the DFAs.  A DfaSizeError is not kept, so
+    each compilation that meets it names its own instance.  Only
+    ground_spec's output, which carries its spec's plan, can be compiled."""
     letter_of = letter_map(ground.alphabet)
-    templates: dict[int, tuple[Message, ...]] = {}  # per source index, its distinct atoms
-    dfas: dict[tuple[int, tuple[int, ...]], _dfa.Dfa] = {}  # per (source index, numbering)
-    shapes: dict[_dfa.Re, _dfa.Dfa] = {}
+    plan = ground._plan
+    dfas, shapes = plan.dfas, plan.shapes
     out = []
     for rule in ground.rules:
-        template = templates.get(rule.source_index)
-        if template is None:
-            template = templates[rule.source_index] = _distinct_atoms(rule.rule.matcher)
+        template = plan.templates[rule.source_index]
         numbering = tuple(range(len(template)))
         if len(rule.atoms) < len(template):
             local, binding = {m: i for i, m in enumerate(rule.atoms)}, dict(rule.binding)

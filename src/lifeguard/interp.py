@@ -176,8 +176,8 @@ class _Parser(Cursor):
     is let-bound to a fresh ``%n`` temporary as soon as it is parsed, so
     temporaries are numbered in source order, inner ones first."""
 
-    def __init__(self, tokens):
-        super().__init__(tokens, ProgramError)
+    def __init__(self, tokens, end: int):
+        super().__init__(tokens, ProgramError, end)
         self.fresh = itertools.count()
 
     def atom(self, expr: Expr, lets: list[tuple[str, Expr]]) -> Expr:
@@ -194,7 +194,7 @@ class _Parser(Cursor):
     def parse_expr(self, bound: frozenset[str], pkg: Optional[str], seq: bool = True) -> Expr:
         tok = self.peek()
         if tok is None:
-            raise ProgramError("unexpected end of program")
+            self.next()  # raises: the program has ended
         if tok.text == "let":
             self.next()
             name_tok = self.next()
@@ -229,7 +229,7 @@ class _Parser(Cursor):
             return self.parse_operand(bound, pkg)
         self.next()
         if tok.text in _PERMISSION_OPS and pkg == APP:
-            raise ProgramError(f"app code may not use {tok.text!r}")
+            raise ProgramError(f"app code may not use {tok.text!r}", tok.line)
         lets: list[tuple[str, Expr]] = []
         operands = tuple(self.atom(self.parse_operand(bound, pkg), lets) for _ in range(arity))
         return _let_all(lets, EPrim(tok.text, operands))
@@ -277,7 +277,7 @@ class _Parser(Cursor):
     def parse_operand(self, bound: frozenset[str], pkg: Optional[str]) -> Expr:
         tok = self.peek()
         if tok is None:
-            raise ProgramError("unexpected end of program")
+            self.next()  # raises: the program has ended
         if self._lambda_ahead():
             return self.parse_lambda(bound)
         if tok.kind == "ident" and self.peek(1) is not None and self.peek(1).text == "=>":
@@ -293,7 +293,7 @@ class _Parser(Cursor):
         if tok.kind == "ident":
             if tok.text == "thk":
                 if pkg is None:
-                    raise ProgramError("'thk' outside a function body")
+                    raise ProgramError("'thk' outside a function body", tok.line)
                 self.next()
                 return EThk()
             if tok.text == "force":
@@ -301,7 +301,7 @@ class _Parser(Cursor):
             if tok.text in KEYWORDS:
                 raise ProgramError(f"unexpected keyword {tok.text!r}", tok.line)
             if tok.text not in bound:
-                raise ProgramError(f"unbound identifier {tok.text!r}")
+                raise ProgramError(f"unbound identifier {tok.text!r}", tok.line)
             self.next()
             return EVar(tok.text)
         raise ProgramError(f"unexpected token {tok.text!r}", tok.line)
@@ -316,9 +316,10 @@ def _let_all(lets: list[tuple[str, Expr]], body: Expr) -> Expr:
 
 def parse_program(text: str) -> Expr:
     """Parse, scope-check, and normalize a surface program."""
-    tokens = [tok for lineno, raw in enumerate(text.split("\n"), start=1)
+    lines = text.split("\n")
+    tokens = [tok for lineno, raw in enumerate(lines, start=1)
               for tok in tokenize(strip_comment(raw), lineno, ProgramError)]
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, len(lines))
     expr = parser.parse_expr(frozenset(), None)
     if parser.peek() is not None:
         tok = parser.peek()

@@ -69,7 +69,9 @@ class Record:
     slots its own class declares, except names that start with an
     underscore: records of one class with equal keys are equal, and a
     record hashes as its key.  A slot that a base class declares is not
-    compared."""
+    compared.  An underscore slot, also left out of the repr, holds what is
+    computed from the fields: it alone may be set or filled later, as a
+    cache (``LifestateSpec._plan``)."""
 
     __slots__ = ()
 
@@ -97,7 +99,8 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                           if not name.startswith("_"))
         return f"{type(self).__name__}({fields})"
 
 
@@ -434,12 +437,14 @@ def tokenize(text: str, line: int, error) -> list[Token]:
 
 class Cursor:
     """A position in a token list, for the recursive-descent spec and
-    program parsers; errors are raised as ``error(message, line)``."""
+    program parsers; errors are raised as ``error(message, line)``.  The
+    input ends on its last token's line, or on line end when it has none."""
 
-    def __init__(self, tokens: list[Token], error):
+    def __init__(self, tokens: list[Token], error, end: Optional[int] = None):
         self.tokens = tokens
         self.error = error
         self.pos = 0
+        self.end = tokens[-1].line if tokens else end
 
     def peek(self, offset: int = 0) -> Optional[Token]:
         idx = self.pos + offset
@@ -448,8 +453,7 @@ class Cursor:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1].line if self.tokens else None
-            raise self.error("unexpected end of input", last)
+            raise self.error("unexpected end of input", self.end)
         self.pos += 1
         return tok
 

@@ -206,10 +206,15 @@ class Rule(Record):
 
 
 class LifestateSpec(Record):
-    __slots__ = ("rules",)
+    """Rules in file order.  _plan, grounding's plan of them, is a cache
+    that ground_spec sets on first use and compile_spec fills; every
+    grounding of this object, and every engine built from one, shares it."""
+
+    __slots__ = ("rules", "_plan")
 
     def __init__(self, rules: tuple[Rule, ...] = ()):
         self.rules = rules
+        self._plan = None
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)

@@ -30,14 +30,14 @@ STUCK = {
 }
 
 BROKEN = {
-    "unbound": (BOOT.format("y"), "unbound identifier 'y'"),
+    "unbound": (BOOT.format("y"), "line 1: unbound identifier 'y'"),
     "thk-top-level": ("let boot = (x =>[fwk] unit) in\ninvoke thk\n",
-                      "'thk' outside a function body"),
+                      "line 2: 'thk' outside a function body"),
     "app-enable": ("let cb = (y =>[app] enable thk) in\n" + BOOT.format("invoke (bind cb x)"),
-                   "app code may not use 'enable'"),
+                   "line 1: app code may not use 'enable'"),
     "force": (BOOT.format("unit;\n  force x"), "line 2: 'force' is machine-internal"),
     "duplicate-parameters": ("let boot = ((x, x) =>[fwk] x) in\ninvoke (bind boot unit)\n",
                              "line 1: duplicate parameter names"),
     "unexpected-end": ("let boot = (x =>[fwk] unit) in\ninvoke (bind boot",
-                       "unexpected end of program"),
+                       "line 2: unexpected end of input"),
 }

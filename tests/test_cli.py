@@ -463,6 +463,32 @@ class TestErrorPaths:
         assert all(row["reason"].startswith("spec rule #1, ") for row in rows)
         assert all("exceeded 0 states" in row["reason"] for row in rows)
 
+    def test_dfa_cap_overflow_names_each_traces_own_instance(self, capsys, monkeypatch,
+                                                            tmp_path):
+        """The corpus shares one spec object, whose plan keeps DFAs but not
+        a DFA that failed: each trace's row names its own instance."""
+        from lifeguard import dfa
+
+        build = dfa.build_dfa
+        monkeypatch.setattr(dfa, "build_dfa",
+                            lambda regex, n_letters: build(regex, n_letters, 0))
+        spec = tmp_path / "spec.ls"
+        spec.write_text("eps ; TRUE -/> ci start(forall x:Widget)\n")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i in (1, 2):
+            w = f"w#{i}:Widget"
+            (corpus / f"t{i}.trace").write_text(
+                f"cb onShow({w})\nci start({w})\nciret unit = start({w})\ncbret unit = onShow({w})\n")
+        code, out, err = run_cli(capsys, "validate", "--spec", str(spec),
+                                 "--corpus", str(corpus), "--report", "json")
+        assert code == 1 and err == ""
+        rows = json.loads(out)["results"]
+        assert [row["verdict"] for row in rows] == ["error", "error"]
+        for i, row in enumerate(rows, start=1):
+            assert row["reason"] == (f"spec rule #1, instance eps ; TRUE prohibit "
+                                     f"ci start(w#{i}:Widget): DFA construction exceeded 0 states")
+
 
 class TestGroundingCap:
     """A single-trace validate or verify whose grounding exceeds the cap

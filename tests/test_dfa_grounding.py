@@ -237,7 +237,7 @@ class TestValueUniverse:
             "cbret unit = onShow(b#2:Button)\n"
         )
         u = value_universe(parse_trace(text))
-        assert len(u.of_type("Button")) == 2
+        assert len(dict(u.by_type)["Button"]) == 2
 
 
 class TestGroundSpec:
@@ -312,7 +312,9 @@ class TestGroundSpec:
                 annotations = rule_annotations(rule)
                 names = sorted(free_vars(rule))
                 domains = [
-                    u.of_type(annotations[n]) if annotations.get(n) else u.all_values()
+                    dict(u.by_type).get(annotations[n], ()) if annotations.get(n)
+                    else sorted((*(v for _, vs in u.by_type for v in vs), *u.constants),
+                                key=lambda v: v.sort_key())
                     for n in names
                 ]
                 symbolic = set()

@@ -51,8 +51,12 @@ class TestParseProgram:
             parse_program("invoke thk")
 
     @pytest.mark.parametrize("text,message", [
-        ("", "unexpected end of program"),
-        ("# only a comment\n", "unexpected end of program"),
+        ("", "line 1: unexpected end of input"),
+        ("# only a comment\n", "line 2: unexpected end of input"),
+        ("let x", "line 1: unexpected end of input"),
+        ("let x =", "line 1: unexpected end of input"),
+        ("let x = unit", "line 1: unexpected end of input"),
+        ("let x = unit in\n\n", "line 1: unexpected end of input"),
         ("let f = ((x, y, x) =>[fwk] x) in unit", "line 1: duplicate parameter names"),
         ("invoke force", "line 1: 'force' is machine-internal"),
         *BROKEN.values(),
@@ -64,13 +68,13 @@ class TestParseProgram:
 
     @pytest.mark.parametrize("text,message", [
         # A scope error before a syntax error is the one reported.
-        ("let f = (x =>[fwk] y) in (", "unbound identifier 'y'"),
-        ("let f = (x =>[fwk] thk) in invoke thk )", "'thk' outside a function body"),
+        ("let f = (x =>[fwk] y) in (", "line 1: unbound identifier 'y'"),
+        ("let f = (x =>[fwk] thk) in\ninvoke thk )", "line 2: 'thk' outside a function body"),
         # Duplicate parameters are checked before the body is read.
         ("let f = ((x, x) =>[fwk] y) in unit", "line 1: duplicate parameter names"),
         # The op is checked before its operands.
-        ("let f = (x =>[app] enable (bind g y)) in unit", "app code may not use 'enable'"),
-        ("let f = (x =>[fwk] if y then z else unit) in unit", "unbound identifier 'y'"),
+        ("let f = (x =>[app] enable (bind g y)) in unit", "line 1: app code may not use 'enable'"),
+        ("let f = (x =>[fwk] if y then z else unit) in unit", "line 1: unbound identifier 'y'"),
     ])
     def test_the_first_error_in_source_order_is_reported(self, text, message):
         with pytest.raises(ProgramError) as caught:

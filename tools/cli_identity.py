@@ -17,7 +17,11 @@ json, --stats, --mode bounded:2 --report json, and --mode bounded:64
 --stats, which pins exact BFS state counts) and explain for every
 fixtures/*.ls spec against both fixture traces and the n = 4 and n = 8
 pair traces with no and with one skipping pair; validate --corpus (text
-and json) per spec over all those traces; validate and verify (text and
+and json) per spec over all those traces, and over a second corpus that
+holds the malformed trace below, the over-cap trace, the n = 8 pair trace
+named to sort before an n = 4 one, and both fixture traces, so that one
+spec object meets a failing trace, a large trace before a small one, and
+every kind of row; validate and verify (text and
 json) of a spec whose grounding exceeds the instantiation cap; ground,
 validate, verify and explain under every spec of trace_fixed.trace
 rewritten with comments, blank lines, tabs and CRLF line ends, and the
@@ -97,6 +101,12 @@ def _inputs(work: pathlib.Path) -> tuple[list[str], ...]:
     malformed = noisy.replace(")  # message 10", ")# message 10")
     assert malformed != noisy
     (work / "malformed.trace").write_bytes(malformed.encode("utf-8"))
+    mixed = work / "corpus2"
+    mixed.mkdir()
+    for name in ("malformed.trace", "cap.trace", "trace_fixed.trace", "trace_buggy.trace"):
+        shutil.copy(work / name, mixed / name)
+    shutil.copy(work / "pairs8.trace", mixed / "a_pairs8.trace")
+    shutil.copy(work / "pairs4.trace", mixed / "b_pairs4.trace")
     specs = sorted(p.name for p in fixtures.glob("*.ls"))
     programs = sorted(p.name for p in fixtures.glob("*.ll")) + ["program_stuck.ll"]
     schedules = sorted(p.name for p in fixtures.glob("*.sched"))
@@ -115,8 +125,8 @@ def commands(specs, traces, programs, schedules, failing) -> list[list[str]]:
                     ["verify", *st, "--mode", "bounded:2", "--report", "json"],
                     ["verify", *st, "--mode", "bounded:64", "--stats"],
                     ["explain", *st]]
-        out += [["validate", "--spec", spec, "--corpus", "corpus"],
-                ["validate", "--spec", spec, "--corpus", "corpus", "--report", "json"]]
+        out += [["validate", "--spec", spec, "--corpus", corpus, *report]
+                for corpus in ("corpus", "corpus2") for report in ([], ["--report", "json"])]
     for spec in specs:
         out += [[command, "--spec", spec, "--trace", "noisy.trace"]
                 for command in ("ground", "validate", "verify", "explain")]
