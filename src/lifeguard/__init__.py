@@ -11,7 +11,7 @@ from .messages import (
     serialize_trace,
 )
 from .rules import LifestateSpec, Rule, parse_spec
-from .grounding import ground_spec, value_universe
+from .grounding import ground_spec
 from .validation import ValidationReport, validate
 from .verification import Safe, Unknown, Violation, split_subtraces, verify
 
@@ -25,7 +25,6 @@ __all__ = [
     "Rule",
     "parse_spec",
     "ground_spec",
-    "value_universe",
     "ValidationReport",
     "validate",
     "Safe",

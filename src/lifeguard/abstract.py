@@ -14,13 +14,16 @@ state keeps the sorted indices of the rules that are not (live), and a
 step moves only the live rules by OTHER and the few rules whose atoms
 include the letter by their own columns.  The firing word is ORed over
 the live rules only.  A step therefore costs what the letter and the
-history touch, not the number of ground rules.
+history touch, not the number of ground rules.  What a step reads of a
+DFA is laid out once per DFA that rules share, in one _Table.
 
-The engine interns every alphabet message as its index (its letter), and
-a store is an int bitmask over letters: bit i is set iff alphabet[i] is in
-the store.  The OTHER letter's bit lies outside both store masks, so OTHER
-is never permitted, prohibited or blocked.  Messages are decoded back to
-Message records only for reports (decode).
+The engine numbers the alphabet once, each message as its index (its
+letter), and compiles the rules against that numbering.  A store is an
+int bitmask over letters: bit i is set iff alphabet[i] is in the store,
+and the back and in masks are the alphabet's letters of each kind.  The
+OTHER letter's bit lies outside both, so OTHER is never permitted,
+prohibited or blocked.  Messages are decoded back to Message records
+only for reports (decode).
 Every rule's DFA state is packed into one int, w bits per rule (w fits
 the largest state index of any DFA), so a step XOR-patches the rules it
 moved and a state copies and hashes in one int.  A state is the plain
@@ -35,9 +38,9 @@ store to the full in-message alphabet, exactly as the update formulas read.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .dfa import Dfa
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
 
@@ -79,44 +82,43 @@ class AbstractEngine:
     verification and explain."""
 
     def __init__(self, ground: GroundSpec):
-        self.rules = compile_spec(ground)
         self.alphabet = ground.alphabet
         self.letters = letter_map(ground.alphabet)
+        self.rules = compile_spec(ground, self.letters)
         self.other_letter = len(ground.alphabet)
-        self.back_alphabet = ground.back_alphabet()
-        self.in_alphabet = ground.in_alphabet()
-        self.back_mask = sum(1 << self.letters[m] for m in self.back_alphabet)
-        self.in_mask = sum(1 << self.letters[m] for m in self.in_alphabet)
-        # Per shared DFA and local letter, the next state by state; per
-        # shared DFA and state, whether a rule there is at rest.
+        self.back_mask = self.in_mask = 0
+        for letter, m in enumerate(ground.alphabet):
+            if m.is_back():
+                self.back_mask |= 1 << letter
+            elif m.is_in():
+                self.in_mask |= 1 << letter
         dfas = {id(rule.dfa): rule.dfa for rule in self.rules}
-        moves = {key: tuple(zip(*dfa.transitions)) for key, dfa in dfas.items()}
-        rest = {key: tuple(other == sid and not accepting for sid, (other, accepting)
-                           in enumerate(zip(moves[key][-1], dfa.accepting)))
-                for key, dfa in dfas.items()}
-        self._width = max([(dfa.n_states - 1).bit_length() for dfa in dfas.values()] + [1])
+        tables = {key: _table(dfa) for key, dfa in dfas.items()}
+        self._tables = tuple(tables[id(rule.dfa)] for rule in self.rules)
+        self._width = max([(len(t.rest) - 1).bit_length() for t in tables.values()] + [1])
         self._state_mask = (1 << self._width) - 1
-        self._other = tuple(moves[id(rule.dfa)][-1] for rule in self.rules)
-        # Per rule, the state it must be in when not live and when live:
-        # its DFA's one rest state and its one busy state, or None where
-        # the DFA has several and the packed word must be read.
-        known = {key: (_only([sid for sid, r in enumerate(at_rest) if r]),
-                       _only([sid for sid, r in enumerate(at_rest) if not r]))
-                 for key, at_rest in rest.items()}
-        self._known = tuple(known[id(rule.dfa)] for rule in self.rules)
-        self._patches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for i, rule in enumerate(self.rules):
-            for move, letter in zip(moves[id(rule.dfa)], rule.columns):
-                self._patches.setdefault(letter, []).append((i, move))
-        # Per rule and DFA state, what the rule contributes to the firing
-        # word: None where the rule is at rest; 0 where the state rejects;
-        # else its target bit, moved above the other_letter + 1 permit bits
-        # for a prohibit rule.
+        # advance reads these two per rule at every step.
+        self._other = tuple(t.columns[-1] for t in self._tables)
+        self._known = tuple(t.known for t in self._tables)
         self._shift = self.other_letter + 1
         self._permit_bits = (1 << self._shift) - 1
-        self._fire = tuple(_fire(rule, 0 if rule.is_permit() else self._shift,
-                                 rest[id(rule.dfa)])
-                           for rule in self.rules)
+        # Per letter, the rules it moves by their own column.  Per rule and
+        # DFA state, what the rule contributes to the firing word: None
+        # where the rule is at rest; 0 where the state rejects; else its
+        # target bit, moved above the other_letter + 1 permit bits for a
+        # prohibit rule.  Per rule whose DFA accepts in a state fixed under
+        # OTHER (steady), that bit, which it fires there at every step.
+        self._patches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        self._fire: list[tuple[Optional[int], ...]] = []
+        self._steady: dict[int, int] = {}
+        for i, (rule, table) in enumerate(zip(self.rules, self._tables)):
+            for move, letter in zip(table.columns, rule.columns):
+                self._patches.setdefault(letter, []).append((i, move))
+            bit = rule.target_bit << (0 if rule.is_permit() else self._shift)
+            self._fire.append(tuple(None if at_rest else bit if accepts else 0
+                                    for accepts, at_rest in zip(rule.dfa.accepting, table.rest)))
+            if table.steady:
+                self._steady[i] = bit
 
     def letter(self, m: Message) -> int:
         return self.letters.get(m, self.other_letter)
@@ -168,12 +170,10 @@ class AbstractEngine:
                              (prohibited | prohibits) & ~permits & self.in_mask)
 
     def initial_state(self) -> AbstractState:
-        """Start every rule DFA and evaluate the update functions on the
-        empty history: the permitted store starts from all back-messages,
+        """Start every rule DFA in state 0 and evaluate the update functions
+        on the empty history: the permitted store starts from all back-messages,
         the prohibited store from the empty set."""
-        starts = {i: rule.dfa.start for i, rule in enumerate(self.rules)}
-        word = sum(sid << i * self._width for i, sid in starts.items() if sid)
-        return self._update(word, starts, self.back_mask, 0)
+        return self._update(0, dict.fromkeys(range(len(self.rules)), 0), self.back_mask, 0)
 
     def advance(self, state: AbstractState, letter: int) -> AbstractState:
         """Advance the rules that mention the letter by its column and the
@@ -199,32 +199,11 @@ class AbstractEngine:
                     delta |= (new ^ sid) << i * width
         return self._update(packed ^ delta, moved, state.permitted, state.prohibited)
 
-    # Verification alone reads the rest of the engine, so it is built on
-    # first use.
-
-    @cached_property
-    def _fixed(self) -> tuple[frozenset[int], ...]:
-        """Per rule, the DFA states fixed under OTHER, where it sits in a
-        settled state."""
-        fixed: dict[int, frozenset[int]] = {}
-        for other in self._other:  # one tuple per shared DFA
-            if id(other) not in fixed:
-                fixed[id(other)] = frozenset(sid for sid, to in enumerate(other) if to == sid)
-        return tuple(fixed[id(other)] for other in self._other)
-
-    @cached_property
-    def _steady(self) -> dict[int, int]:
-        """Per rule whose DFA accepts in a state fixed under OTHER (steady),
-        what it fires there at every step."""
-        return {i: _word(self._fire[i], fixed) for i, (rule, fixed)
-                in enumerate(zip(self.rules, self._fixed))
-                if any(rule.dfa.accepting[sid] for sid in fixed)}
-
     def settled(self, state: AbstractState) -> bool:
         """The last update was consistent and no rule moves under OTHER,
         so a letter leaves every rule outside its patches where it is."""
         return not state.inconsistent and all(
-            self.rule_state(state, i) in self._fixed[i] for i in state.live)
+            self.rule_state(state, i) in self._tables[i].fixed for i in state.live)
 
     def footprint(self, letters: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
         """What folding the letters from any settled state can touch: the
@@ -272,7 +251,7 @@ class AbstractEngine:
         words (if any) what it may fire at each step: whether it ends fixed
         under OTHER."""
         other, fire = self._other[i], self._fire[i]
-        states, k = self._fixed[i], 0
+        states, k = self._tables[i].fixed, 0
         for column, move in moved_at + [(n, None)]:
             while k < column and (words or any(other[s] != s for s in states)):
                 states = {other[sid] for sid in states}
@@ -301,11 +280,27 @@ class AbstractEngine:
             state = after
 
 
-def _fire(rule: CompiledRule, shift: int, rest: tuple[bool, ...]
-          ) -> tuple[Optional[int], ...]:
-    bit = rule.target_bit << shift
-    return tuple(None if at_rest else bit if accepting else 0
-                 for accepting, at_rest in zip(rule.dfa.accepting, rest))
+class _Table(NamedTuple):
+    """One shared DFA as the engine reads it: per local letter (OTHER last)
+    the next state by state, the states fixed under OTHER, per state
+    whether a rule there is at rest, the one rest and the one busy state
+    (each None unless there is exactly one), and whether a fixed state accepts."""
+
+    columns: tuple[tuple[int, ...], ...]
+    fixed: frozenset[int]
+    rest: tuple[bool, ...]
+    known: tuple[Optional[int], Optional[int]]
+    steady: bool
+
+
+def _table(dfa: Dfa) -> _Table:
+    columns = tuple(zip(*dfa.transitions))
+    fixed = frozenset(sid for sid, to in enumerate(columns[-1]) if to == sid)
+    rest = tuple(sid in fixed and not accepting for sid, accepting in enumerate(dfa.accepting))
+    resting = [sid for sid, at_rest in enumerate(rest) if at_rest]
+    busy = [sid for sid, at_rest in enumerate(rest) if not at_rest]
+    known = tuple(states[0] if len(states) == 1 else None for states in (resting, busy))
+    return _Table(columns, fixed, rest, known, any(dfa.accepting[sid] for sid in fixed))
 
 
 def _word(fire: tuple[Optional[int], ...], states: Iterable[int]) -> int:
@@ -314,7 +309,3 @@ def _word(fire: tuple[Optional[int], ...], states: Iterable[int]) -> int:
     for sid in states:
         word |= fire[sid] or 0
     return word
-
-
-def _only(states: list[int]) -> Optional[int]:
-    return states[0] if len(states) == 1 else None

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .abstract import AbstractEngine
 from .grounding import (DEFAULT_INSTANTIATION_CAP, GroundingCapError, GroundingError,
-                        compile_spec, ground_spec)
+                        compile_spec, ground_spec, letter_map)
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import ARROWS, SpecError, load_spec
 from .validation import (NOT_PERMITTED, PROHIBITED, ValidationTimeout, trace_mask, validate,
@@ -154,29 +154,25 @@ def _cmd_validate(args) -> int:
                   "prefix_histogram": histogram, "lines": lines}
         _emit(report, args.report)
         return EXIT_OK if n_valid == len(results) else EXIT_FAIL
-    try:
-        trace = load_trace(args.trace)
-        report = validate(spec, trace, timeout=args.timeout)
-    except (ValidationTimeout, GroundingCapError) as e:
-        _emit({"command": "validate", "trace": args.trace, "verdict": "unknown",
-               "reason": str(e), "lines": [f"unknown: {e}"]}, args.report)
+    d = _validate_one(spec, args.trace, args.timeout)
+    if d["verdict"] == "error":
+        print(f"error: {d['reason']}", file=sys.stderr)
         return EXIT_UNKNOWN
-    d = _validation_report_dict(args.trace, report)
-    if report.valid:
-        d["lines"] = [f"valid ({report.prefix_len}/{report.total_len} messages; "
-                      f"{report.prefix_len_filtered} spec-relevant)"]
+    if d["verdict"] == "unknown":
+        d["lines"] = [f"unknown: {d['reason']}"]
+    elif d["verdict"] == "valid":
+        d["lines"] = [f"valid ({d['prefix_len']}/{d['total_len']} messages; "
+                      f"{d['prefix_len_filtered']} spec-relevant)"]
     else:
         d["lines"] = [
-            f"invalid at message {report.prefix_len + 1}: "
-            f"{format_message(report.blocking_message)}",
-            f"reason: {report.reason}",
-            f"validated prefix: {report.prefix_len}/{report.total_len} messages "
-            f"({report.prefix_len_filtered} spec-relevant)",
-            f"last rules touching this message: "
-            f"{[i + 1 for i in report.last_firing_rules] or 'none'}",
+            f"invalid at message {d['prefix_len'] + 1}: {d['blocking_message']}",
+            f"reason: {d['reason']}",
+            f"validated prefix: {d['prefix_len']}/{d['total_len']} messages "
+            f"({d['prefix_len_filtered']} spec-relevant)",
+            f"last rules touching this message: {d['last_firing_rules'] or 'none'}",
         ]
     _emit(d, args.report)
-    return EXIT_OK if report.valid else EXIT_FAIL
+    return {"valid": EXIT_OK, "invalid": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[d["verdict"]]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ def _cmd_ground(args) -> int:
     lines.append(f"alphabet: {len(ground.alphabet)} messages (+1 OTHER class)")
     lines.append(f"{'rule':>5} {'instances':>10} {'sliced':>7} {'dfa states (per instance)':>28}")
     per_rule_states: dict[int, list[int]] = {}
-    for compiled in compile_spec(ground):
+    for compiled in compile_spec(ground, letter_map(ground.alphabet)):
         per_rule_states.setdefault(compiled.source_index, []).append(compiled.dfa.n_states)
     for idx, (count, kept) in enumerate(zip(ground.instance_counts, sliced.instance_counts)):
         sizes = per_rule_states.get(idx, [])

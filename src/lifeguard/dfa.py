@@ -216,14 +216,13 @@ class DfaSizeError(RuntimeError):
 
 class Dfa(Record):
     """A total deterministic automaton over letters 0..n_letters-1, with
-    transitions[state][letter] the successor state."""
+    transitions[state][letter] the successor state; state 0 is the start."""
 
-    __slots__ = ("n_letters", "transitions", "accepting", "start")
+    __slots__ = ("n_letters", "transitions", "accepting")
 
     def __init__(self, n_letters: int, transitions: tuple[tuple[int, ...], ...],
-                 accepting: tuple[bool, ...], start: int = 0):
-        self.n_letters, self.transitions = n_letters, transitions
-        self.accepting, self.start = accepting, start
+                 accepting: tuple[bool, ...]):
+        self.n_letters, self.transitions, self.accepting = n_letters, transitions, accepting
 
     @property
     def n_states(self) -> int:

@@ -99,35 +99,6 @@ class GroundingCapError(GroundingError):
 DEFAULT_INSTANTIATION_CAP = 200000
 
 
-class ValueUniverse(Record):
-    """Values observed in a trace, keyed by object type, plus the primitive
-    constants that occur (in argument or return position)."""
-
-    __slots__ = ("by_type", "constants")
-
-    def __init__(self, by_type: tuple[tuple[str, tuple[Value, ...]], ...],
-                 constants: tuple[Value, ...]):
-        self.by_type, self.constants = by_type, constants
-
-
-def value_universe(t: Trace) -> ValueUniverse:
-    """Exactly the values occurring in the trace, including return positions."""
-    by_type: dict[str, set[Value]] = {}
-    constants: set[Value] = set()
-    for m in t.messages:
-        for v in values_of_message(m):
-            ty = value_type_name(v)
-            if ty is None:
-                constants.add(v)
-            else:
-                by_type.setdefault(ty, set()).add(v)
-    packed = tuple(
-        (name, tuple(sorted(by_type[name], key=lambda v: v.sort_key())))
-        for name in sorted(by_type)
-    )
-    return ValueUniverse(packed, tuple(sorted(constants, key=lambda v: v.sort_key())))
-
-
 class GroundRule(Record):
     """The instance of rule, the spec's rule number source_index, under
     binding (its free variables in sorted order, each with its value): the
@@ -165,12 +136,6 @@ class GroundSpec(Record):
                  _plan: Optional[_Plan] = None):
         self.rules, self.alphabet = rules, alphabet
         self.instance_counts, self.relevant, self._plan = instance_counts, relevant, _plan
-
-    def back_alphabet(self) -> tuple[Message, ...]:
-        return tuple(m for m in self.alphabet if m.is_back())
-
-    def in_alphabet(self) -> tuple[Message, ...]:
-        return tuple(m for m in self.alphabet if m.is_in())
 
 
 class _Plan:
@@ -502,13 +467,13 @@ def letter_map(alphabet: Iterable[Message]) -> dict[Message, int]:
     return {m: i for i, m in enumerate(alphabet)}
 
 
-def compile_spec(ground: GroundSpec) -> tuple[CompiledRule, ...]:
-    """Compile every ground rule; instances whose local regexes are equal
-    share one DFA, across rules and across the groundings of one spec
-    object, whose plan keeps the DFAs.  A DfaSizeError is not kept, so
-    each compilation that meets it names its own instance.  Only
-    ground_spec's output, which carries its spec's plan, can be compiled."""
-    letter_of = letter_map(ground.alphabet)
+def compile_spec(ground: GroundSpec, letters: dict[Message, int]) -> tuple[CompiledRule, ...]:
+    """Compile every ground rule over letters, the alphabet's letter_map;
+    instances whose local regexes are equal share one DFA, across rules and
+    across the groundings of one spec object, whose plan keeps the DFAs.  A
+    DfaSizeError is not kept, so each compilation that meets it names its
+    own instance.  Only ground_spec's output, which carries its spec's
+    plan, can be compiled."""
     plan = ground._plan
     dfas, shapes = plan.dfas, plan.shapes
     out = []
@@ -530,9 +495,9 @@ def compile_spec(ground: GroundSpec) -> tuple[CompiledRule, ...]:
                         f"{rule.polarity} {format_message(rule.target)}: {e}"
                     ) from None
             dfas[key] = shapes[regex]
-        out.append(CompiledRule(dfas[key], tuple([letter_of[m] for m in rule.atoms]),
+        out.append(CompiledRule(dfas[key], tuple([letters[m] for m in rule.atoms]),
                                 rule.polarity, rule.target, rule.source_index,
-                                1 << letter_of[rule.target]))
+                                1 << letters[rule.target]))
     return tuple(out)
 
 

@@ -103,8 +103,8 @@ def matches(trace: Union[Trace, Sequence[Message]], binding: Binding, matcher: M
 
 
 def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
-    """Does the DFA, run from its start state, accept the word of letters?"""
-    state = dfa.start
+    """Does the DFA, run from its start state 0, accept the word of letters?"""
+    state = 0
     for letter in word:
         state = dfa.transitions[state][letter]
     return dfa.accepting[state]
@@ -120,7 +120,7 @@ def laid_out(rule: CompiledRule, n_letters: int) -> Dfa:
         for column, target in zip(rule.columns, local_row):
             row[column] = target
         transitions.append(tuple(row))
-    return Dfa(n_letters, tuple(transitions), rule.dfa.accepting, rule.dfa.start)
+    return Dfa(n_letters, tuple(transitions), rule.dfa.accepting)
 
 
 def consistent(permits: FrozenSet[Message], prohibits: FrozenSet[Message]) -> bool:
@@ -172,12 +172,12 @@ class ReferenceEngine:
     through their laid-out tables."""
 
     def __init__(self, ground):
-        self.rules = compile_spec(ground)
-        self.tables = tuple(laid_out(rule, len(ground.alphabet) + 1) for rule in self.rules)
         self.letters = letter_map(ground.alphabet)
+        self.rules = compile_spec(ground, self.letters)
+        self.tables = tuple(laid_out(rule, len(ground.alphabet) + 1) for rule in self.rules)
         self.other_letter = len(ground.alphabet)
-        self.back_alphabet = frozenset(ground.back_alphabet())
-        self.in_alphabet = frozenset(ground.in_alphabet())
+        self.back_alphabet = frozenset(m for m in ground.alphabet if m.is_back())
+        self.in_alphabet = frozenset(m for m in ground.alphabet if m.is_in())
         self.alphabet_set = frozenset(ground.alphabet)
 
     def firing_sets(self, rule_states):
@@ -204,7 +204,7 @@ class ReferenceEngine:
                         rule_states, not cons)
 
     def initial_state(self) -> RefState:
-        rule_states = tuple(rule.dfa.start for rule in self.rules)
+        rule_states = (0,) * len(self.rules)
         return self._update(rule_states, self.back_alphabet, frozenset())
 
     def step(self, state: RefState, m: Message):

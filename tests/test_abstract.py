@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lifeguard import abstract, grounding
 from lifeguard.abstract import BAD, BLOCKED, OK, AbstractEngine
 from lifeguard.grounding import ground_spec
 from lifeguard.messages import (
@@ -106,6 +107,37 @@ class TestStoreUpdates:
         assert out == frozenset(inn)
 
 
+class TestBuild:
+    def test_one_numbering_per_engine(self, monkeypatch, spec_run, trace_fixed):
+        """An engine build numbers the alphabet once, and compiles its rules
+        against that numbering."""
+        calls = []
+        letter_map = grounding.letter_map
+
+        def counted(alphabet):
+            calls.append(alphabet)
+            return letter_map(alphabet)
+
+        for module in (grounding, abstract):
+            monkeypatch.setattr(module, "letter_map", counted)
+        for trace in (trace_fixed, pair_trace(3)):
+            calls.clear()
+            engine = AbstractEngine(ground_spec(spec_run, trace))
+            assert calls == [engine.alphabet]
+
+    def test_store_masks_are_the_alphabet_kinds(self, request):
+        """back_mask holds exactly the back-messages of the alphabet and
+        in_mask exactly its in-messages."""
+        for spec in ("spec_run", "spec_lifecycle", "spec_top"):
+            for trace in ("trace_fixed", "trace_buggy"):
+                engine = AbstractEngine(ground_spec(request.getfixturevalue(spec),
+                                                    request.getfixturevalue(trace)))
+                assert engine.decode(engine.back_mask) == tuple(
+                    m for m in engine.alphabet if m.kind in ("cb", "ciret"))
+                assert engine.decode(engine.in_mask) == tuple(
+                    m for m in engine.alphabet if m.kind in ("ci", "cbret"))
+
+
 class TestInitialState:
     def test_fixed_initial_stores(self, engine_fixed):
         s = engine_fixed.initial_state()
@@ -113,7 +145,7 @@ class TestInitialState:
         assert CB_CREATE in permitted
         assert CB_CLICK not in permitted
         assert CB_POST not in permitted
-        for m in engine_fixed.back_alphabet:
+        for m in engine_fixed.decode(engine_fixed.back_mask):
             if m.kind == "ciret":
                 assert m in permitted
         assert prohibited == frozenset()
@@ -121,7 +153,7 @@ class TestInitialState:
     def test_empty_spec_is_top_model(self, trace_fixed):
         engine = AbstractEngine(ground_spec(parse_spec(""), trace_fixed))
         s = engine.initial_state()
-        assert stores(engine, s) == (frozenset(engine.back_alphabet), frozenset())
+        assert stores(engine, s) == (frozenset(engine.decode(engine.back_mask)), frozenset())
 
     def test_eps_prohibit_in_message(self, trace_buggy):
         engine = AbstractEngine(ground_spec(parse_spec("eps -/> ci execute(t#1:AsyncTask)"),
@@ -226,8 +258,8 @@ class TestAbsStep:
 def scratch_outcomes(ground, messages):
     """Fold the store updates using matches() on the full history at every
     step: the defining semantics, with no DFA summarization."""
-    back = ground.back_alphabet()
-    inn = ground.in_alphabet()
+    back = [m for m in ground.alphabet if m.is_back()]
+    inn = [m for m in ground.alphabet if m.is_in()]
     alphabet = set(ground.alphabet)
 
     def firing(history):
@@ -303,7 +335,7 @@ class TestInconsistency:
         engine = AbstractEngine(ground_spec(spec, trace_buggy))
         s = engine.initial_state()
         assert s.inconsistent
-        assert stores(engine, s) == (frozenset(), frozenset(engine.in_alphabet))
+        assert stores(engine, s) == (frozenset(), frozenset(engine.decode(engine.in_mask)))
 
     def test_inconsistency_is_surfaced_not_fatal(self, trace_buggy):
         from lifeguard.rules import parse_spec

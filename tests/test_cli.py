@@ -158,6 +158,26 @@ class TestValidateCommand:
         assert "onPostExecute" in out
         assert "12/16" in out
 
+    @pytest.mark.parametrize("spec", ["spec_run.ls", "spec_run_noenable.ls"])
+    def test_single_report_is_the_corpus_row_with_lines(self, capsys, fixtures_dir, tmp_path,
+                                                        spec):
+        """A single-trace JSON report is the row that validate --corpus
+        gives the same trace, plus the text lines."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("trace_fixed.trace", "trace_buggy.trace"):
+            (corpus / name).write_text((fixtures_dir / name).read_text())
+        spec_path = str(fixtures_dir / spec)
+        _, out, _ = run_cli(capsys, "validate", "--spec", spec_path,
+                            "--corpus", str(corpus), "--report", "json")
+        for row in json.loads(out)["results"]:
+            code, out, err = run_cli(capsys, "validate", "--spec", spec_path,
+                                     "--trace", row["trace"], "--report", "json")
+            doc = json.loads(out)
+            assert (code, err) == ({"valid": 0, "invalid": 1}[row["verdict"]], "")
+            assert doc.pop("schema") == 1 and doc.pop("lines")
+            assert doc == row
+
     def test_corpus_mode(self, capsys, fixtures_dir, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

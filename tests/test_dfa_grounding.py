@@ -8,16 +8,15 @@ from lifeguard.grounding import (
     GroundingError,
     compile_spec,
     ground_spec,
-    value_universe,
+    letter_map,
 )
 from lifeguard.messages import (
     FALSE,
-    UNIT,
     Message,
-    ObjectId,
     Trace,
     format_message,
-    parse_trace,
+    value_type_name,
+    values_of_message,
 )
 from lifeguard.rules import (
     MAny,
@@ -36,14 +35,20 @@ from lifeguard.rules import (
 
 from reference_engine import accepts, matches
 
-A1 = ObjectId("a", 1, "Activity")
-T1 = ObjectId("t", 1, "AsyncTask")
-B1 = ObjectId("b", 1, "Button")
-L1 = ObjectId("l", 1, "OnClickListener")
-
 
 def ci(name, *args):
     return Message("ci", name, tuple(args))
+
+
+def trace_values(trace):
+    """The trace's values, including return positions: per object type its
+    object identities, and the set of primitive constants."""
+    by_type, constants = {}, set()
+    for m in trace.messages:
+        for v in values_of_message(m):
+            ty = value_type_name(v)
+            (constants if ty is None else by_type.setdefault(ty, set())).add(v)
+    return by_type, constants
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +219,6 @@ class TestCanonicalForm:
         assert D.mk_and((a, D.mk_and((b, D.EMPTY)))) == D.EMPTY
 
 
-class TestValueUniverse:
-    def test_empty_trace(self):
-        u = value_universe(Trace(()))
-        assert u.by_type == () and u.constants == ()
-
-    def test_fixed_fixture_universe(self, trace_fixed):
-        u = value_universe(trace_fixed)
-        assert dict((k, set(v)) for k, v in u.by_type) == {
-            "Activity": {A1},
-            "AsyncTask": {T1},
-            "Button": {B1},
-            "OnClickListener": {L1},
-        }
-        assert set(u.constants) == {FALSE, UNIT}
-
-    def test_two_buttons(self):
-        text = (
-            "cb onShow(b#1:Button)\n"
-            "cbret unit = onShow(b#1:Button)\n"
-            "cb onShow(b#2:Button)\n"
-            "cbret unit = onShow(b#2:Button)\n"
-        )
-        u = value_universe(parse_trace(text))
-        assert len(dict(u.by_type)["Button"]) == 2
-
-
 class TestGroundSpec:
     def test_rule_instance_counts_on_fixed(self, spec_run, trace_fixed):
         g = ground_spec(spec_run, trace_fixed)
@@ -305,18 +284,15 @@ class TestGroundSpec:
         # Symbolic firing (exists a binding over the universe) coincides
         # with some ground instance firing, on every prefix.
         g = ground_spec(spec_run, trace_fixed)
-        u = value_universe(trace_fixed)
+        by_type, constants = trace_values(trace_fixed)
+        every_value = set(constants).union(*by_type.values())
         for cut in range(len(trace_fixed) + 1):
             prefix = list(trace_fixed.messages[:cut])
             for idx, rule in enumerate(spec_run.rules):
                 annotations = rule_annotations(rule)
                 names = sorted(free_vars(rule))
-                domains = [
-                    dict(u.by_type).get(annotations[n], ()) if annotations.get(n)
-                    else sorted((*(v for _, vs in u.by_type for v in vs), *u.constants),
-                                key=lambda v: v.sort_key())
-                    for n in names
-                ]
+                domains = [by_type.get(annotations[n], ()) if annotations.get(n) else every_value
+                           for n in names]
                 symbolic = set()
                 for assignment in itertools.product(*domains):
                     binding = dict(zip(names, assignment))
@@ -340,8 +316,8 @@ class TestCompiledRules:
         from reference_engine import laid_out
 
         g = ground_spec(spec_run, trace_fixed)
-        compiled = compile_spec(g)
-        letter_of = {m: i for i, m in enumerate(g.alphabet)}
+        letter_of = letter_map(g.alphabet)
+        compiled = compile_spec(g, letter_of)
         rng = random.Random(5)
         for cr, gr in zip(compiled, g.rules):
             atoms = list(dict.fromkeys(matcher_atoms(gr.matcher)))
@@ -361,14 +337,14 @@ class TestCompiledRules:
 
         g = ground_spec(spec_run, trace_fixed)
         before = held_by_module()
-        first = compile_spec(g)
+        first = compile_spec(g, letter_map(g.alphabet))
         assert held_by_module() == before
-        assert compile_spec(g) == first
+        assert compile_spec(g, letter_map(g.alphabet)) == first
         assert not any(hasattr(v, "cache_info") for v in vars(D).values())
 
     def test_dfa_total(self, spec_run, trace_fixed):
         g = ground_spec(spec_run, trace_fixed)
-        for cr in compile_spec(g):
+        for cr in compile_spec(g, letter_map(g.alphabet)):
             assert cr.dfa.n_letters == len(cr.columns) + 1
             assert len(set(cr.columns)) == len(cr.columns)
             assert all(0 <= c < len(g.alphabet) for c in cr.columns)
@@ -384,7 +360,7 @@ class TestCompiledRules:
         g = ground_spec(spec_run, pair_trace(16))
         tracemalloc.start()
         try:
-            compiled = compile_spec(g)
+            compiled = compile_spec(g, letter_map(g.alphabet))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,8 +374,7 @@ class TestRuleLiteralsVsUniverse:
         # trace_buggy has no setEnabled message, so the literal `false`
         # occurs only inside rule (3); it must reach the alphabet through
         # the ground atom without entering the value universe.
-        u = value_universe(trace_buggy)
-        assert FALSE not in u.constants
+        assert FALSE not in trace_values(trace_buggy)[1]
         g = ground_spec(spec_run, trace_buggy)
         set_enabled = [m for m in g.alphabet if m.fun == "setEnabled"]
         assert len(set_enabled) == 1

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from lifeguard import abstract
 from lifeguard.abstract import OK, AbstractEngine
 from lifeguard.grounding import ground_spec
 from lifeguard.messages import UNIT, Message, ObjectId
@@ -213,3 +214,24 @@ def test_verify_matches_reference_at_state_cap(request):
         for cap in (1, 2, 3):
             assert verify(spec, trace, mode=EXACT, state_cap=cap) == reference_verify(
                 spec, trace, state_cap=cap, ground=ground_spec(spec, trace, sliced=True))
+
+
+@pytest.mark.parametrize("spec_name", ["spec_run", "WIDE"])
+def test_each_distinct_dfa_is_laid_out_once(request, monkeypatch, spec_name):
+    """An engine build derives the tables of each DFA its rules share once,
+    however many rules share it."""
+    spec = WIDE if spec_name == "WIDE" else request.getfixturevalue(spec_name)
+    laid_out_dfas = []
+    table = abstract._table
+
+    def counted(dfa):
+        laid_out_dfas.append(id(dfa))
+        return table(dfa)
+
+    monkeypatch.setattr(abstract, "_table", counted)
+    for trace in [*(request.getfixturevalue(t) for t in FIXTURE_TRACES), pair_trace(4)]:
+        laid_out_dfas.clear()
+        engine = AbstractEngine(ground_spec(spec, trace))
+        distinct = {id(rule.dfa) for rule in engine.rules}
+        assert len(laid_out_dfas) == len(distinct) < len(engine.rules)
+        assert set(laid_out_dfas) == distinct

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from lifeguard.abstract import AbstractEngine
-from lifeguard.grounding import compile_spec, ground_spec
+from lifeguard.grounding import compile_spec, ground_spec, letter_map
 from lifeguard.messages import (CB, CBRET, CI, CIRET, FALSE, TRUE, UNIT, Int, Message, ObjectId,
                                 Str, Trace, load_trace)
 from lifeguard.rules import LifestateSpec, load_spec, matcher_atoms, parse_spec
@@ -38,7 +38,8 @@ def assert_grounds_as_a_fresh_spec(spec, trace):
         assert got.alphabet == expected.alphabet
         assert got.instance_counts == expected.instance_counts
         assert got.relevant == expected.relevant
-        assert compile_spec(got) == compile_spec(expected)
+        assert compile_spec(got, letter_map(got.alphabet)) == \
+            compile_spec(expected, letter_map(expected.alphabet))
 
 
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
@@ -55,7 +56,8 @@ def test_a_generated_spec_grounds_a_second_trace_as_a_fresh_spec_does():
         spec = random_spec(rng)
         first, second = (random_trace(rng, max_messages=20, max_objects=3) for _ in range(2))
         ground_spec(spec, first, sliced=True)
-        compile_spec(ground_spec(spec, first))
+        ground = ground_spec(spec, first)
+        compile_spec(ground, letter_map(ground.alphabet))
         assert_grounds_as_a_fresh_spec(spec, second)
 
 

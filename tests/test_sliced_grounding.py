@@ -16,7 +16,7 @@ import pytest
 
 from lifeguard import validation, verification
 from lifeguard.abstract import AbstractEngine
-from lifeguard.grounding import GroundingError, compile_spec, ground_spec
+from lifeguard.grounding import GroundingError, compile_spec, ground_spec, letter_map
 from lifeguard.messages import parse_trace
 from lifeguard.rules import matcher_atoms, parse_spec
 from lifeguard.validation import ValidationTimeout, validate
@@ -62,7 +62,7 @@ def reference_slice(spec, trace):
     def fires(rule, compiled):
         if any(atom in seen for atom in matcher_atoms(rule.matcher)):
             return True
-        state, visited = compiled.dfa.start, set()
+        state, visited = 0, set()
         while state not in visited:
             if compiled.dfa.accepting[state]:
                 return True
@@ -70,7 +70,8 @@ def reference_slice(spec, trace):
             state = compiled.dfa.transitions[state][-1]
         return False
 
-    survivors = [r for r, c in zip(full.rules, compile_spec(full)) if fires(r, c)]
+    compiled = compile_spec(full, letter_map(full.alphabet))
+    survivors = [r for r, c in zip(full.rules, compiled) if fires(r, c)]
     polarities = {}
     for r in survivors:
         polarities.setdefault(r.target, set()).add(r.polarity)
