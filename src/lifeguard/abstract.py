@@ -79,12 +79,12 @@ class StepEvent(NamedTuple):
 
 class AbstractEngine:
     """Compiled ground spec plus the stepping fold shared by validation,
-    verification and explain."""
+    verification and explain; compile_spec reads the deadline."""
 
-    def __init__(self, ground: GroundSpec):
+    def __init__(self, ground: GroundSpec, deadline: Optional[float] = None):
         self.alphabet = ground.alphabet
         self.letters = letter_map(ground.alphabet)
-        self.rules = compile_spec(ground, self.letters)
+        self.rules = compile_spec(ground, self.letters, deadline)
         self.other_letter = len(ground.alphabet)
         self.back_mask = self.in_mask = 0
         for letter, m in enumerate(ground.alphabet):

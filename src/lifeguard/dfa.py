@@ -18,18 +18,21 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable
 
-from .messages import Record
+from .messages import Hashed, Record
 
 
-class Re(Record):
+class Re(Hashed):  # derivatives look nodes up over and over
     __slots__ = ()
+
+    def __init__(self) -> None:
+        self._hash = None
 
 
 class RSym(Re):
     __slots__ = ("letter",)
 
     def __init__(self, letter: int):
-        self.letter = letter
+        self.letter, self._hash = letter, None
 
 
 class RAny(Re):
@@ -50,7 +53,7 @@ class RCat(Re):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Re, right: Re):
-        self.left, self.right = left, right
+        self.left, self.right, self._hash = left, right, None
 
 
 class _Unary(Re):
@@ -60,7 +63,7 @@ class _Unary(Re):
     __slots__ = ()
 
     def __init__(self, inner: Re):
-        self.inner = inner
+        self.inner, self._hash = inner, None
 
 
 class RStar(_Unary):
@@ -79,7 +82,7 @@ class _Items(Re):
     __slots__ = ()
 
     def __init__(self, items: FrozenSet[Re]):
-        self.items = items
+        self.items, self._hash = items, None
 
 
 class ROr(_Items):

@@ -31,7 +31,8 @@ alone, and the template DFAs compile_spec fills.  It lives as long as the
 spec object, so validate --corpus plans its spec once.  Nothing in it
 depends on a trace, and a DfaSizeError is never kept, so each compilation
 names its own instance.  The join (_Join) numbers the trace's values and
-the plan's constants once, in sort_key order, and works on those ids.
+the plan's constants in one pass, in sort_key order, and keys messages by
+their ids; an assignment unification fixes whole is built and charged once.
 
 Compilation works per rule template.  A ground rule keeps no matcher,
 only its binding and atoms: its rule's distinct atoms, bound, which like
@@ -50,6 +51,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import dfa as _dfa
@@ -57,11 +60,12 @@ from .messages import (
     KINDS,
     RETURN_KINDS,
     Message,
+    ObjectId,
     Record,
     Trace,
     Value,
     format_message,
-    value_type_name,
+    is_violation,
     values_of_message,
 )
 from .rules import (
@@ -97,6 +101,7 @@ class GroundingCapError(GroundingError):
 
 
 DEFAULT_INSTANTIATION_CAP = 200000
+_RANK = {kind: i for i, kind in enumerate(KINDS)}  # a message key's kind
 
 
 class GroundRule(Record):
@@ -141,43 +146,58 @@ class GroundSpec(Record):
 class _Plan:
     """What grounding and compilation need of a spec on any trace (see
     the module docstring).  Per rule: names, types (None for untyped),
-    patterns (shape, params) with each variable as its slot, templates (the
-    distinct atoms), permit and accepts; then the patterns' constants and
-    compile_spec's DFAs, keyed by (source index, numbering) and by regex."""
+    tails, patterns (shape, row positions, key getter, uid: the first equal
+    up to variable names), templates, permit and accepts; then constants,
+    uids and compile_spec's DFAs, by (source index, numbering) and regex."""
 
-    __slots__ = ("names", "types", "patterns", "templates", "permit", "accepts", "constants",
-                 "dfas", "shapes")
+    __slots__ = ("names", "types", "tails", "patterns", "templates", "permit", "accepts",
+                 "constants", "distinct", "dfas", "shapes")
 
     def __init__(self, spec: LifestateSpec):
-        self.names, self.types, self.patterns, self.permit, self.accepts = [], [], [], [], []
+        self.names = [tuple(sorted(free_vars(rule))) for rule in spec.rules]
+        self.types = [tuple(map(rule_annotations(rule).__getitem__, names))
+                      for rule, names in zip(spec.rules, self.names)]
         self.templates = [_distinct_atoms(rule.matcher) for rule in spec.rules]
+        self.permit = [rule.polarity == PERMIT for rule in spec.rules]
+        self.accepts = [_accepts_on_other(rule.matcher) for rule in spec.rules]
+        self.tails, self.patterns = [[] for _ in spec.rules], [[] for _ in spec.rules]
         self.constants: set[Value] = set()
-        for rule, atoms in zip(spec.rules, self.templates):
-            annotations = rule_annotations(rule)
-            names = tuple(sorted(free_vars(rule)))
-            slot = {name: s for s, name in enumerate(names)}
-            patterns = []
-            for pm in (rule.target, *atoms):
-                params = tuple(values_of_message(pm))
-                self.constants.update(p for p in params if not isinstance(p, SVar))
-                patterns.append(((pm.kind, pm.fun, len(params)),
-                                 tuple(slot[p.name] if isinstance(p, SVar) else p for p in params)))
-            self.names.append(names)
-            self.types.append(tuple(annotations[name] for name in names))
-            self.patterns.append(patterns)
-            self.permit.append(rule.polarity == PERMIT)
-            self.accepts.append(_accepts_on_other(rule.matcher))
+        self.distinct: dict[tuple, tuple[int, int]] = {}
+        for r, (rule, names, types) in enumerate(zip(spec.rules, self.names, self.types)):
+            k, tail, patterns = len(names), self.tails[r], self.patterns[r]
+            for j, pm in enumerate((rule.target, *self.templates[r])):
+                values = tuple(values_of_message(pm))
+                shape, at, params = (KINDS.index(pm.kind), pm.fun, len(values)), k + len(tail), []
+                tail.append(shape)
+                for p in values:
+                    if not isinstance(p, SVar):
+                        self.constants.add(p)
+                        tail.append(p)
+                    params.append(names.index(p.name) if isinstance(p, SVar) else k + len(tail) - 1)
+                uid = self.distinct.setdefault(
+                    (shape, types, *[tail[p - k] if p >= k else p for p in params]), (r, j))
+                patterns.append((shape, tuple(params), itemgetter(at, *params) if params else
+                                 lambda row, key=(shape,): key, uid))
         self.dfas: dict[tuple[int, tuple[int, ...]], _dfa.Dfa] = {}
         self.shapes: dict[_dfa.Re, _dfa.Dfa] = {}
+
+
+class Timeout(Exception):
+    """The deadline passed; the message names the phase that was running."""
+
+
+def check_deadline(deadline: Optional[float], phase: str) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise Timeout(f"timeout while {phase}")
 
 
 class _Cap:
     """Charges rule instances, or with sliced the assignments the slicer
     enumerates, to their rule, and aborts with a diagnostic naming the worst
-    rule as soon as the total exceeds the cap."""
+    rule as soon as the total exceeds the cap; reads the deadline per 1,024."""
 
-    def __init__(self, spec: LifestateSpec, cap: int, sliced: bool):
-        self.rules, self.cap = spec.rules, cap
+    def __init__(self, spec: LifestateSpec, cap: int, sliced: bool, deadline: Optional[float]):
+        self.rules, self.cap, self.deadline = spec.rules, cap, deadline
         self.what = ("sliced grounding enumerates", "assignments") if sliced else (
             "grounding needs", "instances")
         self.counts = [0] * len(spec.rules)
@@ -185,7 +205,7 @@ class _Cap:
 
     def charge(self, idx: int, count: int) -> None:
         self.counts[idx] += count
-        self.total += count
+        before, self.total = self.total, self.total + count
         if self.total > self.cap:
             worst = max(range(len(self.counts)), key=self.counts.__getitem__)
             verb, noun = self.what
@@ -193,6 +213,8 @@ class _Cap:
                 f"{verb} {self.total} rule {noun} (cap {self.cap}); worst rule is "
                 f"#{worst + 1} with {self.counts[worst]} {noun}: {self.rules[worst]}"
             )
+        if before >> 10 != self.total >> 10:
+            check_deadline(self.deadline, "grounding")
 
 
 def ground_spec(
@@ -200,6 +222,7 @@ def ground_spec(
     trace: Trace,
     cap: int = DEFAULT_INSTANTIATION_CAP,
     sliced: bool = False,
+    deadline: Optional[float] = None,
 ) -> GroundSpec:
     """Instantiate every rule over the trace's value universe; with sliced,
     only the instances that can change a verdict on the trace (see
@@ -209,52 +232,63 @@ def ground_spec(
     so a sliced grounding is a subsequence of the full one.  Aborts with a
     diagnostic naming the worst rule when the full grounding's instance
     count exceeds the cap or, with sliced, when the assignments the slicer
-    enumerates do.  The spec's plan is built on its first grounding and
-    kept in the spec object."""
+    enumerates do, and with Timeout past the deadline (time.monotonic(),
+    read per 1,024 assignments charged or rules built).  A spec's plan is
+    built on its first grounding and kept in the spec object."""
     plan = spec._plan = spec._plan or _Plan(spec)
     join = _Join(plan, trace)
-    charges = _Cap(spec, cap, sliced)
-    if sliced:
-        kept = join.kept(charges)
-    else:
-        for idx, domains in enumerate(join.domains):
-            charges.charge(idx, math.prod(map(len, domains)))
-        kept = [itertools.product(*domains) for domains in join.domains]
+    charges = _Cap(spec, cap, sliced, deadline)
+    if not sliced:  # the full grounding is charged before any instance is built
+        for r, domains in enumerate(join.domains):
+            charges.charge(r, math.prod(map(len, domains)))
+    kept = join.kept(charges) if sliced else [join.rows(r, [((), (None,) * len(domains))], None)
+                                              for r, domains in enumerate(join.domains)]
     ground_rules: list[GroundRule] = []
     counts: list[int] = []
-    values = join.values
-    for idx, (rule, names, patterns, assignments) in enumerate(
-            zip(spec.rules, plan.names, join.patterns, kept)):
+    value, message = join.values.__getitem__, join.messages.__getitem__
+    for idx, (rule, names, rows) in enumerate(zip(spec.rules, plan.names, kept)):
         before = len(ground_rules)
-        for a in assignments:
-            target, *atoms = [join.message(pattern, a) for pattern in patterns]
-            ground_rules.append(GroundRule(rule, idx, target, tuple(dict.fromkeys(atoms)),
-                                           tuple(zip(names, [values[i] for i in a]))))
+        for a, target, atoms in rows:
+            if len(ground_rules) & 1023 == 1023:
+                check_deadline(deadline, "grounding")
+            ground_rules.append(GroundRule(rule, idx, message(target), tuple(map(message, atoms)),
+                                           tuple(zip(names, map(value, a)))))
         counts.append(len(ground_rules) - before)
     return GroundSpec(tuple(ground_rules), join.alphabet(), tuple(counts), join.relevant, plan)
 
 
 def _by_shape(keys: Iterable[tuple]) -> dict[tuple, list[tuple]]:
     out: dict[tuple, list[tuple]] = {}
-    for shape, params in keys:
-        out.setdefault(shape, []).append(params)
+    for key in keys:
+        out.setdefault(key[0], []).append(key)
     return out
 
 
 def _order(key: tuple) -> tuple:
     """A message key's place in message order (Message.sort_key): value
     ids are numbered in sort_key order."""
-    (kind, fun, n), ids = key
-    n -= kind in RETURN_KINDS
-    return KINDS.index(kind), fun, ids[:n], ids[n:]
+    rank, fun, n = key[0]
+    n += KINDS[rank] not in RETURN_KINDS
+    return rank, fun, key[1:n], key[n:]
+
+
+class _Messages(dict):
+    """Messages by key, building one the trace lacks from its ids' values."""
+
+    def __missing__(self, key: tuple) -> Message:
+        (rank, fun, _), *ids = key
+        values = [self.universe[i] for i in ids]
+        ret = values.pop() if KINDS[rank] in RETURN_KINDS else None
+        m = self[key] = Message(KINDS[rank], fun, tuple(values), ret)
+        return m
 
 
 class _Join:
     """A spec's plan joined with one trace's messages on value ids.  A
-    message is keyed by (kind, function, parameter count) and its
-    parameters' ids, the return last; an assignment is a tuple of ids; in
-    a pattern a variable is its slot s and the constant with id i is ~i.
-    A Message is built only for an unseen target or atom of a kept instance.
+    message's key is its shape (kind's rank in KINDS, function, parameter
+    count), then its parameters' ids, the return last; an assignment is a
+    tuple of ids, a row an assignment then its rule's tail (see _Plan).  A
+    Message is built only for an unseen target or atom of a kept instance.
 
     An instance is kept unless it is of one of two kinds that cannot
     change a verdict, since validation and verification only ever step
@@ -271,93 +305,95 @@ class _Join:
     def __init__(self, plan: _Plan, trace: Trace):
         self.plan = plan
         # Equal values of one parsed trace are one object, so most are
-        # told apart by identity, and hashed once each.
-        params = [(m, m.args if m.ret is None else (*m.args, m.ret))
-                  for m in (m.unwrap() if m.is_dis() else m for m in trace.messages)]
+        # told apart by identity, hashed once each and numbered in one pass.
+        messages = (*trace.messages[:-1], trace.messages[-1].unwrap()) if is_violation(
+            trace) else trace.messages
+        params = [(m, m.args if m.ret is None else (*m.args, m.ret)) for m in messages]
         flat = [v for _, values in params for v in values]
         objects = dict(zip(map(id, flat), flat))
-        in_trace = set(objects.values())
-        self.values = sorted(in_trace | plan.constants, key=lambda v: v.sort_key())
+        self.values = sorted(set(objects.values()) | plan.constants, key=lambda v: v.sort_key())
         ids = {v: i for i, v in enumerate(self.values)}
-        id_of = {key: ids[v] for key, v in objects.items()}
+        number = list(map({key: ids[v] for key, v in objects.items()}.__getitem__, map(id, flat)))
+        ends = itertools.accumulate([len(values) for _, values in params])
+        # The trace's messages, then every target and atom built.
+        self.messages = _Messages({((_RANK[m.kind], m.fun, len(values)),
+                                    *number[end - len(values):end]): m
+                                   for (m, values), end in zip(params, ends)})
+        self.messages.universe = self.values
+        self.seen = frozenset(self.messages)
         # Per annotation (None for untyped) the ids of the trace's values.
         domain: dict[Optional[str], list[int]] = {None: []}
         for i, v in enumerate(self.values):
-            if v in in_trace:
+            if id(v) in objects:
                 domain[None].append(i)
-                if value_type_name(v) is not None:
-                    domain.setdefault(value_type_name(v), []).append(i)
+                if isinstance(v, ObjectId):
+                    domain.setdefault(v.type_name, []).append(i)
         members = {ty: frozenset(d) for ty, d in domain.items()}
-        self.domains = [tuple(domain.get(ty, ()) for ty in types) for types in plan.types]
-        self.members = [tuple(members.get(ty, frozenset()) for ty in types)
+        self.domains = [tuple([domain.get(ty, ()) for ty in types]) for types in plan.types]
+        self.members = [tuple([members.get(ty, frozenset()) for ty in types])
                         for types in plan.types]
-        self.patterns = [[(shape, tuple(p if isinstance(p, int) else ~ids[p] for p in params))
-                          for shape, params in patterns] for patterns in plan.patterns]
-        # The trace's messages, then every target and atom built.
-        self.messages: dict[tuple, Message] = {}
-        for m, values in params:
-            self.messages.setdefault(((m.kind, m.fun, len(values)),
-                                      tuple([id_of[id(v)] for v in values])), m)
-        self.seen = frozenset(self.messages)
-        by_shape = _by_shape(self.seen)
+        self.tails = [tuple([ids[p] if isinstance(p, Value) else p for p in tail])
+                      for tail in plan.tails]
         # Per rule and pattern, the trace messages it unifies with.
-        self.hits = [[list(self.unify(r, pattern, by_shape)) for pattern in patterns]
-                     for r, patterns in enumerate(self.patterns)]
+        by_shape = _by_shape(self.seen)
+        unified = {uid: list(self.unify(*uid, by_shape)) for uid in plan.distinct.values()}
+        self.hits = [[unified[uid] for *_, uid in patterns] for patterns in plan.patterns]
         # Trace messages that unify with a pattern of a rule with instances.
-        self.relevant = frozenset(self.messages[key] for r, hits in enumerate(self.hits)
-                                  if all(self.domains[r]) for pattern in hits
-                                  for key, _ in pattern)
+        self.relevant = frozenset(self.messages[key] for uid in {
+            uid for r, patterns in enumerate(plan.patterns) if all(self.domains[r])
+            for *_, uid in patterns} for key, _ in unified[uid])
 
-    def unify(self, r: int, pattern, keys: dict) -> Iterator[tuple[tuple, dict[int, int]]]:
-        """The keys rule r's pattern unifies with, each with the id it
-        fixes for each of the pattern's variables."""
-        shape, params = pattern
-        members = self.members[r]
-        for ids in keys.get(shape, ()):
-            fixed: dict[int, int] = {}
-            for p, v in zip(params, ids):
-                if p >= 0:
-                    if v not in members[p] or fixed.setdefault(p, v) != v:
+    def unify(self, r: int, j: int, keys: dict) -> Iterator[tuple[tuple, tuple]]:
+        """The keys rule r's pattern j unifies with, each with the id it
+        fixes for each of the rule's variables (None where it fixes none)."""
+        shape, params, _, _ = self.plan.patterns[r][j]
+        members, tail, k = self.members[r], self.tails[r], len(self.members[r])
+        for key in keys.get(shape, ()):
+            fixed = [None] * k
+            for p, v in zip(params, key[1:]):
+                if p >= k:
+                    if tail[p - k] != v:
                         break
-                elif p != ~v:
+                elif v in members[p] and fixed[p] in (None, v):
+                    fixed[p] = v
+                else:
                     break
             else:
-                yield (shape, ids), fixed
+                yield key, tuple(fixed)
 
-    def size(self, r: int, fixed: dict[int, int]) -> int:
-        """How many of rule r's assignments agree with fixed."""
-        return math.prod(len(d) for s, d in enumerate(self.domains[r]) if s not in fixed)
+    def extend(self, r: int, fixed: tuple) -> tuple[int, Iterable[tuple[int, ...]]]:
+        """How many of rule r's assignments agree with fixed, and which."""
+        if None not in fixed:
+            return 1, (fixed,)
+        options = [d if v is None else (v,) for v, d in zip(fixed, self.domains[r])]
+        return math.prod(map(len, options)), itertools.product(*options)
 
-    def extend(self, r: int, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        """Every assignment of rule r that agrees with fixed."""
-        return itertools.product(*[(fixed[s],) if s in fixed else d
-                                   for s, d in enumerate(self.domains[r])])
-
-    @staticmethod
-    def key(pattern, a: tuple[int, ...]) -> tuple:
-        shape, params = pattern
-        return shape, tuple([a[p] if p >= 0 else ~p for p in params])
-
-    def message(self, pattern, a: tuple[int, ...]) -> Message:
-        """The pattern under assignment a: the trace's own message where
-        one is equal, so each is built and hashed once."""
-        key = self.key(pattern, a)
-        m = self.messages.get(key)
-        if m is None:
-            (kind, fun, _), ids = key
-            values = [self.values[i] for i in ids]
-            ret = values.pop() if kind in RETURN_KINDS else None
-            m = self.messages[key] = Message(kind, fun, tuple(values), ret)
-        return m
+    def rows(self, r: int, hits: Iterable[tuple[tuple, tuple]], charges: Optional[_Cap]
+             ) -> Iterator[tuple[tuple[int, ...], tuple, tuple[tuple, ...]]]:
+        """Per hit, each assignment of rule r agreeing with its fixing, with
+        its target's and distinct atoms' keys, charged first given charges."""
+        tail, (target, *atoms) = self.tails[r], [get for _, _, get, _ in self.plan.patterns[r]]
+        for _, fixed in hits:
+            count, assignments = self.extend(r, fixed)
+            if charges:
+                charges.charge(r, count)
+            for a in assignments:
+                row = a + tail
+                yield a, target(row), tuple(dict.fromkeys([atom(row) for atom in atoms]))
 
     def alphabet(self) -> tuple[Message, ...]:
         """The trace's messages and every target and atom built, in
-        message order."""
-        return tuple(self.messages[key] for key in sorted(self.messages, key=_order))
+        message order: keys, led by the kind's rank, sort as they are unless
+        a function occurs with two parameter counts (see _order)."""
+        order = sorted(self.messages)
+        shapes = {key[0] for key in order}
+        if len({shape[:2] for shape in shapes}) < len(shapes):
+            order.sort(key=_order)
+        return tuple(map(self.messages.__getitem__, order))
 
-    def kept(self, charges: _Cap) -> list[list[tuple[int, ...]]]:
-        """Per rule, the assignments of the kept instances, in the full
-        grounding's order.
+    def kept(self, charges: _Cap) -> list[list[tuple]]:
+        """Per rule, the rows of the kept instances, in the full grounding's
+        order.
 
         They are the kind-1 survivors whose target occurs in the trace or
         is mixed: an unseen target that kind-1 survivors of both
@@ -366,41 +402,24 @@ class _Join:
         other assignment comes from joining a target with the seen and
         mixed messages.  Every enumerated assignment is charged to its
         rule before it is made."""
-        def extend(r: int, fixed: dict[int, int]) -> Iterator[tuple[int, ...]]:
-            charges.charge(r, self.size(r, fixed))
-            return self.extend(r, fixed)
+        def fires(r: int, hits: Iterable[tuple[tuple, tuple]]) -> Iterable[tuple]:
+            rows = self.rows(r, hits, charges)
+            return rows if accepts[r] else (row for row in rows if not seen.isdisjoint(row[2]))
 
-        permit = self.plan.permit
-        # Per rule, partial assignments whose every extension survives kind 1.
+        permit, accepts, seen = self.plan.permit, self.plan.accepts, self.seen
+        # Per rule, the hits whose every extension survives kind 1.
         survivors, sizes = [], {True: 0, False: 0}
-        for r, (hits, accepts) in enumerate(zip(self.hits, self.plan.accepts)):
-            fixings = [{}] if accepts else [fixed for atom in hits[1:] for _, fixed in atom]
-            survivors.append(fixings)
-            sizes[permit[r]] += sum(self.size(r, fixed) for fixed in fixings)
+        for r, hits in enumerate(self.hits):
+            survivors.append([((), (None,) * len(self.domains[r]))] if accepts[r] else [
+                hit for atom in hits[1:] for hit in atom])
+            sizes[permit[r]] += sum(self.extend(r, fixed)[0] for _, fixed in survivors[r])
         few = sizes[True] <= sizes[False]
-        unseen = set()
-        for r, fixings in enumerate(survivors):
-            if permit[r] == few:
-                for fixed in fixings:
-                    for a in extend(r, fixed):
-                        unseen.add(self.key(self.patterns[r][0], a))
-        unseen = _by_shape(unseen.difference(self.seen))
-        mixed = set()
-        for r, patterns in enumerate(self.patterns):
-            if permit[r] != few:
-                for key, fixed in self.unify(r, patterns[0], unseen):
-                    if any(self._fires(r, a) for a in extend(r, fixed)):
-                        mixed.add(key)
-        mixed = _by_shape(mixed)
-        return [sorted(a for _, fixed in [*hits[0], *self.unify(r, self.patterns[r][0], mixed)]
-                       for a in extend(r, fixed) if self._fires(r, a))
+        unseen = _by_shape({target for r, hits in enumerate(survivors) if permit[r] == few
+                            for _, target, _ in self.rows(r, hits, charges)} - seen)
+        mixed = _by_shape({target for r in range(len(permit)) if unseen and permit[r] != few
+                           for _, target, _ in fires(r, self.unify(r, 0, unseen))})
+        return [sorted(fires(r, [*hits[0], *self.unify(r, 0, mixed)]))
                 for r, hits in enumerate(self.hits)]
-
-    def _fires(self, r: int, a: tuple[int, ...]) -> bool:
-        """Whether rule r's assignment a survives kind 1: the matcher
-        accepts on OTHER* or one of its atoms occurs in the trace."""
-        return self.plan.accepts[r] or any(self.key(atom, a) in self.seen
-                                           for atom in self.patterns[r][1:])
 
 
 def _accepts_on_other(matcher: Matcher) -> bool:
@@ -408,8 +427,11 @@ def _accepts_on_other(matcher: Matcher) -> bool:
     DFA over the one letter OTHER, where no atom matches, has an accepting
     state.  Past the DFA size cap the answer is yes, which keeps every
     instance and leaves the error to their compilation."""
+    regex = _translate(matcher, None)
+    if regex in (_dfa.EMPTY, _dfa.EPS):  # decided without a DFA
+        return regex == _dfa.EPS
     try:
-        automaton = _dfa.build_dfa(_translate(matcher, None), 1)
+        automaton = _dfa.build_dfa(regex, 1)
     except _dfa.DfaSizeError:
         return True
     return any(automaton.accepting)
@@ -467,17 +489,20 @@ def letter_map(alphabet: Iterable[Message]) -> dict[Message, int]:
     return {m: i for i, m in enumerate(alphabet)}
 
 
-def compile_spec(ground: GroundSpec, letters: dict[Message, int]) -> tuple[CompiledRule, ...]:
+def compile_spec(ground: GroundSpec, letters: dict[Message, int],
+                 deadline: Optional[float] = None) -> tuple[CompiledRule, ...]:
     """Compile every ground rule over letters, the alphabet's letter_map;
     instances whose local regexes are equal share one DFA, across rules and
     across the groundings of one spec object, whose plan keeps the DFAs.  A
     DfaSizeError is not kept, so each compilation that meets it names its
     own instance.  Only ground_spec's output, which carries its spec's
-    plan, can be compiled."""
+    plan, can be compiled.  The deadline is read every 1,024 rules."""
     plan = ground._plan
     dfas, shapes = plan.dfas, plan.shapes
     out = []
-    for rule in ground.rules:
+    for i, rule in enumerate(ground.rules):
+        if i & 1023 == 1023:
+            check_deadline(deadline, "building the engine")
         template = plan.templates[rule.source_index]
         numbering = tuple(range(len(template)))
         if len(rule.atoms) < len(template):

@@ -104,7 +104,7 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-class _Hashed(Record):
+class Hashed(Record):
     """A record hashed often that stores its hash on first use, in a slot
     of this base that the subclass's ``__init__`` sets to None, so the
     key and repr leave it out."""
@@ -180,7 +180,7 @@ class Str(Value):
         return f'"{quoted}"'
 
 
-class ObjectId(Value, _Hashed):
+class ObjectId(Value, Hashed):
     """An allocated object identity ``label#index:Type``.
 
     The label is a human-readable tag with no semantic weight beyond being
@@ -230,7 +230,7 @@ RETURN_KINDS = (CBRET, CIRET, DIS_CBRET)
 _BASE_KIND = {DIS_CI: CI, DIS_CBRET: CBRET}
 
 
-class Message(_Hashed):
+class Message(Hashed):
     """One observable app-framework interaction.
 
     ``cb`` and ``ciret`` are back-messages (framework to app); ``ci`` and

@@ -15,7 +15,7 @@ import time
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
-from .grounding import GroundSpec, ground_spec
+from .grounding import GroundSpec, Timeout, ground_spec
 from .messages import Message, Record, Trace
 from .rules import LifestateSpec
 
@@ -25,8 +25,7 @@ MISSED = "missed violation: the spec permits the recorded dis step"
 _REASONS = {BLOCKED: NOT_PERMITTED, BAD: PROHIBITED}
 
 
-class ValidationTimeout(Exception):
-    pass
+ValidationTimeout = Timeout  # names the phase: grounding, the engine build or the fold
 
 
 class ValidationReport(Record):
@@ -109,7 +108,7 @@ def validate_ground(
     deadline: Optional[float] = None,
 ) -> ValidationReport:
     """Build the engine of a ground spec and walk the trace against it."""
-    engine = AbstractEngine(ground)
+    engine = AbstractEngine(ground, deadline)
     messages = trace.messages
     letters = engine.intern(messages)
     relevant = trace_mask(engine.intern(ground.relevant))
@@ -146,7 +145,8 @@ def validate(
 ) -> ValidationReport:
     """Ground the spec against the trace, sliced, and fold the abstract
     step over its messages; valid iff no step is blocked or bad before the
-    end.  The timeout counts from entry, so grounding and the engine build
-    spend it too."""
+    end.  The timeout counts from entry, and grounding, the engine build
+    and the fold each raise ValidationTimeout once it has passed."""
     deadline = time.monotonic() + timeout if timeout is not None else None
-    return validate_ground(ground_spec(spec, trace, sliced=True), trace, deadline)
+    return validate_ground(ground_spec(spec, trace, sliced=True, deadline=deadline), trace,
+                           deadline)

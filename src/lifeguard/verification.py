@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState, StepEvent
-from .grounding import ground_spec
+from .grounding import Timeout, ground_spec
 from .messages import CB, CBRET, CI, CIRET, Message, Record, Trace, is_violation
 from .rules import LifestateSpec
 
@@ -326,14 +326,16 @@ def verify(
     violation, real but possibly longer, is returned.  A Safe
     from the reduced search counts the states it visited, a subset of the
     reachable ones, and its unreachable units are exact.  The spec is
-    grounded sliced.  The deadline counts from entry, so grounding and the
-    engine build spend it too, and it is checked before every unit's
-    footprint and every unit replay."""
+    grounded sliced.  The deadline counts from entry: grounding and the
+    engine build give an Unknown naming the phase once it has passed, and
+    the search checks it before every unit's footprint and unit replay."""
     deadline = time.monotonic() + timeout if timeout is not None else None
     if is_violation(trace):
         # The recorded execution already witnesses the violation.
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
     bound = parse_mode(mode)
-    search = _Search(AbstractEngine(ground_spec(spec, trace, sliced=True)),
-                     split_subtraces(trace), state_cap, deadline)
-    return search.run(bound)
+    try:
+        engine = AbstractEngine(ground_spec(spec, trace, sliced=True, deadline=deadline), deadline)
+    except Timeout as e:
+        return Unknown(False, reason=str(e))
+    return _Search(engine, split_subtraces(trace), state_cap, deadline).run(bound)

@@ -1,0 +1,211 @@
+"""What grounding charges to its cap, and how grounding and the engine
+build read the deadline.
+
+The sliced grounding charges each rule the assignments the slicer
+enumerates (see grounding._Join.kept).  recount derives those charges
+from the full grounding's instances alone, so an enumeration that skips,
+repeats or charges an assignment differently disagrees with it.  The
+deadline tests run on a clock that only moves when it is read."""
+
+import itertools
+import json
+import random
+import time
+
+import pytest
+
+from lifeguard import grounding, verification
+from lifeguard.abstract import AbstractEngine
+from lifeguard.cli import main
+from lifeguard.grounding import Timeout, compile_spec, ground_spec, letter_map
+from lifeguard.messages import serialize_trace
+from lifeguard.rules import PERMIT, apply_binding, matcher_atoms, parse_spec
+from lifeguard.validation import ValidationTimeout, validate, validate_ground
+from lifeguard.verification import Unknown, verify
+
+from gen import random_pair_spec, random_spec, random_trace
+from pairs import CAP_SPEC, init_trace, pair_trace, random_order
+from test_sliced_grounding import EXTRA, FIXTURE_SPECS, FIXTURE_TRACES
+
+
+def recount(spec, trace):
+    """Per rule, the assignments the slicer enumerates, counted over the
+    full grounding's instances: the kind-1 survivors of the polarity with
+    fewer of them, then the instances of the other polarity aiming at an
+    unseen target those survivors aim at, then every instance aiming at a
+    trace message or at a mixed target.  A survivor counts once per atom
+    occurring in the trace, or once if its matcher accepts on OTHER*.
+    Also returns the mixed targets."""
+    full = ground_spec(spec, trace, cap=10 ** 9)
+    seen = {m.unwrap() if m.is_dis() else m for m in trace.messages}
+    accepts = {}
+    for rule, compiled in zip(full.rules, compile_spec(full, letter_map(full.alphabet))):
+        state, visited = 0, set()
+        while state not in visited:
+            visited.add(state)
+            state = compiled.dfa.transitions[state][-1]
+        accepts[rule.source_index] = any(compiled.dfa.accepting[s] for s in visited)
+    instances = []  # (rule, target, how many times it survives kind 1, whether it fires)
+    for rule in full.rules:
+        binding = dict(rule.binding)
+        atoms = [apply_binding(binding, a) for a in dict.fromkeys(matcher_atoms(rule.rule.matcher))]
+        hits = 1 if accepts[rule.source_index] else sum(a in seen for a in atoms)
+        instances.append((rule.source_index, rule.target, hits, hits > 0))
+    permit = [rule.polarity == PERMIT for rule in spec.rules]
+    sizes = {True: 0, False: 0}
+    for r, _, hits, _ in instances:
+        sizes[permit[r]] += hits
+    few = sizes[True] <= sizes[False]
+    counts = [0] * len(spec.rules)
+    unseen = set()
+    for r, target, hits, _ in instances:
+        if permit[r] == few:
+            counts[r] += hits
+            if hits and target not in seen:
+                unseen.add(target)
+    mixed = set()
+    for r, target, _, fires in instances:
+        if permit[r] != few and target in unseen:
+            counts[r] += 1
+            if fires:
+                mixed.add(target)
+    for r, target, _, _ in instances:
+        counts[r] += target in seen or target in mixed
+    return counts, mixed
+
+
+@pytest.fixture
+def caps(monkeypatch):
+    """Every _Cap that ground_spec makes, in order."""
+    made = []
+
+    class Recorded(grounding._Cap):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(grounding, "_Cap", Recorded)
+    return made
+
+
+def charge_cases(request):
+    rng = random.Random(24)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        skip = frozenset(rng.sample(range(1, n + 1), min(rng.randint(0, 2), n)))
+        cases.append((random_pair_spec(rng), pair_trace(n, skip, random_order(n, rng))))
+    for i in range(100):
+        trace = random_trace(rng, max_messages=20, max_objects=3)
+        cases.append((EXTRA if i % 2 else random_spec(rng), trace))
+    specs = [request.getfixturevalue(s) for s in FIXTURE_SPECS] + [EXTRA]
+    cases += [(spec, request.getfixturevalue(t))
+              for spec, t in itertools.product(specs, FIXTURE_TRACES)]
+    return cases
+
+
+def test_each_rule_is_charged_what_the_slicer_enumerates(request, caps):
+    with_mixed = 0
+    for spec, trace in charge_cases(request):
+        ground_spec(spec, trace, sliced=True)
+        cap = caps[-1]
+        want, mixed = recount(spec, trace)
+        assert cap.counts == want, (spec, trace)
+        assert cap.total == sum(want)
+        with_mixed += bool(mixed)
+        # The full grounding charges each rule its instances.
+        full = ground_spec(spec, trace)
+        assert caps[-1].counts == list(full.instance_counts)
+    assert with_mixed > 10
+
+
+def test_spec_run_charges_each_fixed_assignment_once(spec_run, caps):
+    # On 12 pairs the slicer enumerates the 24 targets of the permit rules'
+    # survivors, then the 73 instances it keeps; a trace message fixes each
+    # of them whole.
+    ground, cap = ground_spec(spec_run, pair_trace(12), sliced=True), caps[-1]
+    assert cap.counts == recount(spec_run, pair_trace(12))[0]
+    assert (cap.total, len(ground.rules)) == (24 + 73, 73)
+
+
+class Clock:
+    """time.monotonic that moves step seconds at every reading, and counts
+    the readings."""
+
+    def __init__(self, step: float):
+        self.now, self.step, self.reads = 0.0, step, 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        now, self.now = self.now, self.now + self.step
+        return now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    clock = Clock(10.0)
+    monkeypatch.setattr(time, "monotonic", clock)
+    return clock
+
+
+class TestDeadline:
+    def test_verify_stops_grounding_at_the_first_reading(self, clock, caps):
+        # 12 tasks: 1,728 assignments per rule, so the first charge passes
+        # 1,024 and reads the clock, which stands past the 5 s deadline.
+        result = verify(parse_spec(CAP_SPEC), init_trace(12), timeout=5)
+        assert isinstance(result, Unknown) and not result.bound_hit
+        assert result.reason == "timeout while grounding"
+        assert clock.reads == 2  # entry, then the first charge past 1,024
+        assert caps[-1].total == 1728
+
+    def test_validate_stops_grounding(self, clock):
+        with pytest.raises(ValidationTimeout, match="^timeout while grounding$"):
+            validate(parse_spec(CAP_SPEC), init_trace(12), timeout=5)
+        assert clock.reads == 2
+
+    def test_the_engine_build_reads_the_deadline(self, clock, monkeypatch):
+        # 8 tasks: 512 instances per rule, so the grounding of 1,024 rules
+        # passes the deadline to an engine build that reads it.
+        spec, trace = parse_spec(CAP_SPEC), init_trace(8)
+        ground = ground_spec(spec, trace, sliced=True)
+        assert len(ground.rules) == 1024 and clock.reads == 0
+        with pytest.raises(Timeout, match="^timeout while building the engine$"):
+            AbstractEngine(ground, deadline=-1)
+        with pytest.raises(ValidationTimeout, match="^timeout while building the engine$"):
+            validate_ground(ground, trace, deadline=-1)
+        monkeypatch.setattr(verification, "ground_spec", lambda *args, **kwargs: ground)
+        result = verify(spec, trace, timeout=5)
+        assert isinstance(result, Unknown) and result.reason == "timeout while building the engine"
+
+    def test_reads_are_one_per_1024_charges_or_rules(self, clock, caps):
+        ground = ground_spec(parse_spec(CAP_SPEC), init_trace(12), sliced=True,
+                             deadline=float("inf"))
+        # 6,912 assignments charged, no charge passing two multiples of
+        # 1,024, and 3,456 rules built.
+        assert (caps[-1].total, len(ground.rules)) == (6912, 3456)
+        assert clock.reads == 6912 // 1024 + 3456 // 1024
+        clock.reads = 0
+        AbstractEngine(ground, deadline=float("inf"))
+        assert clock.reads == len(ground.rules) // 1024  # in compile_spec
+
+    @pytest.mark.parametrize("spec_name", ["spec_run", "spec_run_until"])
+    def test_a_benchmark_sized_trace_never_reads_the_clock(self, fixtures_dir, clock, spec_name):
+        spec = parse_spec((fixtures_dir / f"{spec_name}.ls").read_text())
+        ground = ground_spec(spec, pair_trace(12), sliced=True, deadline=5)
+        AbstractEngine(ground, deadline=5)
+        assert clock.reads == 0
+
+    def test_a_corpus_trace_that_expires_while_grounding_is_an_unknown_row(
+            self, tmp_path, capsys, clock):
+        (tmp_path / "spec.ls").write_text(CAP_SPEC)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a_tasks.trace").write_text(serialize_trace(init_trace(12)))
+        (corpus / "b_tasks.trace").write_text(serialize_trace(init_trace(2)))
+        code = main(["validate", "--spec", str(tmp_path / "spec.ls"), "--corpus", str(corpus),
+                     "--timeout", "5", "--report", "json"])
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert [(r["verdict"], r.get("reason")) for r in rows] == [
+            ("unknown", "timeout while grounding"),
+            ("unknown", "validation exceeded its time budget at step 0")]

@@ -1,7 +1,7 @@
 """Source hygiene, checked with the standard library's ast: the package has
 no unused import, no unused module-private top-level name, no import of
 another module's private name, no import of dataclasses, no record
-identity defined outside ``messages.Record`` and ``messages._Hashed``, and
+identity defined outside ``messages.Record`` and ``messages.Hashed``, and
 nothing public that only code outside it reaches; the tests and tools have no
 unused import.  A fresh import of the command line and the interpreter
 loads every package module and neither dataclasses nor inspect, and the
@@ -153,7 +153,7 @@ IDENTITY = {"__eq__", "__hash__", "_key"}
 
 def test_only_record_defines_identity():
     """Record keys each class by the slots it declares itself, so no other
-    class of the package defines __eq__, __hash__ or _key; _Hashed only
+    class of the package defines __eq__, __hash__ or _key; Hashed only
     stores the hash that key gives."""
     defined = []
     for path in MODULES:
@@ -164,7 +164,7 @@ def test_only_record_defines_identity():
                           for t in n.targets if isinstance(t, ast.Name)}
                 if names & IDENTITY:
                     defined.append(f"{path.stem}.{cls.name}")
-    others = sorted(set(defined) - {"messages.Record", "messages._Hashed"})
+    others = sorted(set(defined) - {"messages.Record", "messages.Hashed"})
     assert others == [], f"{len(others)} classes define their own identity: {', '.join(others)}"
 
 

@@ -154,7 +154,11 @@ def test_records_of_different_classes_are_unequal(a, b):
 @pytest.mark.parametrize("make", [
     lambda: ObjectId("b", 1, "Button"),
     lambda: Message(CBRET, "onClick", (ObjectId("b", 1, "Button"),), UNIT),
-], ids=["ObjectId", "Message"])
+    lambda: RSym(1),
+    lambda: REps(),
+    lambda: RCat(RSym(0), RStar(RSym(1))),
+    lambda: RNot(ROr(frozenset({RSym(0), RAnd(frozenset({RStar(RAny()), RSym(1)}))}))),
+], ids=["ObjectId", "Message", "RSym", "REps", "RCat", "RNot"])
 def test_a_stored_hash_is_the_hash_of_the_fields(make):
     record, fresh = make(), make()
     assert record._hash is None and fresh._hash is None

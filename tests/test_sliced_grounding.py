@@ -116,7 +116,8 @@ def pair_cases(request, ns, rng):
 def full_grounding(monkeypatch):
     """Make verify ground in full."""
     monkeypatch.setattr(verification, "ground_spec",
-                        lambda spec, trace, sliced=False: ground_spec(spec, trace))
+                        lambda spec, trace, sliced=False, **kwargs: ground_spec(spec, trace,
+                                                                                 **kwargs))
 
 
 def test_slice_matches_its_definition(request):

@@ -1,0 +1,142 @@
+"""Time each phase of validate on n-pair traces of growing size, or compare
+two such records.
+
+    python tools/bench_scale.py [--out BENCH_scale.json] [--repeat K]
+    python tools/bench_scale.py --compare OLD.json [NEW.json]
+
+One row per spec and size, on the pair traces of tests/pairs.py (every
+click, then every completion): fixtures/spec_run.ls at n = 8 ... 512,
+spec_run_until.ls at n = 8 ... 128 and spec_run_redundant.ls at
+n = 8 ... 256, doubling n.  Each of K repetitions parses the spec and the
+trace's text afresh, grounds the spec sliced, builds the engine and folds
+the whole trace, as one validate does in a fresh process; a row keeps the
+best time of each phase and the instance and alphabet counts.  A
+repetition whose grounding or engine build passes BUDGET_S, or whose
+grounding exceeds the instantiation cap, stops its row, which is recorded
+as skipped with the reason.  Everything runs in this process, with the
+standard library only.
+
+The record also names the commit, the SHA-256 of `git diff COMMIT -- src
+tests fixtures tools` when the measured code differs from it (else null),
+the Python version and the core count.  --compare prints, per row, each
+phase's time in NEW over its time in OLD."""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import time
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+
+from lifeguard.abstract import AbstractEngine  # noqa: E402
+from lifeguard.grounding import GroundingCapError, Timeout, ground_spec  # noqa: E402
+from lifeguard.messages import parse_trace, serialize_trace  # noqa: E402
+from lifeguard.rules import parse_spec  # noqa: E402
+from pairs import pair_trace  # noqa: E402
+
+SIZES = {
+    "spec_run.ls": (8, 16, 32, 64, 128, 256, 512),
+    "spec_run_until.ls": (8, 16, 32, 64, 128),
+    "spec_run_redundant.ls": (8, 16, 32, 64, 128, 256),
+}
+PHASES = ("parse_s", "ground_s", "engine_s", "fold_s")
+BUDGET_S = 20.0  # for one repetition's grounding and engine build
+
+
+def measure(spec_text: str, trace_text: str) -> dict:
+    """One validate pipeline's phase times and counts; raises Timeout or
+    GroundingCapError past the budget or the cap."""
+    start = time.perf_counter()
+    spec, trace = parse_spec(spec_text), parse_trace(trace_text)
+    parsed = time.perf_counter()
+    deadline = time.monotonic() + BUDGET_S
+    ground = ground_spec(spec, trace, sliced=True, deadline=deadline)
+    grounded = time.perf_counter()
+    engine = AbstractEngine(ground, deadline)
+    built = time.perf_counter()
+    for _ in engine.fold(engine.initial_state(), engine.intern(trace.messages)):
+        pass
+    folded = time.perf_counter()
+    return {"parse_s": parsed - start, "ground_s": grounded - parsed, "engine_s": built - grounded,
+            "fold_s": folded - built, "instances": len(ground.rules),
+            "alphabet": len(ground.alphabet)}
+
+
+def row(spec_name: str, n: int, repeat: int) -> dict:
+    spec_text = (REPO / "fixtures" / spec_name).read_text(encoding="utf-8")
+    trace_text = serialize_trace(pair_trace(n))
+    out: dict = {"spec": spec_name, "n": n, "messages": trace_text.count("\n")}
+    runs = []
+    for _ in range(repeat):
+        gc.collect()  # so that no repetition pays for the garbage of the one before
+        try:
+            runs.append(measure(spec_text, trace_text))
+        except (Timeout, GroundingCapError) as e:
+            return {**out, "skipped": str(e)}
+    out.update({phase: min(run[phase] for run in runs) for phase in PHASES})
+    out.update(instances=runs[0]["instances"], alphabet=runs[0]["alphabet"])
+    return out
+
+
+def commit() -> dict:
+    def git(*args: str) -> bytes:
+        try:
+            return subprocess.run(["git", *args], cwd=REPO, capture_output=True,
+                                  check=True).stdout
+        except (OSError, subprocess.CalledProcessError):
+            return b""
+    head = git("rev-parse", "HEAD").decode().strip() or "unknown"
+    diff = git("diff", head, "--", "src", "tests", "fixtures", "tools") if head != "unknown" else b""
+    return {"commit": head, "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None}
+
+
+def record(out: pathlib.Path, repeat: int) -> None:
+    rows = []
+    for spec_name, sizes in SIZES.items():
+        for n in sizes:
+            rows.append(row(spec_name, n, repeat))
+            print(json.dumps(rows[-1]), flush=True)
+    doc = {**commit(), "python": platform.python_version(), "cores": os.cpu_count(),
+           "repeat": repeat, "budget_s": BUDGET_S, "rows": rows}
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+def compare(old_path: pathlib.Path, new_path: pathlib.Path) -> None:
+    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
+    before = {(r["spec"], r["n"]): r for r in old["rows"]}
+    print(f"{'spec':<22} {'n':>4}  " + "  ".join(f"{p[:-2]:>7}" for p in PHASES)
+          + "   (new / old)")
+    for r in new["rows"]:
+        o = before.get((r["spec"], r["n"]))
+        if "skipped" in r or o is None or "skipped" in o:
+            cells = ["skipped" if "skipped" in r else "no old row" if o is None
+                     else "skipped in old"]
+        else:
+            cells = [f"{r[p] / o[p]:7.2f}" for p in PHASES]
+        print(f"{r['spec']:<22} {r['n']:>4}  " + "  ".join(cells))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=pathlib.Path, default=REPO / "BENCH_scale.json")
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--compare", nargs="+", type=pathlib.Path, metavar="JSON",
+                        help="OLD.json [NEW.json, by default --out]")
+    args = parser.parse_args()
+    if args.compare:
+        compare(args.compare[0], args.compare[1] if len(args.compare) > 1 else args.out)
+    else:
+        record(args.out, args.repeat)
+
+
+if __name__ == "__main__":
+    main()
