@@ -18,12 +18,12 @@ import sys
 from pathlib import Path
 
 from .abstract import AbstractEngine
-from .grounding import (DEFAULT_INSTANTIATION_CAP, GroundingCapError, GroundingError,
-                        compile_spec, ground_spec, letter_map)
+from .dfa import LimitExceeded
+from .grounding import (DEFAULT_INSTANTIATION_CAP, GroundingError, compile_spec, ground_spec,
+                        letter_map)
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import ARROWS, SpecError, load_spec
-from .validation import (NOT_PERMITTED, PROHIBITED, ValidationTimeout, trace_mask, validate,
-                         walk)
+from .validation import NOT_PERMITTED, PROHIBITED, trace_mask, validate, walk
 from .verification import (DEFAULT_STATE_CAP, Safe, SubTraceError, Unknown, Violation,
                            parse_mode, verify)
 
@@ -116,7 +116,7 @@ def _validate_one(spec, path, timeout):
         trace = load_trace(path)
         report = validate(spec, trace, timeout=timeout)
         return _validation_report_dict(path, report)
-    except (ValidationTimeout, GroundingCapError) as e:
+    except LimitExceeded as e:
         return {"command": "validate", "trace": str(path), "verdict": "unknown",
                 "reason": str(e)}
     except (TraceError, GroundingError, OSError) as e:
@@ -182,11 +182,7 @@ def _cmd_validate(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     trace = load_trace(args.trace)
-    try:
-        result = verify(spec, trace, mode=args.mode, state_cap=args.state_cap,
-                        timeout=args.timeout)
-    except GroundingCapError as e:
-        result = Unknown(bound_hit=False, reason=str(e))
+    result = verify(spec, trace, mode=args.mode, state_cap=args.state_cap, timeout=args.timeout)
     lines = []
     if isinstance(result, Safe):
         verdict = "safe"

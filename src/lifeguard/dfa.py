@@ -16,9 +16,28 @@ the construction ends and repeated constructions cost the same.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+import time
+from typing import FrozenSet, Iterable, Optional
 
 from .messages import Hashed, Record
+
+
+class LimitExceeded(Exception):
+    """A budget ran out, so the verdict is unknown: the package's one limit
+    exception, defined in its lowest layer to stop on one, with the reason
+    (``timeout while <phase>`` or a cap's diagnostic) as its message.  Only
+    this module reads the clock for limits."""
+
+
+def deadline_after(timeout: Optional[float]) -> Optional[float]:
+    """The time.monotonic() reading timeout seconds from now; None for none."""
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def check_deadline(deadline: Optional[float], phase: str, step: Optional[int] = None) -> None:
+    """Past the deadline, raise LimitExceeded naming the phase (and step)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise LimitExceeded(f"timeout while {phase}" + ("" if step is None else f" step {step}"))
 
 
 class Re(Hashed):  # derivatives look nodes up over and over
@@ -232,15 +251,19 @@ class Dfa(Record):
         return len(self.transitions)
 
 
-def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000) -> Dfa:
+def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000,
+              deadline: Optional[float] = None) -> Dfa:
     """Iterated-derivative construction; states are canonical regexes.
-    Raises DfaSizeError when more than state_cap states are reachable."""
+    Raises DfaSizeError when more than state_cap states are reachable, and
+    LimitExceeded past the deadline, read once every 1,024 states."""
     derivatives = Derivatives()
     index: dict[Re, int] = {regex: 0}
     order: list[Re] = [regex]
     transitions: list[tuple[int, ...]] = []
     pos = 0
     while pos < len(order):
+        if pos & 1023 == 1023:
+            check_deadline(deadline, "building the engine")
         current = order[pos]
         row = []
         for letter in range(n_letters):

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -95,9 +94,8 @@ class GroundingError(Exception):
     pass
 
 
-class GroundingCapError(GroundingError):
-    """Grounding would exceed its instantiation cap: the spec cannot be
-    checked on this trace within the limit, so the verdict is unknown."""
+class GroundingCapError(GroundingError, _dfa.LimitExceeded):
+    """Grounding would exceed its instantiation cap, so the verdict is unknown."""
 
 
 DEFAULT_INSTANTIATION_CAP = 200000
@@ -182,15 +180,6 @@ class _Plan:
         self.shapes: dict[_dfa.Re, _dfa.Dfa] = {}
 
 
-class Timeout(Exception):
-    """The deadline passed; the message names the phase that was running."""
-
-
-def check_deadline(deadline: Optional[float], phase: str) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise Timeout(f"timeout while {phase}")
-
-
 class _Cap:
     """Charges rule instances, or with sliced the assignments the slicer
     enumerates, to their rule, and aborts with a diagnostic naming the worst
@@ -214,7 +203,7 @@ class _Cap:
                 f"#{worst + 1} with {self.counts[worst]} {noun}: {self.rules[worst]}"
             )
         if before >> 10 != self.total >> 10:
-            check_deadline(self.deadline, "grounding")
+            _dfa.check_deadline(self.deadline, "grounding")
 
 
 def ground_spec(
@@ -232,9 +221,10 @@ def ground_spec(
     so a sliced grounding is a subsequence of the full one.  Aborts with a
     diagnostic naming the worst rule when the full grounding's instance
     count exceeds the cap or, with sliced, when the assignments the slicer
-    enumerates do, and with Timeout past the deadline (time.monotonic(),
-    read per 1,024 assignments charged or rules built).  A spec's plan is
-    built on its first grounding and kept in the spec object."""
+    enumerates do (GroundingCapError), and with LimitExceeded, which that
+    extends, past the deadline (read per 1,024 assignments charged or rules
+    built).  A spec's plan is built on its first grounding and kept in the
+    spec object."""
     plan = spec._plan = spec._plan or _Plan(spec)
     join = _Join(plan, trace)
     charges = _Cap(spec, cap, sliced, deadline)
@@ -250,7 +240,7 @@ def ground_spec(
         before = len(ground_rules)
         for a, target, atoms in rows:
             if len(ground_rules) & 1023 == 1023:
-                check_deadline(deadline, "grounding")
+                _dfa.check_deadline(deadline, "grounding")
             ground_rules.append(GroundRule(rule, idx, message(target), tuple(map(message, atoms)),
                                            tuple(zip(names, map(value, a)))))
         counts.append(len(ground_rules) - before)
@@ -496,13 +486,14 @@ def compile_spec(ground: GroundSpec, letters: dict[Message, int],
     across the groundings of one spec object, whose plan keeps the DFAs.  A
     DfaSizeError is not kept, so each compilation that meets it names its
     own instance.  Only ground_spec's output, which carries its spec's
-    plan, can be compiled.  The deadline is read every 1,024 rules."""
+    plan, can be compiled.  The deadline is read every 1,024 rules or DFA
+    states built."""
     plan = ground._plan
     dfas, shapes = plan.dfas, plan.shapes
     out = []
     for i, rule in enumerate(ground.rules):
         if i & 1023 == 1023:
-            check_deadline(deadline, "building the engine")
+            _dfa.check_deadline(deadline, "building the engine")
         template = plan.templates[rule.source_index]
         numbering = tuple(range(len(template)))
         if len(rule.atoms) < len(template):
@@ -513,7 +504,7 @@ def compile_spec(ground: GroundSpec, letters: dict[Message, int],
             regex = _translate(rule.rule.matcher, dict(zip(template, numbering)).__getitem__)
             if regex not in shapes:
                 try:
-                    shapes[regex] = _dfa.build_dfa(regex, n_letters=len(rule.atoms) + 1)
+                    shapes[regex] = _dfa.build_dfa(regex, len(rule.atoms) + 1, deadline=deadline)
                 except _dfa.DfaSizeError as e:
                     raise GroundingError(
                         f"spec rule #{rule.source_index + 1}, instance {rule.matcher} "

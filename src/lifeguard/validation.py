@@ -11,11 +11,11 @@ from it and the explain command prints it.
 
 from __future__ import annotations
 
-import time
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState
-from .grounding import GroundSpec, Timeout, ground_spec
+from .dfa import check_deadline, deadline_after
+from .grounding import GroundSpec, ground_spec
 from .messages import Message, Record, Trace
 from .rules import LifestateSpec
 
@@ -23,9 +23,6 @@ NOT_PERMITTED = "back-message not permitted"
 PROHIBITED = "predicted violation not observed: in-message is prohibited"
 MISSED = "missed violation: the spec permits the recorded dis step"
 _REASONS = {BLOCKED: NOT_PERMITTED, BAD: PROHIBITED}
-
-
-ValidationTimeout = Timeout  # names the phase: grounding, the engine build or the fold
 
 
 class ValidationReport(Record):
@@ -118,8 +115,7 @@ def validate_ground(
     inconsistent_at = [0] if state.inconsistent else []
     total = len(messages)
     for i, letter, reason, before, after in walk(engine, state, messages, letters):
-        if deadline is not None and time.monotonic() > deadline:
-            raise ValidationTimeout(f"validation exceeded its time budget at step {i}")
+        check_deadline(deadline, "validating", i)
         if reason is not None:
             return ValidationReport(
                 False, i, filtered, total,
@@ -145,8 +141,8 @@ def validate(
 ) -> ValidationReport:
     """Ground the spec against the trace, sliced, and fold the abstract
     step over its messages; valid iff no step is blocked or bad before the
-    end.  The timeout counts from entry, and grounding, the engine build
-    and the fold each raise ValidationTimeout once it has passed."""
-    deadline = time.monotonic() + timeout if timeout is not None else None
+    end.  Raises LimitExceeded past the grounding cap or the timeout,
+    counted from entry, in any phase (``timeout while validating step N``)."""
+    deadline = deadline_after(timeout)
     return validate_ground(ground_spec(spec, trace, sliced=True, deadline=deadline), trace,
                            deadline)

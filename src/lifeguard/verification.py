@@ -16,13 +16,13 @@ depends on every unit; bounded mode is exact breadth-first search.
 from __future__ import annotations
 
 import re
-import time
 from collections import deque
 from functools import cached_property
 from typing import Optional, Union
 
 from .abstract import BAD, BLOCKED, AbstractEngine, AbstractState, StepEvent
-from .grounding import Timeout, ground_spec
+from .dfa import LimitExceeded, check_deadline, deadline_after
+from .grounding import ground_spec
 from .messages import CB, CBRET, CI, CIRET, Message, Record, Trace, is_violation
 from .rules import LifestateSpec
 
@@ -148,10 +148,6 @@ def _violation(units: list[SubTrace], path: list[int], event: StepEvent,
                      states_explored=explored, replays=replays)
 
 
-class _Stop(Exception):
-    """Ends a search with the reason an Unknown gives."""
-
-
 class _Search:
     """Breadth-first reachability over abstract states at unit boundaries.
 
@@ -190,13 +186,9 @@ class _Search:
         every unit, where a unit has none."""
         prints = []
         for letters in self.letters:
-            self.check_deadline()
+            check_deadline(self.deadline, "searching")
             prints.append(self.engine.footprint(letters) or (-1, -1, -1, -1))
         return prints
-
-    def check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Stop("timeout")
 
     def dependents_of(self, u: int) -> int:
         """The units whose footprints overlap unit u's."""
@@ -222,7 +214,7 @@ class _Search:
         """The last event of unit u's fold from state."""
         last = self.memo.get((state, u))
         if last is None:
-            self.check_deadline()
+            check_deadline(self.deadline, "searching")
             self.replays += 1
             *_, last = self.engine.fold(state, self.letters[u])
             if keep:
@@ -262,11 +254,11 @@ class _Search:
                         return _unit_path(parent, state) + [u], last, explored
                     if last.outcome != BLOCKED and last.after not in parent:
                         if len(parent) >= self.state_cap:
-                            raise _Stop(f"state cap {self.state_cap} exceeded")
+                            raise LimitExceeded(f"state cap {self.state_cap} exceeded")
                         parent[last.after] = (state, u, depth + 1)
                         depth_reached = depth + 1
                         queue.append(last.after)
-        except _Stop as stop:
+        except LimitExceeded as stop:
             return Unknown(False, explored, str(stop), depth_reached, len(queue), self.replays)
         if truncated:
             return Unknown(True, explored, "unit bound reached before closing the state space",
@@ -326,16 +318,16 @@ def verify(
     violation, real but possibly longer, is returned.  A Safe
     from the reduced search counts the states it visited, a subset of the
     reachable ones, and its unreachable units are exact.  The spec is
-    grounded sliced.  The deadline counts from entry: grounding and the
-    engine build give an Unknown naming the phase once it has passed, and
-    the search checks it before every unit's footprint and unit replay."""
-    deadline = time.monotonic() + timeout if timeout is not None else None
+    grounded sliced.  Every budget that runs out, the caps as the deadline
+    (counted from entry, read before every unit's footprint and replay),
+    gives an Unknown with the LimitExceeded message as its reason."""
+    deadline = deadline_after(timeout)
+    bound = parse_mode(mode)
     if is_violation(trace):
         # The recorded execution already witnesses the violation.
         return Violation(witness=trace, subtrace_sequence=(), states_explored=0)
-    bound = parse_mode(mode)
     try:
         engine = AbstractEngine(ground_spec(spec, trace, sliced=True, deadline=deadline), deadline)
-    except Timeout as e:
+    except LimitExceeded as e:
         return Unknown(False, reason=str(e))
     return _Search(engine, split_subtraces(trace), state_cap, deadline).run(bound)

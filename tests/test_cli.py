@@ -86,18 +86,19 @@ class TestVerifyCommand:
     def test_unknown_json_gives_the_timeout_reason(self, capsys, fixtures_dir, monkeypatch):
         # A clock that jumps a minute per reading: the deadline has passed
         # by the first unit replay.
-        from lifeguard import verification
+        from lifeguard import dfa
 
         ticks = iter(range(0, 10 ** 6, 60))
-        monkeypatch.setattr(verification, "time", type("Clock", (), {
+        monkeypatch.setattr(dfa, "time", type("Clock", (), {
             "monotonic": staticmethod(lambda: next(ticks))}))
         code, out, _ = run_cli(capsys, "verify",
                                "--spec", str(fixtures_dir / "spec_run.ls"),
                                "--trace", str(fixtures_dir / "trace_fixed.trace"),
                                "--timeout", "1", "--report", "json")
         doc = json.loads(out)
-        assert code == 2 and doc["verdict"] == "unknown" and doc["reason"] == "timeout"
-        assert doc["lines"] == ["Unknown: timeout"]
+        assert code == 2 and doc["verdict"] == "unknown"
+        assert doc["reason"] == "timeout while searching"
+        assert doc["lines"] == ["Unknown: timeout while searching"]
 
     def test_state_cap_below_one_is_a_usage_error(self, capsys, fixtures_dir):
         with pytest.raises(SystemExit) as exc:
@@ -455,7 +456,8 @@ class TestErrorPaths:
 
         build = dfa.build_dfa
         monkeypatch.setattr(dfa, "build_dfa",
-                            lambda regex, n_letters: build(regex, n_letters, 0))
+                            lambda regex, n_letters, deadline=None:
+                            build(regex, n_letters, 0, deadline))
         code, _, err = run_cli(capsys, "validate",
                                "--spec", str(fixtures_dir / "spec_run.ls"),
                                "--trace", str(fixtures_dir / "trace_fixed.trace"))
@@ -469,7 +471,8 @@ class TestErrorPaths:
 
         build = dfa.build_dfa
         monkeypatch.setattr(dfa, "build_dfa",
-                            lambda regex, n_letters: build(regex, n_letters, 0))
+                            lambda regex, n_letters, deadline=None:
+                            build(regex, n_letters, 0, deadline))
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for name in ("trace_fixed.trace", "trace_buggy.trace"):
@@ -491,7 +494,8 @@ class TestErrorPaths:
 
         build = dfa.build_dfa
         monkeypatch.setattr(dfa, "build_dfa",
-                            lambda regex, n_letters: build(regex, n_letters, 0))
+                            lambda regex, n_letters, deadline=None:
+                            build(regex, n_letters, 0, deadline))
         spec = tmp_path / "spec.ls"
         spec.write_text("eps ; TRUE -/> ci start(forall x:Widget)\n")
         corpus = tmp_path / "corpus"
@@ -604,10 +608,10 @@ class TestTimeouts:
     def test_api_timeout_surfaces_as_unknown_in_corpus_rows(self, capsys, fixtures_dir,
                                                             tmp_path, monkeypatch):
         import lifeguard.cli as cli_mod
-        from lifeguard.validation import ValidationTimeout
+        from lifeguard.dfa import LimitExceeded
 
         def always_times_out(spec, trace, timeout=None):
-            raise ValidationTimeout("validation exceeded its time budget at step 0")
+            raise LimitExceeded("timeout while validating step 0")
 
         monkeypatch.setattr(cli_mod, "validate", always_times_out)
         corpus = tmp_path / "corpus"

@@ -1,5 +1,5 @@
-"""What grounding charges to its cap, and how grounding and the engine
-build read the deadline.
+"""What grounding charges to its cap, how every phase reads the deadline,
+and how validate and verify report a budget that runs out.
 
 The sliced grounding charges each rule the assignments the slicer
 enumerates (see grounding._Join.kept).  recount derives those charges
@@ -14,13 +14,14 @@ import time
 
 import pytest
 
-from lifeguard import grounding, verification
+from lifeguard import grounding, validation, verification
 from lifeguard.abstract import AbstractEngine
 from lifeguard.cli import main
-from lifeguard.grounding import Timeout, compile_spec, ground_spec, letter_map
-from lifeguard.messages import serialize_trace
+from lifeguard.dfa import LimitExceeded
+from lifeguard.grounding import GroundingCapError, compile_spec, ground_spec, letter_map
+from lifeguard.messages import parse_trace, serialize_trace
 from lifeguard.rules import PERMIT, apply_binding, matcher_atoms, parse_spec
-from lifeguard.validation import ValidationTimeout, validate, validate_ground
+from lifeguard.validation import validate, validate_ground
 from lifeguard.verification import Unknown, verify
 
 from gen import random_pair_spec, random_spec, random_trace
@@ -159,7 +160,7 @@ class TestDeadline:
         assert caps[-1].total == 1728
 
     def test_validate_stops_grounding(self, clock):
-        with pytest.raises(ValidationTimeout, match="^timeout while grounding$"):
+        with pytest.raises(LimitExceeded, match="^timeout while grounding$"):
             validate(parse_spec(CAP_SPEC), init_trace(12), timeout=5)
         assert clock.reads == 2
 
@@ -169,9 +170,9 @@ class TestDeadline:
         spec, trace = parse_spec(CAP_SPEC), init_trace(8)
         ground = ground_spec(spec, trace, sliced=True)
         assert len(ground.rules) == 1024 and clock.reads == 0
-        with pytest.raises(Timeout, match="^timeout while building the engine$"):
+        with pytest.raises(LimitExceeded, match="^timeout while building the engine$"):
             AbstractEngine(ground, deadline=-1)
-        with pytest.raises(ValidationTimeout, match="^timeout while building the engine$"):
+        with pytest.raises(LimitExceeded, match="^timeout while building the engine$"):
             validate_ground(ground, trace, deadline=-1)
         monkeypatch.setattr(verification, "ground_spec", lambda *args, **kwargs: ground)
         result = verify(spec, trace, timeout=5)
@@ -208,4 +209,84 @@ class TestDeadline:
         assert code == 1
         assert [(r["verdict"], r.get("reason")) for r in rows] == [
             ("unknown", "timeout while grounding"),
-            ("unknown", "validation exceeded its time budget at step 0")]
+            ("unknown", "timeout while validating step 0")]
+
+
+# One rule whose DFA has 65,536 states, on a trace that grounds it once.
+BIG_DFA_SPEC = "TRUE* ; cb a() ; " + " ; ".join(["TRUE"] * 15) + " -/> ci b()"
+AB_TRACE = "cb a()\nci b()\nciret unit = b()\ncbret unit = a()\n"
+
+
+def unclocked_grounding(monkeypatch):
+    """validate and verify ground without a deadline, so that a grounding
+    of 1,024 rules passes it to the engine build."""
+    def ground(spec, trace, sliced, deadline):
+        return ground_spec(spec, trace, sliced=sliced)
+
+    for module in (validation, verification):
+        monkeypatch.setattr(module, "ground_spec", ground)
+
+
+def phase_case(phase, fixtures_dir, monkeypatch):
+    """The spec and trace whose check expires in the phase."""
+    if phase == "grounding":
+        return parse_spec(CAP_SPEC), init_trace(12)
+    if phase == "engine build":  # in compile_spec, at its 1,024th rule
+        unclocked_grounding(monkeypatch)
+        return parse_spec(CAP_SPEC), init_trace(8)
+    if phase == "DFA build":  # in build_dfa, at its 1,024th state
+        return parse_spec(BIG_DFA_SPEC), parse_trace(AB_TRACE)
+    return (parse_spec((fixtures_dir / "spec_run.ls").read_text()),
+            parse_trace((fixtures_dir / "trace_fixed.trace").read_text()))
+
+
+@pytest.mark.parametrize("check", ["validate", "verify"])
+@pytest.mark.parametrize("phase, reasons", [
+    ("grounding", ("grounding", "grounding")),
+    ("engine build", ("building the engine", "building the engine")),
+    ("DFA build", ("building the engine", "building the engine")),
+    ("fold or search", ("validating step 0", "searching")),
+])
+def test_every_phase_gives_one_timeout_text(clock, fixtures_dir, monkeypatch, check, phase,
+                                            reasons):
+    """validate raises LimitExceeded and verify returns an Unknown, with
+    ``timeout while <phase>``, at the first reading past the deadline."""
+    spec, trace = phase_case(phase, fixtures_dir, monkeypatch)
+    reason = "timeout while " + reasons[check == "verify"]
+    if check == "validate":
+        with pytest.raises(LimitExceeded, match=f"^{reason}$"):
+            validate(spec, trace, timeout=5)
+    else:
+        result = verify(spec, trace, timeout=5)
+        assert isinstance(result, Unknown) and not result.bound_hit and result.reason == reason
+    assert clock.reads == 2  # entry, then the first reading, past the deadline
+
+
+def test_the_grounding_cap_is_a_limit():
+    """Past the instantiation cap, validate raises the cap's diagnostic
+    and verify returns it as an Unknown, as for a timeout."""
+    spec, trace = parse_spec(CAP_SPEC), init_trace(60)
+    with pytest.raises(GroundingCapError) as cap:
+        ground_spec(spec, trace, sliced=True)
+    reason = str(cap.value)
+    assert reason.startswith("sliced grounding enumerates 216000 rule assignments (cap 200000); "
+                             "worst rule is #1 with 216000 assignments")
+    with pytest.raises(LimitExceeded) as raised:
+        validate(spec, trace)
+    assert str(raised.value) == reason
+    assert verify(spec, trace) == Unknown(bound_hit=False, reason=reason)
+
+
+@pytest.mark.parametrize("check", ["validate", "verify"])
+def test_a_large_dfa_build_stops_at_the_deadline(check):
+    # Building the 65,536-state DFA takes about 2 s; build_dfa reads the
+    # deadline every 1,024 states.
+    spec, trace = parse_spec(BIG_DFA_SPEC), parse_trace(AB_TRACE)
+    begin = time.monotonic()
+    if check == "validate":
+        with pytest.raises(LimitExceeded, match="^timeout while building the engine$"):
+            validate(spec, trace, timeout=0.2)
+    else:
+        result = verify(spec, trace, timeout=0.2)
+        assert result == Unknown(False, reason="timeout while building the engine")
+    assert time.monotonic() - begin < 0.5

@@ -1,8 +1,9 @@
 """Source hygiene, checked with the standard library's ast: the package has
 no unused import, no unused module-private top-level name, no import of
 another module's private name, no import of dataclasses, no record
-identity defined outside ``messages.Record`` and ``messages.Hashed``, and
-nothing public that only code outside it reaches; the tests and tools have no
+identity defined outside ``messages.Record`` and ``messages.Hashed``, one
+limit path, and nothing public that only code outside it reaches; the tests
+and tools have no
 unused import.  A fresh import of the command line and the interpreter
 loads every package module and neither dataclasses nor inspect, and the
 command line alone does not load the interpreter."""
@@ -10,6 +11,7 @@ command line alone does not load the interpreter."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -166,6 +168,40 @@ def test_only_record_defines_identity():
                     defined.append(f"{path.stem}.{cls.name}")
     others = sorted(set(defined) - {"messages.Record", "messages.Hashed"})
     assert others == [], f"{len(others)} classes define their own identity: {', '.join(others)}"
+
+
+LIMIT_WORDS = re.compile(r"\b(timeout|cap)\b")
+
+
+def _text(node: ast.expr) -> str:
+    """The constant strings in an expression, such as an f-string's text."""
+    return " ".join(n.value for n in ast.walk(node)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def _name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_one_limit_path():
+    """Only dfa, the lowest layer to stop on a limit, reads the clock, and
+    every raise whose message speaks of a timeout or a cap raises
+    dfa.LimitExceeded or a class that extends it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    clocks = sorted(module for module, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "monotonic")
+    assert set(clocks) == {"dfa"}, f"modules that read the clock: {clocks}"
+    classes = [cls for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)]
+    limits, grown = {"LimitExceeded"}, True
+    while grown:
+        more = {cls.name for cls in classes if limits & set(map(_name, cls.bases))}
+        grown, limits = not more <= limits, limits | more
+    raised = [(module, _name(node.exc.func)) for module, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and isinstance(node.exc, ast.Call) and node.exc.args
+              and LIMIT_WORDS.search(_text(node.exc.args[0]))]
+    assert raised and all(name in limits for _, name in raised), raised
 
 
 def _fresh_modules(imports: str) -> set[str]:

@@ -16,10 +16,11 @@ import pytest
 
 from lifeguard import validation, verification
 from lifeguard.abstract import AbstractEngine
+from lifeguard.dfa import LimitExceeded
 from lifeguard.grounding import GroundingError, compile_spec, ground_spec, letter_map
 from lifeguard.messages import parse_trace
 from lifeguard.rules import matcher_atoms, parse_spec
-from lifeguard.validation import ValidationTimeout, validate
+from lifeguard.validation import validate
 from lifeguard.verification import Safe, Unknown, Violation, verify
 
 from gen import random_spec, random_trace
@@ -251,13 +252,13 @@ class TestDeadlineFromEntry:
 
     def test_validate(self, spec_run, trace_fixed, monkeypatch):
         slow_grounding(monkeypatch, validation, 0.2)
-        with pytest.raises(ValidationTimeout):
+        with pytest.raises(LimitExceeded, match="^timeout while validating step 0$"):
             validate(spec_run, trace_fixed, timeout=0.1)
 
     def test_verify(self, spec_run, trace_fixed, monkeypatch):
         slow_grounding(monkeypatch, verification, 0.2)
         result = verify(spec_run, trace_fixed, timeout=0.1)
-        assert isinstance(result, Unknown) and result.reason == "timeout"
+        assert isinstance(result, Unknown) and result.reason == "timeout while searching"
 
     def test_brute_force_verify(self, spec_run, trace_fixed, monkeypatch):
         slow_grounding(monkeypatch, reference_engine, 0.2)
@@ -271,7 +272,8 @@ def test_dfa_cap_in_the_other_check_leaves_the_error_to_compilation(monkeypatch)
     from lifeguard import dfa
 
     build = dfa.build_dfa
-    monkeypatch.setattr(dfa, "build_dfa", lambda regex, n_letters: build(regex, n_letters, 0))
+    monkeypatch.setattr(dfa, "build_dfa", lambda regex, n_letters, deadline=None:
+                        build(regex, n_letters, 0, deadline))
     spec = parse_spec("eps ; TRUE -/> ci start(forall x:Widget)")
     trace = parse_trace("cb onShow(w#1:Widget)\nci start(w#1:Widget)\n"
                         "ciret unit = start(w#1:Widget)\ncbret unit = onShow(w#1:Widget)\n")

@@ -111,6 +111,15 @@ class TestVerifyFixtures:
         # the fixed trace closes its state space within a small bound
         assert isinstance(verify(spec_run, trace_fixed, mode="bounded:8"), Safe)
 
+    @pytest.mark.parametrize("mode", ["nonsense", "bounded:0", "bounded:abc"])
+    @pytest.mark.parametrize("text", ["cb f()\ncbret unit = f()\n", "cb f()\ndis ci g()\n"],
+                             ids=["plain", "dis"])
+    def test_an_unknown_mode_raises_on_every_trace(self, spec_run, mode, text):
+        # A dis-terminated trace is its own witness, but the mode is
+        # checked before that shortcut.
+        with pytest.raises(ValueError, match="^unknown verification mode"):
+            verify(spec_run, parse_trace(text), mode=mode)
+
     def test_state_cap_returns_unknown(self, spec_lifecycle, trace_fixed):
         result = verify(spec_lifecycle, trace_fixed, state_cap=1)
         assert isinstance(result, (Violation, Unknown))
@@ -324,7 +333,7 @@ class TestCapsAndTimeouts:
         begin = time.monotonic()
         result = verify(spec_run, trace, mode=mode, timeout=1)
         elapsed = time.monotonic() - begin
-        assert isinstance(result, Unknown) and result.reason == "timeout"
+        assert isinstance(result, Unknown) and result.reason == "timeout while searching"
         assert result.states_explored > 0 and result.depth_reached > 0
         # Exact BFS leaves states queued; the reduced search is one chain.
         assert (result.frontier > 0) == (mode == EXACT)
@@ -347,7 +356,7 @@ class TestCapsAndTimeouts:
         begin = time.monotonic()
         result = verify(spec_run, pair_trace(16), timeout=1)
         assert time.monotonic() - begin < 1.5
-        assert isinstance(result, Unknown) and result.reason == "timeout"
+        assert isinstance(result, Unknown) and result.reason == "timeout while searching"
 
 
 class TestReducedSearch:

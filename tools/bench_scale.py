@@ -38,7 +38,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from lifeguard.abstract import AbstractEngine  # noqa: E402
-from lifeguard.grounding import GroundingCapError, Timeout, ground_spec  # noqa: E402
+from lifeguard.dfa import LimitExceeded, deadline_after  # noqa: E402
+from lifeguard.grounding import ground_spec  # noqa: E402
 from lifeguard.messages import parse_trace, serialize_trace  # noqa: E402
 from lifeguard.rules import parse_spec  # noqa: E402
 from pairs import pair_trace  # noqa: E402
@@ -53,12 +54,12 @@ BUDGET_S = 20.0  # for one repetition's grounding and engine build
 
 
 def measure(spec_text: str, trace_text: str) -> dict:
-    """One validate pipeline's phase times and counts; raises Timeout or
-    GroundingCapError past the budget or the cap."""
+    """One validate pipeline's phase times and counts; raises LimitExceeded
+    past the budget or the cap."""
     start = time.perf_counter()
     spec, trace = parse_spec(spec_text), parse_trace(trace_text)
     parsed = time.perf_counter()
-    deadline = time.monotonic() + BUDGET_S
+    deadline = deadline_after(BUDGET_S)
     ground = ground_spec(spec, trace, sliced=True, deadline=deadline)
     grounded = time.perf_counter()
     engine = AbstractEngine(ground, deadline)
@@ -80,7 +81,7 @@ def row(spec_name: str, n: int, repeat: int) -> dict:
         gc.collect()  # so that no repetition pays for the garbage of the one before
         try:
             runs.append(measure(spec_text, trace_text))
-        except (Timeout, GroundingCapError) as e:
+        except LimitExceeded as e:
             return {**out, "skipped": str(e)}
     out.update({phase: min(run[phase] for run in runs) for phase in PHASES})
     out.update(instances=runs[0]["instances"], alphabet=runs[0]["alphabet"])
