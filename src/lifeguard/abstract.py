@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .dfa import Dfa
+from .dfa import Dfa, check_deadline
 from .grounding import CompiledRule, GroundSpec, compile_spec, letter_map
 from .messages import Message
 
@@ -79,7 +79,8 @@ class StepEvent(NamedTuple):
 
 class AbstractEngine:
     """Compiled ground spec plus the stepping fold shared by validation,
-    verification and explain; compile_spec reads the deadline."""
+    verification and explain.  compile_spec, and then the loop that lays
+    out each rule's tables, read the deadline every 1,024 rules."""
 
     def __init__(self, ground: GroundSpec, deadline: Optional[float] = None):
         self.alphabet = ground.alphabet
@@ -112,6 +113,8 @@ class AbstractEngine:
         self._fire: list[tuple[Optional[int], ...]] = []
         self._steady: dict[int, int] = {}
         for i, (rule, table) in enumerate(zip(self.rules, self._tables)):
+            if i & 1023 == 1023:
+                check_deadline(deadline, "building the engine")
             for move, letter in zip(table.columns, rule.columns):
                 self._patches.setdefault(letter, []).append((i, move))
             bit = rule.target_bit << (0 if rule.is_permit() else self._shift)

@@ -31,8 +31,11 @@ Cells are numbered by allocation order within a run: cell n is the n-th
 ``newcell``.
 
 The machine is one register loop, ``Machine._exec``: it keeps a state's
-fields in local variables, applies every rule in place after one dispatch
-on the control's type, and packs a ``MachineState`` only when it stops.
+fields in local variables and the running thunk's package in one more,
+applies every rule in place after one dispatch on the control's type,
+and packs a ``MachineState`` only when it stops.  A let whose bound is an
+atom or a primitive takes one pass of the loop, counted as its three
+steps (push, the bound's rule, pop), without building its frame.
 ``run`` drives it from the initial state to the end of a run.  The
 package imports this module on first use, so the checker commands do not
 load it.
@@ -58,6 +61,7 @@ from .messages import (
     UNIT,
     Bool,
     Cursor,
+    Hashed,
     Int,
     Message,
     ObjectId,
@@ -364,14 +368,24 @@ class Closure(_Code):
         return f"<fun {self.name} [{self.package}]>"
 
 
-class RThunk(Value):
-    __slots__ = ("closure", "args")
+class RThunk(Value, Hashed):
+    """A closure bound to arguments.  The enabled set hashes thunks and the
+    event loop sorts them, so a thunk stores its hash and its sort key on
+    first use."""
+
+    __slots__ = ("closure", "args", "_sort_key")
 
     def __init__(self, closure: Closure, args: tuple[Value, ...]):
         self.closure, self.args = closure, args
+        self._hash = self._sort_key = None
 
     def sort_key(self) -> tuple:
-        return (6, self.closure.name, self.closure.uid, tuple(a.sort_key() for a in self.args))
+        key = self._sort_key
+        if key is None:
+            closure = self.closure
+            self._sort_key = key = (6, closure.name, closure.uid,
+                                    tuple(a.sort_key() for a in self.args))
+        return key
 
     def __str__(self) -> str:
         return f"{self.closure.name}[{','.join(map(str, self.args))}]"
@@ -399,14 +413,6 @@ class Env:
         self._frame = frame or {}
         self._parent = parent
 
-    def lookup(self, name: str) -> Value:
-        env: Optional[Env] = self
-        while env is not None:
-            if name in env._frame:
-                return env._frame[name]
-            env = env._parent
-        raise StuckError(f"unbound identifier {name!r} at run time")
-
 
 EMPTY_ENV = Env()
 
@@ -423,7 +429,11 @@ class FLet(NamedTuple):
 
 
 class FThunk(NamedTuple):
+    """A running thunk, and the package of the code beneath it, to which
+    its return goes back (None beneath an event's thunk)."""
+
     thunk: RThunk
+    caller: Optional[str]
 
 
 class MForce(NamedTuple):
@@ -455,9 +465,9 @@ def initial_state(program: Expr) -> MachineState:
 
 
 def _caller_package(cont: list) -> Optional[str]:
-    """Package of the running caller thunk, from the continuation."""
+    """Package of the running thunk, from the continuation."""
     for frame in reversed(cont):
-        if type(frame) is not FLet:
+        if type(frame) is FThunk:
             return frame.thunk.closure.package
     return None
 
@@ -479,35 +489,32 @@ def _observable_args(thunk: RThunk) -> tuple[Value, ...]:
 _CROSSINGS = {(APP, FWK): (CB, CBRET), (FWK, APP): (CI, CIRET)}
 
 
-def _label(thunk: RThunk, cont: list, value: Optional[Value] = None) -> Optional[Message]:
-    """The message for forcing thunk under cont or, given its return value,
-    for returning to cont; None if the call does not cross the interface."""
-    kinds = _CROSSINGS.get((thunk.closure.package, _caller_package(cont)))
-    if kinds is None:
-        return None
-    if value is None:
-        return Message(kinds[0], thunk.closure.name, _observable_args(thunk))
-    if not isinstance(value, _SERIALIZABLE):
-        raise StuckError(f"return value {value} crosses the interface but is not observable")
-    return Message(kinds[1], thunk.closure.name, _observable_args(thunk), value)
-
-
-def _eval_atom(expr: Expr, env: Env, uids) -> Value:
-    """The value of an atom; a function literal takes the next closure uid."""
+def _eval_atom(expr: Expr, env: Optional[Env], uids) -> Value:
+    """The value of an atom; a function literal takes the next closure uid,
+    and a variable reads its innermost binding along env's chain."""
     t = type(expr)
     if t is EVar:
-        return env.lookup(expr.name)
-    if t is ELit:
+        name = expr.name
+    elif t is ELit:
         return expr.value
-    if t is ELam:
+    elif t is EThk:
+        name = "thk"
+    elif t is ELam:
         return Closure(expr.params, expr.body, expr.package, env, expr.name, next(uids))
-    if t is EThk:
-        return env.lookup("thk")
-    raise StuckError(f"operand {t.__name__} is not an atom")
+    else:
+        raise StuckError(f"operand {t.__name__} is not an atom")
+    while env is not None:
+        if name in env._frame:
+            return env._frame[name]
+        env = env._parent
+    raise StuckError(f"unbound identifier {name!r} at run time")
 
 
 _VALUES = frozenset((Unit, Bool, Int, Str, ObjectId, Closure, RThunk, CellRef))
 _THUNK_OPS = frozenset(("invoke", *_PERMISSION_OPS))
+# The bounds whose let the machine runs in one pass: their rule yields a
+# value, an MForce or BAD without touching the continuation.
+_FUSED = frozenset((*_ATOMS, EPrim))
 
 
 def _sort_key(value: Value) -> tuple:
@@ -526,10 +533,14 @@ class Machine:
 
     ``_exec`` is the machine: it holds a state's six fields in local
     registers (the continuation and cell store as lists, the permission
-    stores as sets), applies one rule per step in place, chosen by the
-    control's type and for a primitive by its op, and packs a
-    MachineState only when it stops, so it can also be run from any state
-    for one step."""
+    stores as sets), and the package of the running thunk in a seventh.
+    It applies one rule per step in place, chosen by the control's type
+    and for a primitive by its op, and packs a MachineState only when it
+    stops, so it can also be run from any state for one step.  A let whose
+    bound is an atom or a primitive takes one pass of the loop when the
+    budget has room for three steps: the push, the bound's rule and the
+    pop, each counted; a bound that yields an MForce or BAD leaves its
+    frame pushed, as the push step would."""
 
     def __init__(self) -> None:
         self._uids = itertools.count(1)
@@ -543,6 +554,7 @@ class Machine:
         final state is None for a stuck run."""
         c, env, store, enabled, disallowed, cont = state
         store, enabled, disallowed, cont = list(store), set(enabled), set(disallowed), list(cont)
+        pkg = _caller_package(cont)
         uids = self._uids
         labels: list[Message] = []
         steps = 0
@@ -560,10 +572,19 @@ class Machine:
                     status = BUDGET_EXHAUSTED
                     break
                 t = type(c)
+                let = None
                 if t is ELet:
-                    cont.append(_tuple(FLet, (c.var, c.body, env)))
-                    c = c.bound
-                elif t in _VALUES:
+                    if type(c.bound) not in _FUSED or steps + 3 > max_steps:
+                        cont.append(_tuple(FLet, (c.var, c.body, env)))
+                        c = c.bound
+                        steps += 1
+                        continue
+                    # The push step; this pass goes on with the bound's rule
+                    # and then binds its value, the pop step.
+                    let, c = c, c.bound
+                    t = type(c)
+                    steps += 1
+                if t in _VALUES:
                     if not cont:
                         # Event: pick an enabled thunk.  Its frame is the
                         # bottom of the stack, so its return has no caller to
@@ -574,15 +595,21 @@ class Machine:
                                                 f"{len(events)} enabled events")
                         thunk = events[choice]
                         c = _tuple(MForce, (thunk,))
-                        cont.append(_tuple(FThunk, (thunk,)))
+                        cont.append(_tuple(FThunk, (thunk, pkg)))
+                        pkg = thunk.closure.package
                     elif type(cont[-1]) is FLet:
                         top = cont.pop()
                         env = Env({top.var: c}, top.env)
                         c = top.body
                     else:
-                        label = _label(cont.pop().thunk, cont, c)
-                        if label is not None:
-                            labels.append(label)
+                        thunk, pkg = cont.pop()
+                        kinds = _CROSSINGS.get((thunk.closure.package, pkg))
+                        if kinds is not None:
+                            if not isinstance(c, _SERIALIZABLE):
+                                raise StuckError(f"return value {c} crosses the interface but "
+                                                 f"is not observable")
+                            labels.append(Message(kinds[1], thunk.closure.name,
+                                                  _observable_args(thunk), c))
                 elif t is EIf:
                     cond = _eval_atom(c.cond, env, uids)
                     if type(cond) is not Bool:
@@ -594,7 +621,7 @@ class Machine:
                     v = _eval_atom(operands[0], env, uids)
                     w = _eval_atom(operands[1], env, uids) if len(operands) > 1 else None
                     if op == "eq":
-                        c = TRUE if v == w else FALSE
+                        c = TRUE if v is w or v == w else FALSE
                     elif op == "bind":
                         if type(v) is Closure:
                             c = RThunk(v, (w,))
@@ -649,19 +676,27 @@ class Machine:
                     if len(thunk.args) != len(closure.params):
                         raise StuckError(f"forcing {closure.name} with {len(thunk.args)} of "
                                          f"{len(closure.params)} arguments")
-                    label = _label(thunk, cont)
-                    if label is not None:
-                        labels.append(label)
+                    kinds = _CROSSINGS.get((closure.package, pkg))
+                    if kinds is not None:
+                        labels.append(Message(kinds[0], closure.name, _observable_args(thunk)))
                     frame = dict(zip(closure.params, thunk.args))
                     frame["thk"] = thunk
                     env = Env(frame, closure.env)
                     c = closure.body
-                    cont.append(_tuple(FThunk, (thunk,)))
+                    cont.append(_tuple(FThunk, (thunk, pkg)))
+                    pkg = closure.package
                 elif t in _ATOMS:
                     c = _eval_atom(c, env, uids)
                 else:
                     raise StuckError(f"no rule for control {t.__name__}")
                 steps += 1
+                if let is not None:
+                    if c is BAD or type(c) is MForce:
+                        cont.append(_tuple(FLet, (let.var, let.body, env)))
+                    else:
+                        env = Env({let.var: c}, env)
+                        c = let.body
+                        steps += 1
         except StuckError as e:
             return labels, STUCK, steps, str(e), None
         return labels, status, steps, "", _tuple(MachineState, (

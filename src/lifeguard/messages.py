@@ -107,9 +107,21 @@ class Record:
 class Hashed(Record):
     """A record hashed often that stores its hash on first use, in a slot
     of this base that the subclass's ``__init__`` sets to None, so the
-    key and repr leave it out."""
+    key and repr leave it out.  Two records whose stored hashes differ are
+    unequal without a comparison of their keys."""
 
     __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
         h = self._hash

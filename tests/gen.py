@@ -174,3 +174,115 @@ def random_pair_spec(rng: random.Random) -> LifestateSpec:
         rules.append(parse_rule(f"{matcher.format(atom)} {rng.choice(('->', '-/>'))} "
                                 f"{target_kind} {target}({', '.join(args)})"))
     return LifestateSpec(_spec_run().rules + tuple(rules))
+
+
+# The functions of random_program: the pair traces' callbacks (app) and
+# callins (fwk), and the framework's three event handlers.  A parameter is
+# named by its type: a Activity, t AsyncTask, b Button, l OnClickListener,
+# en a boolean.
+PROGRAM_FUNCTIONS = (
+    ("onCreate", "app", ("a",)),
+    ("onClick", "app", ("l", "b")),
+    ("onPostExecute", "app", ("t",)),
+    ("init", "fwk", ("t",)),
+    ("setOnClickListener", "fwk", ("b", "l")),
+    ("setEnabled", "fwk", ("b", "en")),
+    ("execute", "fwk", ("t",)),
+    ("handleCreate", "fwk", ("a",)),
+    ("handleClick", "fwk", ("l", "b")),
+    ("handlePostExecute", "fwk", ("t",)),
+)
+HANDLERS = frozenset(("handleCreate", "handleClick", "handlePostExecute"))
+
+
+def random_program(rng: random.Random) -> str:
+    """A program over the pair traces' vocabulary.  It binds one or two
+    pairs' objects and a counter cell, then PROGRAM_FUNCTIONS in a random
+    order, then a boot function that enables some handlers, and invokes
+    boot.  Each body is a few random statements: invoke, bind, if on eq,
+    newcell, get, set and add in any package, and in a framework body
+    enable, disable, allow and disallow.  A body reaches only functions
+    bound before its own, so a callback's invoke of a callin calls back
+    into the framework and a callin's invoke of a callback nests, but no
+    call recurses; a handler disables itself first and enables only
+    earlier handlers, so every run ends.  Disallowed callins make bad runs,
+    and a cell passed across the interface or a disallowed callback
+    invoked makes stuck ones."""
+    n = rng.randint(1, 2)
+    globals_ = {"a": ["a"], "t": [f"t{i}" for i in range(1, n + 1)],
+                "b": [f"b{i}" for i in range(1, n + 1)],
+                "l": [f"l{i}" for i in range(1, n + 1)], "en": ["true", "false"]}
+    lines = ["let a = a#1:Activity in"]
+    lines += [f"let t{i} = t#{i}:AsyncTask in let b{i} = b#{i}:Button in "
+              f"let l{i} = l#{i}:OnClickListener in" for i in range(1, n + 1)]
+    lines.append(f"let c = newcell {rng.randint(0, 2)} in")
+    defined: list[tuple[str, str, tuple[str, ...]]] = []
+
+    def arg(ty: str, params: tuple[str, ...]) -> str:
+        roll = rng.random()
+        if roll < 0.03:
+            return "c"  # a cell: not observable
+        if roll < 0.08:
+            return "(get c)"
+        return rng.choice([p for p in params if p == ty] + globals_[ty])
+
+    def thunk(fun: tuple[str, str, tuple[str, ...]], params: tuple[str, ...]) -> str:
+        expr = fun[0]
+        for ty in fun[2]:
+            expr = f"(bind {expr} {arg(ty, params)})"
+        return expr
+
+    def condition(params: tuple[str, ...]) -> str:
+        roll = rng.random()
+        if roll < 0.4:
+            return f"eq (get c) {rng.randint(0, 3)}"
+        if roll < 0.8:
+            ty = rng.choice(("a", "t", "b", "l"))
+            return f"eq {arg(ty, params)} {arg(ty, params)}"
+        return arg("en", params)
+
+    def statement(package: str, params: tuple[str, ...], depth: int) -> str:
+        handlers = [f for f in defined if f[0] in HANDLERS]
+        others = [f for f in defined if f[0] not in HANDLERS]
+        kinds = ["call", "call", "count", "branch", "let"]
+        if package == "fwk":
+            kinds += ["enable", "permission", "permission"]
+        kind = rng.choice(kinds)
+        if kind == "call" and defined and depth < 2 and rng.random() < 0.4:
+            # A let-bound thunk, invoked by name: the invoke is itself a
+            # let's bound.
+            return (f"let h = {thunk(rng.choice(defined), params)} in "
+                    f"(invoke h; {statement(package, params, depth + 1)})")
+        if kind == "call" and defined:
+            return f"invoke {thunk(rng.choice(defined), params)}"
+        if kind == "enable" and handlers:
+            op = rng.choice(("enable", "disable"))
+            return f"{op} {thunk(rng.choice(handlers), params)}"
+        if kind == "permission":
+            target = thunk(rng.choice(others), params) if others and rng.random() < 0.8 else "thk"
+            return f"{rng.choice(('allow', 'disallow', 'disallow'))} {target}"
+        if kind == "count":
+            return f"set c (add (get c) {rng.randint(1, 2)})"
+        if kind == "branch" and depth < 2:
+            return (f"if {condition(params)} then ({statement(package, params, depth + 1)}) "
+                    f"else ({statement(package, params, depth + 1)})")
+        if kind == "let" and depth < 2:
+            return (f"let v = newcell (get c) in "
+                    f"(set v (add (get v) 1); {statement(package, params, depth + 1)})")
+        return "unit"
+
+    for fun in rng.sample(PROGRAM_FUNCTIONS, len(PROGRAM_FUNCTIONS)):
+        name, package, params = fun
+        body = [statement(package, params, 0) for _ in range(rng.randint(1, 3))]
+        if name in HANDLERS:
+            body.insert(0, "disable thk")
+        if rng.random() < 0.9:
+            body.append("unit")  # else the last statement's value may not be observable
+        head = params[0] if len(params) == 1 else f"({', '.join(params)})"
+        lines.append(f"let {name} = ({head} =>[{package}] ({'; '.join(body)})) in")
+        defined.append(fun)
+    boot = [f"enable {thunk(h, ('a',))}"
+            for h in rng.sample([f for f in defined if f[0] in HANDLERS], rng.randint(1, 3))]
+    lines.append(f"let boot = (a =>[fwk] ({'; '.join(boot)}; unit)) in")
+    lines.append("invoke (bind boot a)")
+    return "\n".join(lines) + "\n"

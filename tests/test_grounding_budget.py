@@ -187,7 +187,17 @@ class TestDeadline:
         assert clock.reads == 6912 // 1024 + 3456 // 1024
         clock.reads = 0
         AbstractEngine(ground, deadline=float("inf"))
-        assert clock.reads == len(ground.rules) // 1024  # in compile_spec
+        # In compile_spec, then in the loop that lays out the rules' tables.
+        assert clock.reads == 2 * (len(ground.rules) // 1024)
+
+    def test_the_table_layout_after_compile_spec_reads_the_deadline(self, clock):
+        # compile_spec reads the clock at 0, 10 and 20 s for its 3,456
+        # rules; the table layout's first reading, at 30 s, is past 25 s.
+        ground = ground_spec(parse_spec(CAP_SPEC), init_trace(12), sliced=True)
+        assert len(ground.rules) == 3456 and clock.reads == 0
+        with pytest.raises(LimitExceeded, match="^timeout while building the engine$"):
+            AbstractEngine(ground, deadline=25)
+        assert clock.reads == 4
 
     @pytest.mark.parametrize("spec_name", ["spec_run", "spec_run_until"])
     def test_a_benchmark_sized_trace_never_reads_the_clock(self, fixtures_dir, clock, spec_name):

@@ -156,7 +156,7 @@ IDENTITY = {"__eq__", "__hash__", "_key"}
 def test_only_record_defines_identity():
     """Record keys each class by the slots it declares itself, so no other
     class of the package defines __eq__, __hash__ or _key; Hashed only
-    stores the hash that key gives."""
+    stores the hash that key gives and reads it first in __eq__."""
     defined = []
     for path in MODULES:
         for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

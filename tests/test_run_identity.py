@@ -8,7 +8,9 @@ programs under seeds 1-20, and the benchmark's pair programs
 with pair 1 skipping setEnabled, under seeds 1-8.  A rule that changes
 what a run labels, or merges or splits a step, changes a pin.  LOWERED
 pins what parse_program makes of the programs that the cut-off sweep
-runs."""
+runs.  The sweep runs them, and 200 programs of tests/gen.py's
+random_program, at every budget up to 60 and around the end of each run,
+against a driver that takes each step through tests/stepping.py."""
 
 import hashlib
 import importlib.util
@@ -23,7 +25,15 @@ from lifeguard.interp import (
     BUDGET_EXHAUSTED,
     FINISHED,
     STUCK,
+    EIf,
+    ELam,
+    ELet,
+    ELit,
+    EPrim,
+    EThk,
+    EVar,
     Env,
+    Machine,
     Schedule,
     ScheduleError,
     StuckError,
@@ -33,8 +43,9 @@ from lifeguard.interp import (
     parse_schedule,
     run,
 )
-from lifeguard.messages import serialize_trace
+from lifeguard.messages import Bool, Unit, serialize_trace
 
+from gen import random_program
 from stepping import SteppingMachine, is_terminal, is_value
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -249,38 +260,60 @@ SCHEDULES = [Schedule(seed=seed) for seed in range(1, 9)] + [
                  "schedule_fixed.sched")] + [parse_schedule("0,9")]  # index 9 is out of range
 
 
-def _stepped(program, schedule, max_steps):
-    """(status, steps, trace, reason) of a run driven through SteppingMachine.step."""
-    machine = SteppingMachine()
-    state = initial_state(program)
-    rng = random.Random(schedule.seed) if schedule.seed is not None else None
-    picks = iter(schedule.picks or ())
-    labels, steps = [], 0
+def _chooser(schedule):
+    """The event choices of a run under schedule, as run makes them."""
+    if schedule.seed is not None:
+        return random.Random(schedule.seed).randrange
+    picks = iter(schedule.picks)
+    return lambda n: next(picks, None)
+
+
+def _stepped(program, schedule, limit):
+    """For each budget from 1 to limit, (status, steps, trace, reason,
+    final state) of a run driven through SteppingMachine.step and cut at
+    that budget; ("ScheduleError", message) from the first budget that
+    reaches a pick out of range."""
+    machine, choose = SteppingMachine(), _chooser(schedule)
+    state, labels, steps, outcomes = initial_state(program), [], 0, []
     while True:
         if state.control is BAD:
-            return BAD_STATUS, steps, tuple(labels), ""
+            end = BAD_STATUS, steps, tuple(labels), "", state
+            break
         at_loop = not state.cont and is_value(state)
         if at_loop:
-            choice = None if not state.enabled else (
-                next(picks, None) if rng is None else rng.randrange(len(state.enabled)))
+            choice = choose(len(state.enabled)) if state.enabled else None
             if choice is None:
-                return FINISHED, steps, tuple(labels), ""
-        if steps == max_steps:
-            return BUDGET_EXHAUSTED, steps, tuple(labels), ""
+                end = FINISHED, steps, tuple(labels), "", state
+                break
+        if steps:
+            outcomes.append((BUDGET_EXHAUSTED, steps, tuple(labels), "", state))
+            if steps == limit:
+                return outcomes
         try:
             succs = machine.step(state)
         except StuckError as e:
-            return STUCK, steps, tuple(labels), str(e)
+            end = STUCK, steps, tuple(labels), str(e), None
+            break
         if at_loop:
             if not 0 <= choice < len(succs):
-                raise ScheduleError(f"schedule index {choice} out of range for "
-                                    f"{len(succs)} enabled events")
+                end = "ScheduleError", (f"schedule index {choice} out of range for "
+                                        f"{len(succs)} enabled events")
+                break
         else:
             assert len(succs) == 1
             choice = 0
         label, state = succs[choice]
         labels += [label] if label is not None else []
         steps += 1
+    return outcomes + [end] * (limit - len(outcomes))
+
+
+def _exec_from_start(program, schedule, max_steps):
+    """(status, steps, trace, reason, final state) of Machine._exec run
+    from the initial state for at most max_steps steps."""
+    labels, status, steps, reason, state = Machine()._exec(initial_state(program), max_steps,
+                                                           _chooser(schedule))
+    return status, steps, tuple(labels), reason, state
 
 
 def _outcome(fn, *args):
@@ -291,6 +324,35 @@ def _outcome(fn, *args):
     if isinstance(result, tuple):
         return result
     return result.status, result.steps, result.trace.messages, result.reason
+
+
+# Every budget up to SWEEP_BUDGET runs: the first let-heavy steps of each
+# program, where the machine runs a let in one pass of its loop, end at
+# every step of every let.
+SWEEP_BUDGET = 60
+
+
+def _check_cut_offs(program, schedule):
+    """At every budget from 1 to SWEEP_BUDGET and one step either side of
+    the run's length (without its bad pick, if any), run ends as the
+    stepped driver does, and Machine._exec from the initial state stops in
+    the state that as many single steps reach, compared with the two
+    machines in lockstep so that the closure uids they hand out agree.
+    Returns how the full run ends: its status, or "ScheduleError"."""
+    full = _outcome(run, program, schedule)
+    ended = full[0]
+    if ended == "ScheduleError":
+        # The bad pick is read where the run without it finishes.
+        full = _outcome(run, program, Schedule(picks=schedule.picks[:-1]))
+    steps = full[1]
+    budgets = sorted(set(range(1, SWEEP_BUDGET + 1)) | {steps - 1, steps, steps + 1} - {0})
+    stepped = _stepped(program, schedule, budgets[-1])
+    for budget in budgets:
+        want = stepped[budget - 1]
+        assert _outcome(run, program, schedule, budget) == want[:4], (schedule, budget)
+        assert _plain(_outcome(_exec_from_start, program, schedule, budget)) == _plain(want), \
+            (schedule, budget)
+    return ended
 
 
 # The sha256 of repr(parse_program(text)) of each program above, recorded
@@ -340,20 +402,48 @@ def test_lowered_programs_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PROGRAMS))
 def test_run_equals_a_stepped_driver_at_every_cut_off(name):
-    program = SWEEP_PROGRAMS[name]
-    statuses = set()
-    for schedule in SCHEDULES:
-        full = _outcome(run, program, schedule)
-        statuses.add(full[0])
-        if full[0] == "ScheduleError":
-            # The bad pick is read where the run without it finishes.
-            full = _outcome(run, program, Schedule(picks=schedule.picks[:-1]))
-        steps = full[1]
-        for budget in sorted({1, 2, 3, 17, steps - 1, steps, steps + 1} - {0}):
-            assert _outcome(run, program, schedule, budget) == \
-                _outcome(_stepped, program, schedule, budget), (schedule, budget)
+    statuses = {_check_cut_offs(SWEEP_PROGRAMS[name], schedule) for schedule in SCHEDULES}
     # The full runs end every way but by the budget, and every program
     # that does not get stuck first reads the out-of-range pick.
     assert statuses & {BAD_STATUS, FINISHED, STUCK}
     assert BUDGET_EXHAUSTED not in statuses
     assert "ScheduleError" in statuses or statuses == {STUCK}
+
+
+# Generated programs (tests/gen.py random_program), each under three seeded
+# schedules, against the same driver at the same budgets.
+
+RANDOM_PROGRAMS = [parse_program(random_program(random.Random(seed))) for seed in range(200)]
+SURFACE_FORMS = {"let", ";", "if", "app function", "fwk function", "function of two",
+                 "thk", "variable", "unit", "true", "false", "Int", "ObjectId",
+                 "bind", "invoke", "enable", "disable", "allow", "disallow",
+                 "newcell", "get", "set", "add", "eq"}
+
+
+def _forms(expr):
+    """The surface forms that a lowered program is made of."""
+    t = type(expr)
+    if t is ELet:
+        return {";" if expr.var == "%seq" else "let"} | _forms(expr.bound) | _forms(expr.body)
+    if t is EIf:
+        return {"if"} | _forms(expr.cond) | _forms(expr.then) | _forms(expr.orelse)
+    if t is ELam:
+        forms = {f"{expr.package} function"} | _forms(expr.body)
+        return forms | {"function of two"} if len(expr.params) > 1 else forms
+    if t is EPrim:
+        return {expr.op}.union(*map(_forms, expr.operands))
+    if t is ELit:
+        value = expr.value
+        return {str(value) if type(value) in (Unit, Bool) else type(value).__name__}
+    return {"thk"} if t is EThk else {"variable"} if t is EVar else {t.__name__}
+
+
+def test_random_programs_use_every_surface_form():
+    assert set().union(*map(_forms, RANDOM_PROGRAMS)) == SURFACE_FORMS
+
+
+@pytest.mark.parametrize("first", range(0, len(RANDOM_PROGRAMS), 50))
+def test_run_equals_a_stepped_driver_on_random_programs(first):
+    statuses = {_check_cut_offs(program, Schedule(seed=seed))
+                for program in RANDOM_PROGRAMS[first:first + 50] for seed in (1, 2, 3)}
+    assert statuses == {BAD_STATUS, FINISHED, STUCK}

@@ -13,19 +13,23 @@ the whole trace, as one validate does in a fresh process; a row keeps the
 best time of each phase and the instance and alphabet counts.  A
 repetition whose grounding or engine build passes BUDGET_S, or whose
 grounding exceeds the instantiation cap, stops its row, which is recorded
-as skipped with the reason.  Everything runs in this process, with the
-standard library only.
+as skipped with the reason.  Then one row per size of the interpreter:
+interp.run of perfbench/gen.py's pairs_program at n = 8, 32 and 128 (no
+pair skipping) under seed RUN_SEED, K times; a row keeps the steps, the
+messages recorded, the best run_s and the microseconds per step.
+Everything runs in this process, with the standard library only.
 
 The record also names the commit, the SHA-256 of `git diff COMMIT -- src
 tests fixtures tools` when the measured code differs from it (else null),
 the Python version and the core count.  --compare prints, per row, each
-phase's time in NEW over its time in OLD."""
+phase's time (or run_s) in NEW over its time in OLD."""
 
 from __future__ import annotations
 
 import argparse
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -40,6 +44,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 from lifeguard.abstract import AbstractEngine  # noqa: E402
 from lifeguard.dfa import LimitExceeded, deadline_after  # noqa: E402
 from lifeguard.grounding import ground_spec  # noqa: E402
+from lifeguard.interp import Schedule, parse_program, run  # noqa: E402
 from lifeguard.messages import parse_trace, serialize_trace  # noqa: E402
 from lifeguard.rules import parse_spec  # noqa: E402
 from pairs import pair_trace  # noqa: E402
@@ -51,6 +56,9 @@ SIZES = {
 }
 PHASES = ("parse_s", "ground_s", "engine_s", "fold_s")
 BUDGET_S = 20.0  # for one repetition's grounding and engine build
+RUN_SIZES = (8, 32, 128)
+RUN_SEED = 1
+RUN_MAX_STEPS = 10 ** 6  # n = 128 takes about 147,000 steps
 
 
 def measure(spec_text: str, trace_text: str) -> dict:
@@ -88,6 +96,35 @@ def row(spec_name: str, n: int, repeat: int) -> dict:
     return out
 
 
+def pairs_program(n: int) -> str:
+    """perfbench/gen.py's n-pair program with no pair skipping."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.pairs_program(n, frozenset())
+
+
+def run_row(n: int, repeat: int) -> dict:
+    # The parser descends once per nested let and if, and from n = 124 on
+    # the program nests them past Python's default limit of 1,000 calls.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        program = parse_program(pairs_program(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    times = []
+    for _ in range(repeat):
+        gc.collect()
+        start = time.perf_counter()
+        result = run(program, Schedule(seed=RUN_SEED), max_steps=RUN_MAX_STEPS)
+        times.append(time.perf_counter() - start)
+    best = min(times)
+    return {"program": "pairs_program", "n": n, "seed": RUN_SEED, "status": result.status,
+            "steps": result.steps, "messages": len(result.trace.messages), "run_s": best,
+            "us_per_step": best / result.steps * 1e6}
+
+
 def commit() -> dict:
     def git(*args: str) -> bytes:
         try:
@@ -106,6 +143,9 @@ def record(out: pathlib.Path, repeat: int) -> None:
         for n in sizes:
             rows.append(row(spec_name, n, repeat))
             print(json.dumps(rows[-1]), flush=True)
+    for n in RUN_SIZES:
+        rows.append(run_row(n, repeat))
+        print(json.dumps(rows[-1]), flush=True)
     doc = {**commit(), "python": platform.python_version(), "cores": os.cpu_count(),
            "repeat": repeat, "budget_s": BUDGET_S, "rows": rows}
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -113,17 +153,21 @@ def record(out: pathlib.Path, repeat: int) -> None:
 
 def compare(old_path: pathlib.Path, new_path: pathlib.Path) -> None:
     old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
-    before = {(r["spec"], r["n"]): r for r in old["rows"]}
-    print(f"{'spec':<22} {'n':>4}  " + "  ".join(f"{p[:-2]:>7}" for p in PHASES)
-          + "   (new / old)")
-    for r in new["rows"]:
-        o = before.get((r["spec"], r["n"]))
-        if "skipped" in r or o is None or "skipped" in o:
-            cells = ["skipped" if "skipped" in r else "no old row" if o is None
-                     else "skipped in old"]
-        else:
-            cells = [f"{r[p] / o[p]:7.2f}" for p in PHASES]
-        print(f"{r['spec']:<22} {r['n']:>4}  " + "  ".join(cells))
+    before = {(r.get("spec") or r["program"], r["n"]): r for r in old["rows"]}
+    for kind, phases in (("spec", PHASES), ("program", ("run_s",))):
+        rows = [r for r in new["rows"] if kind in r]
+        if not rows:
+            continue
+        print(f"{kind:<22} {'n':>4}  " + "  ".join(f"{p[:-2]:>7}" for p in phases)
+              + "   (new / old)")
+        for r in rows:
+            o = before.get((r[kind], r["n"]))
+            if "skipped" in r or o is None or "skipped" in o:
+                cells = ["skipped" if "skipped" in r else "no old row" if o is None
+                         else "skipped in old"]
+            else:
+                cells = [f"{r[p] / o[p]:7.2f}" for p in phases]
+            print(f"{r[kind]:<22} {r['n']:>4}  " + "  ".join(cells))
 
 
 def main() -> None:
