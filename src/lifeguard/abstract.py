@@ -8,14 +8,15 @@ BAD, a protocol violation.  Messages outside the ground alphabet
 advance the rule DFAs through the OTHER letter and are never blocked.
 
 A rule whose DFA state is fixed under OTHER and not accepting is at rest:
-an unrelated letter leaves it where it is, and it adds nothing to the
-firing word.  Almost every rule is at rest almost all the time, so a
-state keeps the sorted indices of the rules that are not (live), and a
-step moves only the live rules by OTHER and the few rules whose atoms
-include the letter by their own columns.  The firing word is ORed over
-the live rules only.  A step therefore costs what the letter and the
-history touch, not the number of ground rules.  What a step reads of a
-DFA is laid out once per DFA that rules share, in one _Table.
+an unrelated letter leaves it where it is, and it fires nothing.  Almost
+every rule is at rest almost all the time, so a state keeps the sorted
+indices of the rules that are not (live), and a step moves only the live
+rules by OTHER and the few rules whose atoms include the letter by their
+own columns.  A step ORs the target letter's bit of each live rule that
+fires into its permits or its prohibits, so it costs what the letter and
+the history touch, not the number of ground rules.  What a step reads of
+a DFA is laid out once per DFA that rules share, in one _Table, and per
+rule the engine keeps small ints: its memory is O(rules + alphabet).
 
 The engine numbers the alphabet once, each message as its index (its
 letter), and compiles the rules against that numbering.  A store is an
@@ -79,8 +80,8 @@ class StepEvent(NamedTuple):
 
 class AbstractEngine:
     """Compiled ground spec plus the stepping fold shared by validation,
-    verification and explain.  compile_spec, and then the loop that lays
-    out each rule's tables, read the deadline every 1,024 rules."""
+    verification and explain.  compile_spec and the loop that files the
+    rules under their letters read the deadline every 1,024 rules."""
 
     def __init__(self, ground: GroundSpec, deadline: Optional[float] = None):
         self.alphabet = ground.alphabet
@@ -96,32 +97,25 @@ class AbstractEngine:
         dfas = {id(rule.dfa): rule.dfa for rule in self.rules}
         tables = {key: _table(dfa) for key, dfa in dfas.items()}
         self._tables = tuple(tables[id(rule.dfa)] for rule in self.rules)
-        self._width = max([(len(t.rest) - 1).bit_length() for t in tables.values()] + [1])
+        self._width = max([(len(t.fire) - 1).bit_length() for t in tables.values()] + [1])
         self._state_mask = (1 << self._width) - 1
-        # advance reads these two per rule at every step.
+        # advance reads these two per rule at every step, and _update the
+        # next three.
         self._other = tuple(t.columns[-1] for t in self._tables)
         self._known = tuple(t.known for t in self._tables)
-        self._shift = self.other_letter + 1
-        self._permit_bits = (1 << self._shift) - 1
-        # Per letter, the rules it moves by their own column.  Per rule and
-        # DFA state, what the rule contributes to the firing word: None
-        # where the rule is at rest; 0 where the state rejects; else its
-        # target bit, moved above the other_letter + 1 permit bits for a
-        # prohibit rule.  Per rule whose DFA accepts in a state fixed under
-        # OTHER (steady), that bit, which it fires there at every step.
+        self._fire = tuple(t.fire for t in self._tables)
+        self._targets = tuple(rule.letter for rule in self.rules)
+        self._permit = tuple(rule.is_permit() for rule in self.rules)
+        # The rules that accept in a state fixed under OTHER, where they fire
+        # at every step.
+        self._steady = [i for i, t in enumerate(self._tables) if t.steady]
+        # Per letter, the rules it moves by their own column.
         self._patches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        self._fire: list[tuple[Optional[int], ...]] = []
-        self._steady: dict[int, int] = {}
         for i, (rule, table) in enumerate(zip(self.rules, self._tables)):
             if i & 1023 == 1023:
                 check_deadline(deadline, "building the engine")
             for move, letter in zip(table.columns, rule.columns):
                 self._patches.setdefault(letter, []).append((i, move))
-            bit = rule.target_bit << (0 if rule.is_permit() else self._shift)
-            self._fire.append(tuple(None if at_rest else bit if accepts else 0
-                                    for accepts, at_rest in zip(rule.dfa.accepting, table.rest)))
-            if table.steady:
-                self._steady[i] = bit
 
     def letter(self, m: Message) -> int:
         return self.letters.get(m, self.other_letter)
@@ -154,18 +148,21 @@ class AbstractEngine:
                 prohibited: int) -> AbstractState:
         """The state with packed rule states word, where moved holds the DFA
         state of every rule that may be busy (every other rule is at rest):
-        live and the firing word are read off moved alone."""
-        fire, live, fired = self._fire, [], 0
+        live and what fires are read off moved alone."""
+        fire, targets, permit = self._fire, self._targets, self._permit
+        live, permits, prohibits = [], 0, 0
         for i, sid in moved.items():
-            contribution = fire[i][sid]
-            if contribution is not None:
+            accepts = fire[i][sid]
+            if accepts is not None:
                 live.append(i)
-                fired |= contribution
+                if accepts and permit[i]:
+                    permits |= 1 << targets[i]
+                elif accepts:
+                    prohibits |= 1 << targets[i]
         live.sort()
-        if not fired:
+        if not (permits or prohibits):
             # Nothing fires: the stores carry over unchanged.
             return AbstractState(word, tuple(live), permitted, prohibited)
-        permits, prohibits = fired & self._permit_bits, fired >> self._shift
         if permits & prohibits:
             return AbstractState(word, tuple(live), 0, self.in_mask, True)
         return AbstractState(word, tuple(live),
@@ -217,54 +214,59 @@ class AbstractEngine:
         that moves under OTHER or take an inconsistent step, since then it
         reaches rules or store bits outside these masks."""
         columns: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        reads = 0
+        reads = moved = 0
         for k, letter in enumerate(letters):
             reads |= 1 << letter
             for i, move in self._patches.get(letter, ()):
+                moved |= 1 << i
                 columns.setdefault(i, []).append((k, move))
-        moved = permits = prohibits = steady = 0
-        for i in columns:
-            moved |= 1 << i
-            if self.rules[i].is_permit():
-                permits |= self.rules[i].target_bit
-            else:
-                prohibits |= self.rules[i].target_bit
-        for i, word in self._steady.items():
-            if not moved >> i & 1:
-                steady |= word  # an unmoved steady rule fires at every step
-        steady_permits, steady_prohibits = steady & self._permit_bits, steady >> self._shift
-        # Per step, what the moved rules may fire, where a moved rule fires
-        # a target one way and some rule the other.
-        words = [0] * len(letters) if (permits & (prohibits | steady_prohibits)
-                                       or prohibits & steady_permits) else []
+        permits, prohibits = self._fired(columns)
+        # An unmoved steady rule fires at every step.
+        steady_permits, steady_prohibits = self._fired(
+            i for i in self._steady if not moved >> i & 1)
+        # Per step, the targets the moved rules may fire each way, where a
+        # moved rule fires a target one way and some rule the other.
+        n = len(letters) if (permits & (prohibits | steady_prohibits)
+                             or prohibits & steady_permits) else 0
+        fired_permits, fired_prohibits = [0] * n, [0] * n
         for i, moved_at in columns.items():
+            words = fired_permits if self._permit[i] else fired_prohibits
             if not self._settle(i, moved_at, len(letters), words):
                 return None
-        for word in words:
-            fired_permits, fired_prohibits = word & self._permit_bits, word >> self._shift
-            if fired_permits & (fired_prohibits | steady_prohibits) or \
-                    fired_prohibits & steady_permits:
+        for fired_permit, fired_prohibit in zip(fired_permits, fired_prohibits):
+            if fired_permit & (fired_prohibit | steady_prohibits) or \
+                    fired_prohibit & steady_permits:
                 return None
         return moved, reads & (self.back_mask | self.in_mask), permits, prohibits
+
+    def _fired(self, rules: Iterable[int]) -> tuple[int, int]:
+        """The target bits the rules fire, permits and prohibits apart."""
+        permits = prohibits = 0
+        for i in rules:
+            if self._permit[i]:
+                permits |= 1 << self._targets[i]
+            else:
+                prohibits |= 1 << self._targets[i]
+        return permits, prohibits
 
     def _settle(self, i: int, moved_at: list[tuple[int, tuple[int, ...]]], n: int,
                 words: list[int]) -> bool:
         """Follow rule i from every state fixed under OTHER through n
-        letters that move it at moved_at and by OTHER elsewhere, ORing into
-        words (if any) what it may fire at each step: whether it ends fixed
-        under OTHER."""
-        other, fire = self._other[i], self._fire[i]
+        letters that move it at moved_at and by OTHER elsewhere, ORing its
+        target bit into words (if any) at each step where it may fire:
+        whether it ends fixed under OTHER."""
+        other, fire, bit = self._other[i], self._fire[i], 1 << self._targets[i]
         states, k = self._tables[i].fixed, 0
         for column, move in moved_at + [(n, None)]:
             while k < column and (words or any(other[s] != s for s in states)):
                 states = {other[sid] for sid in states}
-                if words:
-                    words[k] |= _word(fire, states)
+                if words and any(fire[sid] for sid in states):
+                    words[k] |= bit
                 k += 1
             if move is not None:
                 states, k = {move[sid] for sid in states}, column + 1
-                if words:
-                    words[column] |= _word(fire, states)
+                if words and any(fire[sid] for sid in states):
+                    words[column] |= bit
         return all(other[s] == s for s in states)
 
     def fold(self, state: AbstractState, letters: Iterable[int]) -> Iterator[StepEvent]:
@@ -285,13 +287,14 @@ class AbstractEngine:
 
 class _Table(NamedTuple):
     """One shared DFA as the engine reads it: per local letter (OTHER last)
-    the next state by state, the states fixed under OTHER, per state
-    whether a rule there is at rest, the one rest and the one busy state
-    (each None unless there is exactly one), and whether a fixed state accepts."""
+    the next state by state, the states fixed under OTHER, per state None
+    where a rule there is at rest and else whether it fires its target
+    (the state accepts), the one rest and the one busy state (each None
+    unless there is exactly one), and whether a fixed state accepts."""
 
     columns: tuple[tuple[int, ...], ...]
     fixed: frozenset[int]
-    rest: tuple[bool, ...]
+    fire: tuple[Optional[bool], ...]
     known: tuple[Optional[int], Optional[int]]
     steady: bool
 
@@ -299,16 +302,10 @@ class _Table(NamedTuple):
 def _table(dfa: Dfa) -> _Table:
     columns = tuple(zip(*dfa.transitions))
     fixed = frozenset(sid for sid, to in enumerate(columns[-1]) if to == sid)
-    rest = tuple(sid in fixed and not accepting for sid, accepting in enumerate(dfa.accepting))
-    resting = [sid for sid, at_rest in enumerate(rest) if at_rest]
-    busy = [sid for sid, at_rest in enumerate(rest) if not at_rest]
+    fire = tuple(None if sid in fixed and not accepting else accepting
+                 for sid, accepting in enumerate(dfa.accepting))
+    resting = [sid for sid, fires in enumerate(fire) if fires is None]
+    busy = [sid for sid, fires in enumerate(fire) if fires is not None]
     known = tuple(states[0] if len(states) == 1 else None for states in (resting, busy))
-    return _Table(columns, fixed, rest, known, any(dfa.accepting[sid] for sid in fixed))
+    return _Table(columns, fixed, fire, known, any(dfa.accepting[sid] for sid in fixed))
 
-
-def _word(fire: tuple[Optional[int], ...], states: Iterable[int]) -> int:
-    """What a rule fires in any of the states."""
-    word = 0
-    for sid in states:
-        word |= fire[sid] or 0
-    return word

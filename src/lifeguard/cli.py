@@ -293,7 +293,7 @@ def _cmd_explain(args) -> int:
         fired_text = ", ".join(
             f"#{f.source_index + 1}{ARROWS[f.polarity]}"
             f"{format_message(f.target)}"
-            for f in engine.fired_rules(after) if f.target_bit & shown
+            for f in engine.fired_rules(after) if shown >> f.letter & 1
         )
         # Decoded in alphabet order, which is message sort order.
         delta = " ".join(

@@ -436,15 +436,15 @@ class CompiledRule(Record):
     rule's own atoms plus a last, OTHER letter; local letter i stands for
     the global letter columns[i], and every global letter outside columns
     moves like OTHER.  Instances of one rule shape share the DFA object.
-    target_bit is 1 << (the target's letter), the rule's bit in the
+    letter is the target's letter: the rule fires bit letter of the
     engine's store bitmasks."""
 
-    __slots__ = ("dfa", "columns", "polarity", "target", "source_index", "target_bit")
+    __slots__ = ("dfa", "columns", "polarity", "target", "source_index", "letter")
 
     def __init__(self, dfa: _dfa.Dfa, columns: tuple[int, ...], polarity: str, target: Message,
-                 source_index: int, target_bit: int):
+                 source_index: int, letter: int):
         self.dfa, self.columns, self.polarity = dfa, columns, polarity
-        self.target, self.source_index, self.target_bit = target, source_index, target_bit
+        self.target, self.source_index, self.letter = target, source_index, letter
 
     def is_permit(self) -> bool:
         return self.polarity == PERMIT
@@ -513,7 +513,7 @@ def compile_spec(ground: GroundSpec, letters: dict[Message, int],
             dfas[key] = shapes[regex]
         out.append(CompiledRule(dfas[key], tuple([letters[m] for m in rule.atoms]),
                                 rule.polarity, rule.target, rule.source_index,
-                                1 << letters[rule.target]))
+                                letters[rule.target]))
     return tuple(out)
 
 

@@ -319,12 +319,18 @@ def _let_all(lets: list[tuple[str, Expr]], body: Expr) -> Expr:
 
 
 def parse_program(text: str) -> Expr:
-    """Parse, scope-check, and normalize a surface program."""
+    """Parse, scope-check, and normalize a surface program.  The parser
+    recurses once per nesting level, so a program nested deeper than the
+    interpreter's stack allows is a ProgramError at the line reached."""
     lines = text.split("\n")
     tokens = [tok for lineno, raw in enumerate(lines, start=1)
               for tok in tokenize(strip_comment(raw), lineno, ProgramError)]
     parser = _Parser(tokens, len(lines))
-    expr = parser.parse_expr(frozenset(), None)
+    try:
+        expr = parser.parse_expr(frozenset(), None)
+    except RecursionError:
+        tok = parser.peek()
+        raise ProgramError("program nested too deeply", tok.line if tok else parser.end) from None
     if parser.peek() is not None:
         tok = parser.peek()
         raise ProgramError(f"trailing tokens starting at {tok.text!r}", tok.line)

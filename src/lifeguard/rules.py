@@ -454,7 +454,13 @@ class _RuleParser(Cursor):
 
 
 def parse_rule(text: str, line: int = 1) -> Rule:
-    return _RuleParser(tokenize(text, line, SpecError), line).parse_rule()
+    """Parse one rule; the parser recurses once per nesting level, so a
+    matcher nested deeper than the interpreter's stack allows is a
+    SpecError."""
+    try:
+        return _RuleParser(tokenize(text, line, SpecError), line).parse_rule()
+    except RecursionError:
+        raise SpecError("matcher nested too deeply", line) from None
 
 
 def parse_spec(text: str) -> LifestateSpec:

@@ -70,12 +70,11 @@ def _last_firing_rules(engine: AbstractEngine, prefix: Sequence[int],
     (the initial state or the state after a validated message) where any
     of them fired.  Re-folds the prefix's letters, so a valid trace never
     pays for it, and reads the fired rules back from the last state."""
-    bit = 1 << target
     states = [engine.initial_state()]
     states += [event.after for event in engine.fold(states[0], prefix)]
     for state in reversed(states):
         blame = tuple(rule.source_index for rule in engine.fired_rules(state)
-                      if rule.target_bit == bit)
+                      if rule.letter == target)
         if blame:
             return blame
     return ()

@@ -4,7 +4,12 @@ tools/cli_identity.py.
 Each begins by invoking a framework init function, so the command line
 runs it.  STUCK maps a name to a program and the reason its run gets
 stuck; BROKEN maps a name to a program with exactly one error and the
-message of the ProgramError that parse_program raises for it."""
+message of the ProgramError that parse_program raises for it.
+load_gen loads perfbench/gen.py, whose pairs_program(n, skip) nests one
+``if ... else`` per pair."""
+
+import importlib.util
+import pathlib
 
 BOOT = "let boot = (x =>[fwk] {}) in\ninvoke (bind boot unit)\n"
 
@@ -41,3 +46,11 @@ BROKEN = {
     "unexpected-end": ("let boot = (x =>[fwk] unit) in\ninvoke (bind boot",
                        "line 2: unexpected end of input"),
 }
+
+
+def load_gen():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -33,9 +35,9 @@ def firing_sets(engine, state):
     permits = prohibits = 0
     for rule in engine.fired_rules(state):
         if rule.is_permit():
-            permits |= rule.target_bit
+            permits |= 1 << rule.letter
         else:
-            prohibits |= rule.target_bit
+            prohibits |= 1 << rule.letter
     return permits, prohibits
 
 
@@ -124,6 +126,27 @@ class TestBuild:
             calls.clear()
             engine = AbstractEngine(ground_spec(spec_run, trace))
             assert calls == [engine.alphabet]
+
+    def test_what_the_engine_keeps_grows_linearly_in_the_trace(self, spec_run):
+        """Each rule keeps its target letter, not a bitmask as wide as the
+        alphabet, so doubling the pair trace at most about doubles what an
+        engine build retains (with such a mask per rule it retained 3.1x
+        as much)."""
+        def retained(n):
+            ground = ground_spec(spec_run, pair_trace(n), sliced=True)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                engine = AbstractEngine(ground)
+                gc.collect()
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert engine.rules
+            return size
+
+        retained(2)  # the spec's plan keeps the DFAs the first build compiles
+        assert retained(1024) / retained(512) <= 2.5
 
     def test_store_masks_are_the_alphabet_kinds(self, request):
         """back_mask holds exactly the back-messages of the alphabet and

@@ -15,6 +15,7 @@ from lifeguard.rules import load_spec
 from lifeguard.validation import validate
 
 from pairs import CAP_SPEC, init_trace, pair_trace
+from programs import load_gen
 
 
 def run_cli(capsys, *argv):
@@ -450,6 +451,22 @@ class TestErrorPaths:
         assert code == 2
         assert "line 1" in err
 
+
+    def test_a_program_nested_past_the_stack_is_one_error_line(self, capsys, tmp_path):
+        program = tmp_path / "pairs130.ll"
+        program.write_text(load_gen().pairs_program(130, frozenset()))
+        code, out, err = run_cli(capsys, "run", "--program", str(program), "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.endswith(": program nested too deeply\n")
+
+    def test_a_matcher_nested_past_the_stack_is_one_error_line(self, capsys, fixtures_dir,
+                                                                tmp_path):
+        spec = tmp_path / "deep.ls"
+        spec.write_text("(" * 3000 + "cb onX(w:Widget)" + ")" * 3000 + " -> cb onY(w)\n")
+        code, out, err = run_cli(capsys, "validate", "--spec", str(spec),
+                                 "--trace", str(fixtures_dir / "trace_fixed.trace"))
+        assert code == 2 and out == ""
+        assert err == "error: line 1: matcher nested too deeply\n"
 
     def test_dfa_cap_overflow_is_one_error_line(self, capsys, fixtures_dir, monkeypatch):
         from lifeguard import dfa

@@ -17,7 +17,7 @@ from lifeguard.interp import (
 from lifeguard.messages import DIS_CI, Trace, serialize_trace
 from lifeguard.validation import validate
 
-from programs import BROKEN, STUCK
+from programs import BROKEN, STUCK, load_gen
 from stepping import SteppingMachine, is_terminal, is_value
 
 
@@ -80,6 +80,13 @@ class TestParseProgram:
         with pytest.raises(ProgramError) as caught:
             parse_program(text)
         assert str(caught.value) == message
+
+    def test_a_program_nested_past_the_stack_is_a_program_error(self):
+        # The handler nests one if ... else per pair, and the parser
+        # recurses per nesting level: at n = 130 it runs out of stack.
+        with pytest.raises(ProgramError, match=r"^line \d+: program nested too deeply$") as caught:
+            parse_program(load_gen().pairs_program(130, frozenset()))
+        assert caught.value.__suppress_context__
 
     def test_fixture_programs_parse(self, fixtures_dir):
         for name in ("program_fixed.ll", "program_buggy.ll"):

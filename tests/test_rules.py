@@ -65,6 +65,13 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="forall"):
             parse_rule("eps -> cb onCreate(a:Activity)")
 
+    def test_a_matcher_nested_past_the_stack_is_a_spec_error(self):
+        deep = "(" * 3000 + "cb onX(w:Widget)" + ")" * 3000 + " -> cb onY(w)\n"
+        with pytest.raises(SpecError) as caught:
+            parse_spec("# one rule, on line 2\n" + deep)
+        assert str(caught.value) == "line 2: matcher nested too deeply"
+        assert caught.value.__suppress_context__
+
     def test_forall_rejected_in_matcher(self):
         with pytest.raises(SpecError):
             parse_rule("TRUE* ; ci f(forall x:Task) -> ci g(x)")

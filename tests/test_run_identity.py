@@ -13,7 +13,6 @@ random_program, at every budget up to 60 and around the end of each run,
 against a driver that takes each step through tests/stepping.py."""
 
 import hashlib
-import importlib.util
 import pathlib
 import random
 
@@ -46,16 +45,10 @@ from lifeguard.interp import (
 from lifeguard.messages import Bool, Unit, serialize_trace
 
 from gen import random_program
+from programs import load_gen
 from stepping import SteppingMachine, is_terminal, is_value
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def _pin(program, seed):
@@ -180,7 +173,7 @@ def test_fixture_runs_are_pinned(fixtures_dir, name, seed):
 
 
 def test_pair_program_runs_are_pinned():
-    gen = _load_gen()
+    gen = load_gen()
     programs = {(n, skip): parse_program(gen.pairs_program(n, frozenset(skip)))
                 for n, skip, _ in PAIR_RUNS}
     got = {(n, skip, seed): _pin(programs[n, skip], seed) for n, skip, seed in PAIR_RUNS}
@@ -242,7 +235,7 @@ STUCK_PROGRAMS = {
 
 
 def _sweep_programs():
-    gen = _load_gen()
+    gen = load_gen()
     fixtures = REPO / "fixtures"
     programs = {name: load_program(fixtures / name)
                 for name in ("program_buggy.ll", "program_fixed.ll")}

@@ -550,16 +550,25 @@ class TestReducedSearch:
         assert isinstance(result, Violation) and result.subtrace_sequence == sequence
         assert result == verify(spec, trace, mode=EXACT)
 
+    # A footprint is (moved, permits, prohibits): the mask of rules the
+    # unit moves, and whether onX is among the moved rules' permit and
+    # prohibit targets.  None where the unit has no footprint.
     @pytest.mark.parametrize("rules, footprint", [
         # Only onX, the target, is outside the letters the unit reads.
-        (["TRUE* ; ci a(w:Widget) -> cb onX(w)"], True),
+        (["TRUE* ; ci a(w:Widget) -> cb onX(w)"], (1, True, False)),
         # Fired both ways at one step: the step is inconsistent.
-        (["TRUE* ; ci a(w:Widget) -> cb onX(w)", "TRUE* ; ci a(w:Widget) -/> cb onX(w)"], False),
+        (["TRUE* ; ci a(w:Widget) -> cb onX(w)", "TRUE* ; ci a(w:Widget) -/> cb onX(w)"], None),
         # Fired one way while a steady rule fires the other.
         (["TRUE* ; ci a(w:Widget) -> cb onX(w)", "!(TRUE* ; ci b(w:Widget) ; TRUE*) -/> cb onX(w)"],
-         False),
+         None),
+        # A moved prohibit rule against a steady permit rule.
+        (["TRUE* ; ci a(w:Widget) -/> cb onX(w)", "!(TRUE* ; ci b(w:Widget) ; TRUE*) -> cb onX(w)"],
+         None),
+        # Fired both ways, at different steps: every step is consistent.
+        (["TRUE* ; ci a(w:Widget) -> cb onX(w)",
+          "TRUE* ; ciret unit = a(w:Widget) -/> cb onX(w)"], (3, True, True)),
         # Left accepting at the unit's end, so the next letter moves it.
-        (["TRUE* ; cbret unit = onC(w:Widget) -> cb onX(w)"], False),
+        (["TRUE* ; cbret unit = onC(w:Widget) -> cb onX(w)"], None),
     ])
     def test_footprint(self, rules, footprint):
         w = "(w#1:Widget)"
@@ -569,11 +578,13 @@ class TestReducedSearch:
         engine = AbstractEngine(ground_spec(spec, trace, sliced=True))
         unit, other = split_subtraces(trace)
         got = engine.footprint(engine.intern(unit.messages))
-        assert (got is not None) == footprint
-        if footprint:
+        if footprint is None:
+            assert got is None
+        else:
             moved, reads, permits, prohibits = got
-            assert moved == 1 and prohibits == 0
-            assert engine.decode(permits) == other.messages[:1]
+            on_x = other.messages[:1]
+            assert (moved, engine.decode(permits), engine.decode(prohibits)) == (
+                footprint[0], on_x if footprint[1] else (), on_x if footprint[2] else ())
             assert set(engine.decode(reads)) == set(unit.messages)
         assert agrees_with_exact(verify(spec, trace), verify(spec, trace, mode=EXACT))
 
