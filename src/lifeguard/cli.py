@@ -2,8 +2,8 @@
 
 Subcommands: run (execute a program under a schedule and record its trace),
 validate (check a spec against recorded traces, single or corpus), verify
-(predictive-trace verification), ground (dump the ground spec), explain
-(per-step store diagnostics for a trace).
+(predictive-trace verification), ground (dump the sliced ground spec the
+checkers use), explain (per-step store diagnostics for a trace).
 
 Exit codes: 0 = valid / Safe / finished, 1 = invalid / Violation / bad,
 2 = Unknown, usage error, or internal error.  JSON reports carry a stable
@@ -19,8 +19,7 @@ from pathlib import Path
 
 from .abstract import AbstractEngine
 from .dfa import LimitExceeded
-from .grounding import (DEFAULT_INSTANTIATION_CAP, GroundingError, compile_spec, ground_spec,
-                        letter_map)
+from .grounding import GroundingError, compile_spec, ground_spec, letter_map
 from .messages import TraceError, format_message, load_trace, read_source, serialize_trace
 from .rules import ARROWS, SpecError, load_spec
 from .validation import NOT_PERMITTED, PROHIBITED, trace_mask, validate, walk
@@ -232,27 +231,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ground(args) -> int:
     spec = load_spec(args.spec)
-    trace = load_trace(args.trace)
-    ground = ground_spec(spec, trace, cap=args.grounding_cap)
-    sliced = ground_spec(spec, trace, cap=args.grounding_cap, sliced=True)
-    lines = []
-    for gr in ground.rules:
-        lines.append(f"{gr.matcher} {ARROWS[gr.polarity]} {format_message(gr.target)}")
+    ground = ground_spec(spec, load_trace(args.trace), sliced=True)
+    lines = [f"{gr.matcher} {ARROWS[gr.polarity]} {format_message(gr.target)}"
+             for gr in ground.rules]
     lines.append("")
     lines.append(f"alphabet: {len(ground.alphabet)} messages (+1 OTHER class)")
     lines.append(f"{'rule':>5} {'instances':>10} {'sliced':>7} {'dfa states (per instance)':>28}")
-    per_rule_states: dict[int, list[int]] = {}
+    states: list[list[int]] = [[] for _ in spec.rules]
     for compiled in compile_spec(ground, letter_map(ground.alphabet)):
-        per_rule_states.setdefault(compiled.source_index, []).append(compiled.dfa.n_states)
-    for idx, (count, kept) in enumerate(zip(ground.instance_counts, sliced.instance_counts)):
-        sizes = per_rule_states.get(idx, [])
-        lines.append(f"{idx + 1:>5} {count:>10} {kept:>7} {','.join(map(str, sizes)) or '-':>28}")
-    lines.append(f"sliced: {len(sliced.rules)} of {len(ground.rules)} instances, "
-                 f"{len(sliced.alphabet)} of {len(ground.alphabet)} messages")
+        states[compiled.source_index].append(compiled.dfa.n_states)
+    for idx, (count, sizes) in enumerate(zip(ground.instance_counts, states)):
+        lines.append(f"{idx + 1:>5} {count:>10} {len(sizes):>7} "
+                     f"{','.join(map(str, sizes)) or '-':>28}")
+    lines.append(f"sliced: {len(ground.rules)} of {sum(ground.instance_counts)} instances, "
+                 f"{len(ground.alphabet)} messages")
     report = {"command": "ground", "rules": len(ground.rules),
               "alphabet": [format_message(m) for m in ground.alphabet],
               "instance_counts": list(ground.instance_counts),
-              "sliced_instance_counts": list(sliced.instance_counts), "lines": lines}
+              "sliced_instance_counts": list(map(len, states)), "lines": lines}
     _emit(report, args.report)
     return EXIT_OK
 
@@ -356,10 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--report", choices=("text", "json"), default="text")
     p_ver.set_defaults(command=_cmd_verify)
 
-    p_gnd = sub.add_parser("ground", help="dump the ground spec for a trace")
+    p_gnd = sub.add_parser("ground", help="dump the sliced ground spec for a trace")
     p_gnd.add_argument("--spec", required=True)
     p_gnd.add_argument("--trace", required=True)
-    p_gnd.add_argument("--grounding-cap", type=int, default=DEFAULT_INSTANTIATION_CAP)
     p_gnd.add_argument("--report", choices=("text", "json"), default="text")
     p_gnd.set_defaults(command=_cmd_ground)
 

@@ -233,7 +233,10 @@ class Derivatives:
 
 
 class DfaSizeError(RuntimeError):
-    """The construction reached more states than its cap allows."""
+    """The construction reached more states than DFA_STATE_CAP allows."""
+
+
+DFA_STATE_CAP = 100000  # read at each build_dfa call
 
 
 class Dfa(Record):
@@ -251,16 +254,15 @@ class Dfa(Record):
         return len(self.transitions)
 
 
-def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000,
-              deadline: Optional[float] = None) -> Dfa:
+def build_dfa(regex: Re, n_letters: int, deadline: Optional[float] = None) -> Dfa:
     """Iterated-derivative construction; states are canonical regexes.
-    Raises DfaSizeError when more than state_cap states are reachable, and
+    Raises DfaSizeError when more than DFA_STATE_CAP states are reachable, and
     LimitExceeded past the deadline, read once every 1,024 states."""
     derivatives = Derivatives()
     index: dict[Re, int] = {regex: 0}
     order: list[Re] = [regex]
     transitions: list[tuple[int, ...]] = []
-    pos = 0
+    pos, cap = 0, DFA_STATE_CAP
     while pos < len(order):
         if pos & 1023 == 1023:
             check_deadline(deadline, "building the engine")
@@ -271,8 +273,8 @@ def build_dfa(regex: Re, n_letters: int, state_cap: int = 100000,
             sid = index.get(nxt)
             if sid is None:
                 sid = len(order)
-                if sid > state_cap:
-                    raise DfaSizeError(f"DFA construction exceeded {state_cap} states")
+                if sid > cap:
+                    raise DfaSizeError(f"DFA construction exceeded {cap} states")
                 index[nxt] = sid
                 order.append(nxt)
             row.append(sid)

@@ -8,10 +8,10 @@ every message of the trace plus every message occurring in a ground rule;
 one reserved OTHER letter covers all messages outside the alphabet, which
 makes complement and intersection decidable and grounding-stable.
 
-validate, verify and explain ground sliced (ground_spec(..., sliced=True)):
-they keep only the instances that can change a verdict on the trace, as
-parametric trace slicing creates monitors only for the bindings a trace
-shows.  Validation and verification step trace messages only, so an
+Every command grounds sliced (ground_spec(..., sliced=True)): it keeps
+only the instances that can change a verdict on the trace, as parametric
+trace slicing creates monitors only for the bindings a trace shows.
+Validation and verification step trace messages only, so an
 instance none of whose atoms occurs in the trace and whose matcher accepts
 no word of OTHER* never fires; and once those are dropped, a group of
 instances of one polarity whose common target never occurs in the trace
@@ -21,8 +21,8 @@ target with the trace's messages over value ids before any instance is
 built, so spec_run.ls grounds to 6n + 1 instances on n button/task pairs
 instead of 3n^2 + 3n + 1.  Both groundings give equal verdicts, witnesses
 and unit sequences, and equal stores on every trace message; merged states
-can only make verify explore fewer.  The full grounding stays the reference
-and what `lifeguard ground` prints.
+can only make verify explore fewer.  The full grounding stays the
+reference that the tests and the benchmark check the slice against.
 
 A spec is planned once and each trace joined with the plan.  The plan
 (_Plan) holds per rule its sorted variables and their types, its target
@@ -126,11 +126,12 @@ class GroundRule(Record):
 
 class GroundSpec(Record):
     """Ground rules in spec order, the ground alphabet in message order,
-    the number of instances of each source rule, and relevant: the trace's
-    messages (dis unwrapped) that are an atom or the target of some
-    instance of the full grounding, sliced or not.  _plan is the plan of
-    the spec it grounds, whose DFA tables compile_spec fills; a GroundSpec
-    built by hand has none and cannot be compiled."""
+    and, sliced or not, the number of instances of each source rule in the
+    full grounding (the product of its variables' domain sizes, never
+    built) and relevant: the trace's messages (dis unwrapped) that are an
+    atom or the target of some instance of the full grounding.  _plan is
+    the plan of the spec it grounds, whose DFA tables compile_spec fills; a
+    GroundSpec built by hand has none and cannot be compiled."""
 
     __slots__ = ("rules", "alphabet", "instance_counts", "relevant", "_plan")
 
@@ -183,10 +184,11 @@ class _Plan:
 class _Cap:
     """Charges rule instances, or with sliced the assignments the slicer
     enumerates, to their rule, and aborts with a diagnostic naming the worst
-    rule as soon as the total exceeds the cap; reads the deadline per 1,024."""
+    rule as soon as the total exceeds DEFAULT_INSTANTIATION_CAP, read when
+    grounding starts; reads the deadline per 1,024."""
 
-    def __init__(self, spec: LifestateSpec, cap: int, sliced: bool, deadline: Optional[float]):
-        self.rules, self.cap, self.deadline = spec.rules, cap, deadline
+    def __init__(self, spec: LifestateSpec, sliced: bool, deadline: Optional[float]):
+        self.rules, self.cap, self.deadline = spec.rules, DEFAULT_INSTANTIATION_CAP, deadline
         self.what = ("sliced grounding enumerates", "assignments") if sliced else (
             "grounding needs", "instances")
         self.counts = [0] * len(spec.rules)
@@ -206,13 +208,8 @@ class _Cap:
             _dfa.check_deadline(self.deadline, "grounding")
 
 
-def ground_spec(
-    spec: LifestateSpec,
-    trace: Trace,
-    cap: int = DEFAULT_INSTANTIATION_CAP,
-    sliced: bool = False,
-    deadline: Optional[float] = None,
-) -> GroundSpec:
+def ground_spec(spec: LifestateSpec, trace: Trace, sliced: bool = False,
+                deadline: Optional[float] = None) -> GroundSpec:
     """Instantiate every rule over the trace's value universe; with sliced,
     only the instances that can change a verdict on the trace (see
     _Join.kept).
@@ -220,31 +217,29 @@ def ground_spec(
     Deterministic: rules in spec order, assignments in sorted value order,
     so a sliced grounding is a subsequence of the full one.  Aborts with a
     diagnostic naming the worst rule when the full grounding's instance
-    count exceeds the cap or, with sliced, when the assignments the slicer
-    enumerates do (GroundingCapError), and with LimitExceeded, which that
-    extends, past the deadline (read per 1,024 assignments charged or rules
-    built).  A spec's plan is built on its first grounding and kept in the
+    count exceeds DEFAULT_INSTANTIATION_CAP or, with sliced, when the
+    assignments the slicer enumerates do (GroundingCapError), and with
+    LimitExceeded, which that extends, past the deadline (read per 1,024
+    assignments charged or rules built).  A spec's plan is built on its first grounding and kept in the
     spec object."""
     plan = spec._plan = spec._plan or _Plan(spec)
     join = _Join(plan, trace)
-    charges = _Cap(spec, cap, sliced, deadline)
+    charges = _Cap(spec, sliced, deadline)
+    counts = tuple(math.prod(map(len, domains)) for domains in join.domains)
     if not sliced:  # the full grounding is charged before any instance is built
-        for r, domains in enumerate(join.domains):
-            charges.charge(r, math.prod(map(len, domains)))
+        for r, count in enumerate(counts):
+            charges.charge(r, count)
     kept = join.kept(charges) if sliced else [join.rows(r, [((), (None,) * len(domains))], None)
                                               for r, domains in enumerate(join.domains)]
     ground_rules: list[GroundRule] = []
-    counts: list[int] = []
     value, message = join.values.__getitem__, join.messages.__getitem__
     for idx, (rule, names, rows) in enumerate(zip(spec.rules, plan.names, kept)):
-        before = len(ground_rules)
         for a, target, atoms in rows:
             if len(ground_rules) & 1023 == 1023:
                 _dfa.check_deadline(deadline, "grounding")
             ground_rules.append(GroundRule(rule, idx, message(target), tuple(map(message, atoms)),
                                            tuple(zip(names, map(value, a)))))
-        counts.append(len(ground_rules) - before)
-    return GroundSpec(tuple(ground_rules), join.alphabet(), tuple(counts), join.relevant, plan)
+    return GroundSpec(tuple(ground_rules), join.alphabet(), counts, join.relevant, plan)
 
 
 def _by_shape(keys: Iterable[tuple]) -> dict[tuple, list[tuple]]:

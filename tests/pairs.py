@@ -1,4 +1,5 @@
-"""Traces of n independent button/task pairs.
+"""Traces of n independent button/task pairs, built by perfbench/gen.py,
+the benchmark's own generator.
 
 Pair i owns t#i:AsyncTask, b#i:Button and l#i:OnClickListener.  The
 onCreate unit initialises every task and registers every listener; the
@@ -11,45 +12,17 @@ instantiation cap."""
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from lifeguard.messages import Trace, parse_trace
 
+from programs import load_gen
 
-def _create(n: int) -> list[str]:
-    out = ["cb onCreate(a#1:Activity)"]
-    for i in range(1, n + 1):
-        out += [f"ci init(t#{i}:AsyncTask)",
-                f"ciret unit = init(t#{i}:AsyncTask)",
-                f"ci setOnClickListener(b#{i}:Button,l#{i}:OnClickListener)",
-                f"ciret unit = setOnClickListener(b#{i}:Button,l#{i}:OnClickListener)"]
-    return out + ["cbret unit = onCreate(a#1:Activity)"]
+_GEN = load_gen()
 
-
-def _click(i: int, skips: bool) -> list[str]:
-    cb = f"onClick(l#{i}:OnClickListener,b#{i}:Button)"
-    disable = [] if skips else [f"ci setEnabled(b#{i}:Button,false)",
-                                f"ciret unit = setEnabled(b#{i}:Button,false)"]
-    return [f"cb {cb}", *disable, f"ci execute(t#{i}:AsyncTask)",
-            f"ciret unit = execute(t#{i}:AsyncTask)", f"cbret unit = {cb}"]
-
-
-def _post(i: int) -> list[str]:
-    return [f"cb onPostExecute(t#{i}:AsyncTask)", f"cbret unit = onPostExecute(t#{i}:AsyncTask)"]
-
-
-def random_order(n: int, rng: random.Random) -> list[tuple[str, int]]:
-    """Clicks and completions in a random order that completes each pair
-    after its click."""
-    unclicked, running, events = list(range(1, n + 1)), [], []
-    while unclicked or running:
-        kind, i = rng.choice([("click", i) for i in unclicked] + [("post", i) for i in running])
-        events.append((kind, i))
-        (unclicked if kind == "click" else running).remove(i)
-        if kind == "click":
-            running.append(i)
-    return events
+# Clicks and completions in a random order that completes each pair after
+# its click: random_order(n, rng).
+random_order = _GEN.interleaving
 
 
 def pair_trace(n: int, skip: frozenset = frozenset(),
@@ -57,10 +30,7 @@ def pair_trace(n: int, skip: frozenset = frozenset(),
     """The n-pair trace; by default every click, then every completion."""
     if order is None:
         order = [("click", i) for i in range(1, n + 1)] + [("post", i) for i in range(1, n + 1)]
-    lines = _create(n)
-    for kind, i in order:
-        lines += _click(i, i in skip) if kind == "click" else _post(i)
-    return parse_trace("".join(line + "\n" for line in lines))
+    return parse_trace(_GEN.text(_GEN.pairs_units(n, skip, order)))
 
 
 # Both polarities over three universal AsyncTask parameters: on a trace

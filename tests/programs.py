@@ -5,8 +5,9 @@ Each begins by invoking a framework init function, so the command line
 runs it.  STUCK maps a name to a program and the reason its run gets
 stuck; BROKEN maps a name to a program with exactly one error and the
 message of the ProgramError that parse_program raises for it.
-load_gen loads perfbench/gen.py, whose pairs_program(n, skip) nests one
-``if ... else`` per pair."""
+load_gen loads perfbench/gen.py, which builds the pair traces of
+tests/pairs.py and whose pairs_program(n, skip) nests one ``if ... else``
+per pair."""
 
 import importlib.util
 import pathlib

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -345,19 +346,35 @@ class TestGroundAndExplain:
         assert len(parsed.rules) == len(rule_lines)
 
     def test_ground_marks_the_sliced_subset(self, capsys, tmp_path, fixtures_dir):
-        # The full grounding is printed; the sliced one only counted.
+        # The sliced grounding is printed; the full one only counted.
         trace = tmp_path / "pairs.trace"
         trace.write_text(serialize_trace(pair_trace(3)))
         argv = ["ground", "--spec", str(fixtures_dir / "spec_run.ls"), "--trace", str(trace)]
         code, out, _ = run_cli(capsys, *argv, "--report", "json")
         report = json.loads(out)
-        assert code == 0 and report["rules"] == 37
+        assert code == 0 and report["rules"] == 19 and len(report["alphabet"]) == 38
         assert report["instance_counts"] == [3, 3, 9, 9, 9, 3, 1]
         assert report["sliced_instance_counts"] == [3, 3, 3, 3, 3, 3, 1]
         code, out, _ = run_cli(capsys, *argv)
-        rows = [line.split() for line in out.splitlines()]
-        assert ["3", "9", "3", "2,2,2,2,2,2,2,2,2"] in rows
-        assert "sliced: 19 of 37 instances, 38 of 50 messages" in out.splitlines()
+        lines = out.splitlines()
+        assert len([line for line in lines if "->" in line or "-/>" in line]) == 19
+        assert ["3", "9", "3", "2,2,2"] in [line.split() for line in lines]
+        assert "sliced: 19 of 37 instances, 38 messages" in lines
+
+    def test_ground_takes_the_traces_the_checkers_take(self, capsys, tmp_path, fixtures_dir):
+        # The full grounding of 300 pairs needs 270,901 instances, over the
+        # instantiation cap; the sliced one that ground prints keeps 1,801.
+        trace = tmp_path / "pairs300.trace"
+        trace.write_text(serialize_trace(pair_trace(300)))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "ground", "--spec", str(fixtures_dir / "spec_run.ls"),
+                               "--trace", str(trace), "--report", "json")
+        seconds = time.perf_counter() - start
+        report = json.loads(out)
+        assert code == 0 and seconds < 0.5
+        assert report["rules"] == 1801
+        assert report["instance_counts"] == [300, 300, 90000, 90000, 90000, 300, 1]
+        assert report["sliced_instance_counts"] == [300] * 6 + [1]
 
     def test_explain_valid_trace(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "explain",
@@ -471,10 +488,7 @@ class TestErrorPaths:
     def test_dfa_cap_overflow_is_one_error_line(self, capsys, fixtures_dir, monkeypatch):
         from lifeguard import dfa
 
-        build = dfa.build_dfa
-        monkeypatch.setattr(dfa, "build_dfa",
-                            lambda regex, n_letters, deadline=None:
-                            build(regex, n_letters, 0, deadline))
+        monkeypatch.setattr(dfa, "DFA_STATE_CAP", 0)
         code, _, err = run_cli(capsys, "validate",
                                "--spec", str(fixtures_dir / "spec_run.ls"),
                                "--trace", str(fixtures_dir / "trace_fixed.trace"))
@@ -486,10 +500,7 @@ class TestErrorPaths:
                                                           monkeypatch, tmp_path):
         from lifeguard import dfa
 
-        build = dfa.build_dfa
-        monkeypatch.setattr(dfa, "build_dfa",
-                            lambda regex, n_letters, deadline=None:
-                            build(regex, n_letters, 0, deadline))
+        monkeypatch.setattr(dfa, "DFA_STATE_CAP", 0)
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for name in ("trace_fixed.trace", "trace_buggy.trace"):
@@ -509,10 +520,7 @@ class TestErrorPaths:
         a DFA that failed: each trace's row names its own instance."""
         from lifeguard import dfa
 
-        build = dfa.build_dfa
-        monkeypatch.setattr(dfa, "build_dfa",
-                            lambda regex, n_letters, deadline=None:
-                            build(regex, n_letters, 0, deadline))
+        monkeypatch.setattr(dfa, "DFA_STATE_CAP", 0)
         spec = tmp_path / "spec.ls"
         spec.write_text("eps ; TRUE -/> ci start(forall x:Widget)\n")
         corpus = tmp_path / "corpus"

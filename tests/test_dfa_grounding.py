@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lifeguard import dfa as D
+from lifeguard import dfa as D, grounding
 from lifeguard.grounding import (
     GroundingError,
     compile_spec,
@@ -251,9 +251,10 @@ class TestGroundSpec:
             for atom in matcher_atoms(r.matcher):
                 assert not message_vars(atom)
 
-    def test_blowup_guard_names_worst_rule(self, spec_run, trace_fixed):
+    def test_blowup_guard_names_worst_rule(self, spec_run, trace_fixed, monkeypatch):
+        monkeypatch.setattr(grounding, "DEFAULT_INSTANTIATION_CAP", 3)
         with pytest.raises(GroundingError, match="cap"):
-            ground_spec(spec_run, trace_fixed, cap=3)
+            ground_spec(spec_run, trace_fixed)
 
     def test_deterministic(self, spec_run, trace_fixed):
         assert ground_spec(spec_run, trace_fixed) == ground_spec(spec_run, trace_fixed)

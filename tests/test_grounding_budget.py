@@ -37,7 +37,9 @@ def recount(spec, trace):
     trace message or at a mixed target.  A survivor counts once per atom
     occurring in the trace, or once if its matcher accepts on OTHER*.
     Also returns the mixed targets."""
-    full = ground_spec(spec, trace, cap=10 ** 9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grounding, "DEFAULT_INSTANTIATION_CAP", 10 ** 9)
+        full = ground_spec(spec, trace)
     seen = {m.unwrap() if m.is_dis() else m for m in trace.messages}
     accepts = {}
     for rule, compiled in zip(full.rules, compile_spec(full, letter_map(full.alphabet))):

@@ -2,11 +2,11 @@
 no unused import, no unused module-private top-level name, no import of
 another module's private name, no import of dataclasses, no record
 identity defined outside ``messages.Record`` and ``messages.Hashed``, one
-limit path, and nothing public that only code outside it reaches; the tests
-and tools have no
-unused import.  A fresh import of the command line and the interpreter
-loads every package module and neither dataclasses nor inspect, and the
-command line alone does not load the interpreter."""
+limit path, one grounding (the sliced one) and nothing public that only
+code outside it reaches; the tests and tools have no unused import.  A
+fresh import of the command line and the interpreter loads every package
+module and neither dataclasses nor inspect, and the command line alone
+does not load the interpreter."""
 
 import ast
 import os
@@ -202,6 +202,24 @@ def test_one_limit_path():
               and isinstance(node.exc, ast.Call) and node.exc.args
               and LIMIT_WORDS.search(_text(node.exc.args[0]))]
     assert raised and all(name in limits for _, name in raised), raised
+
+
+def test_one_grounding():
+    """Every command checks, compiles and prints the sliced grounding, so
+    every ground_spec call in the package passes sliced=True; and the caps
+    are module constants, so neither ground_spec nor build_dfa takes one."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    full = [f"{module}:{node.lineno}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _name(node.func) == "ground_spec"
+            and not any(k.arg == "sliced" and isinstance(k.value, ast.Constant)
+                        and k.value.value is True for k in node.keywords)]
+    assert full == [], f"ground_spec calls that ground in full: {full}"
+    for module, function in (("grounding", "ground_spec"), ("dfa", "build_dfa")):
+        node = next(n for n in trees[module].body
+                    if isinstance(n, ast.FunctionDef) and n.name == function)
+        params = [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+        assert not [a for a in params if "cap" in a], f"{function}({', '.join(params)})"
 
 
 def _fresh_modules(imports: str) -> set[str]:

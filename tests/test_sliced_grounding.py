@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from lifeguard import validation, verification
+from lifeguard import grounding, validation, verification
 from lifeguard.abstract import AbstractEngine
 from lifeguard.dfa import LimitExceeded
 from lifeguard.grounding import GroundingError, compile_spec, ground_spec, letter_map
@@ -79,6 +79,11 @@ def reference_slice(spec, trace):
     return tuple(r for r in survivors if r.target in seen or len(polarities[r.target]) == 2)
 
 
+def per_rule(spec, ground):
+    """How many of the grounding's instances each spec rule has."""
+    return tuple(sum(r.source_index == i for r in ground.rules) for i in range(len(spec.rules)))
+
+
 def full_relevance(spec, trace):
     full = ground_spec(spec, trace)
     messages = {r.target for r in full.rules}
@@ -128,8 +133,7 @@ def test_slice_matches_its_definition(request):
     for spec, trace in cases:
         full, sliced = ground_spec(spec, trace), ground_spec(spec, trace, sliced=True)
         assert sliced.rules == reference_slice(spec, trace)
-        assert sliced.instance_counts == tuple(
-            sum(r.source_index == i for r in sliced.rules) for i in range(len(spec.rules)))
+        assert sliced.instance_counts == full.instance_counts == per_rule(spec, full)
         expected = seen_messages(trace) | {r.target for r in sliced.rules}
         expected |= {a for r in sliced.rules for a in matcher_atoms(r.matcher)}
         assert sliced.alphabet == tuple(sorted(expected, key=lambda m: m.sort_key()))
@@ -142,7 +146,8 @@ def test_slice_matches_its_definition(request):
 def test_spec_run_keeps_6n_plus_1_instances(spec_run):
     for n in [*range(1, 33), 200]:
         sliced = ground_spec(spec_run, pair_trace(n), sliced=True)
-        assert sliced.instance_counts == (n,) * 6 + (1,), n
+        assert per_rule(spec_run, sliced) == (n,) * 6 + (1,), n
+        assert sliced.instance_counts == (n, n, n * n, n * n, n * n, n, 1), n
         assert len(sliced.rules) == 6 * n + 1
 
 
@@ -160,16 +165,18 @@ def test_the_sliced_cap_counts_what_the_slicer_enumerates(spec_run):
     assert validate(spec_run, pair_trace(258)).valid
 
 
-def test_a_forall_heavy_slice_still_hits_the_cap():
+def test_a_forall_heavy_slice_still_hits_the_cap(monkeypatch):
     # Both rules accept on OTHER* and keep all 144 (listener, button)
     # assignments at n=12; the slicer enumerates the permit rule's first.
     spec = parse_spec("eps -> cb onClick(forall l:OnClickListener, forall b:Button)\n"
                       "eps -/> cb onClick(forall l:OnClickListener, forall b:Button)\n")
     trace = pair_trace(12)
+    monkeypatch.setattr(grounding, "DEFAULT_INSTANTIATION_CAP", 100)
     with pytest.raises(GroundingError, match=r"^sliced grounding enumerates \d+ rule "
                        r"assignments \(cap 100\); worst rule is #1 with 144 assignments"):
-        ground_spec(spec, trace, cap=100, sliced=True)
-    assert ground_spec(spec, trace, cap=1000, sliced=True).instance_counts == (144, 144)
+        ground_spec(spec, trace, sliced=True)
+    monkeypatch.setattr(grounding, "DEFAULT_INSTANTIATION_CAP", 1000)
+    assert per_rule(spec, ground_spec(spec, trace, sliced=True)) == (144, 144)
 
 
 def test_validate_agrees_with_the_full_grounding(request, spec_run, trace_buggy):
@@ -271,9 +278,7 @@ def test_dfa_cap_in_the_other_check_leaves_the_error_to_compilation(monkeypatch)
     compiling the first of them raises the one-line GroundingError."""
     from lifeguard import dfa
 
-    build = dfa.build_dfa
-    monkeypatch.setattr(dfa, "build_dfa", lambda regex, n_letters, deadline=None:
-                        build(regex, n_letters, 0, deadline))
+    monkeypatch.setattr(dfa, "DFA_STATE_CAP", 0)
     spec = parse_spec("eps ; TRUE -/> ci start(forall x:Widget)")
     trace = parse_trace("cb onShow(w#1:Widget)\nci start(w#1:Widget)\n"
                         "ciret unit = start(w#1:Widget)\ncbret unit = onShow(w#1:Widget)\n")

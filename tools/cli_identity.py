@@ -22,7 +22,9 @@ holds the malformed trace below, the over-cap trace, the n = 8 pair trace
 named to sort before an n = 4 one, and both fixture traces, so that one
 spec object meets a failing trace, a large trace before a small one, and
 every kind of row; validate and verify (text and
-json) of a spec whose grounding exceeds the instantiation cap; ground,
+json) of a spec whose grounding exceeds the instantiation cap; ground
+(text and json) under spec_run.ls of the n = 300 pair trace, whose full
+grounding exceeds that cap and whose sliced one does not; ground,
 validate, verify and explain under every spec of trace_fixed.trace
 rewritten with comments, blank lines, tabs and CRLF line ends, and the
 four under spec_run.ls of a copy with one malformed line; and run of
@@ -72,8 +74,8 @@ def _noisy(text: str) -> str:
 
 def _inputs(work: pathlib.Path) -> tuple[list[str], ...]:
     """Copy the fixtures into work, write the pair traces, the stuck
-    programs, the programs that do not parse, the over-cap spec and trace
-    and the rewritten and malformed fixture traces, and return the spec,
+    programs, the programs that do not parse, the over-cap spec and trace, the
+    n = 300 pair trace and the rewritten and malformed fixture traces, and return the spec,
     trace, program, schedule and failing program names."""
     fixtures = REPO / "fixtures"
     for path in fixtures.iterdir():
@@ -95,6 +97,7 @@ def _inputs(work: pathlib.Path) -> tuple[list[str], ...]:
         (work / failing[-1]).write_text(text, encoding="utf-8")
     (work / "cap.ls").write_text(CAP_SPEC, encoding="utf-8")
     (work / "cap.trace").write_text(serialize_trace(init_trace(60)), encoding="utf-8")
+    (work / "pairs300.trace").write_text(serialize_trace(pair_trace(300)), encoding="utf-8")
     noisy = _noisy((fixtures / "trace_fixed.trace").read_text(encoding="utf-8"))
     (work / "noisy.trace").write_bytes(noisy.encode("utf-8"))
     # A comment must follow whitespace, so message 10 no longer parses.
@@ -134,6 +137,8 @@ def commands(specs, traces, programs, schedules, failing) -> list[list[str]]:
             for command in ("ground", "validate", "verify", "explain")]
     cap = ["--spec", "cap.ls", "--trace", "cap.trace"]
     out += [[command, *cap, *report] for command in ("validate", "verify")
+            for report in ([], ["--report", "json"])]
+    out += [["ground", "--spec", "spec_run.ls", "--trace", "pairs300.trace", *report]
             for report in ([], ["--report", "json"])]
     for program in programs:
         for how in [["--schedule", "@" + s] for s in schedules] + \
