@@ -236,7 +236,7 @@ class DfaSizeError(RuntimeError):
     """The construction reached more states than DFA_STATE_CAP allows."""
 
 
-DFA_STATE_CAP = 100000  # read at each build_dfa call
+DFA_STATE_CAP = 100000
 
 
 class Dfa(Record):
@@ -262,7 +262,7 @@ def build_dfa(regex: Re, n_letters: int, deadline: Optional[float] = None) -> Df
     index: dict[Re, int] = {regex: 0}
     order: list[Re] = [regex]
     transitions: list[tuple[int, ...]] = []
-    pos, cap = 0, DFA_STATE_CAP
+    pos = 0
     while pos < len(order):
         if pos & 1023 == 1023:
             check_deadline(deadline, "building the engine")
@@ -273,8 +273,8 @@ def build_dfa(regex: Re, n_letters: int, deadline: Optional[float] = None) -> Df
             sid = index.get(nxt)
             if sid is None:
                 sid = len(order)
-                if sid > cap:
-                    raise DfaSizeError(f"DFA construction exceeded {cap} states")
+                if sid > DFA_STATE_CAP:
+                    raise DfaSizeError(f"DFA construction exceeded {DFA_STATE_CAP} states")
                 index[nxt] = sid
                 order.append(nxt)
             row.append(sid)

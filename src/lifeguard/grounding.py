@@ -220,8 +220,8 @@ def ground_spec(spec: LifestateSpec, trace: Trace, sliced: bool = False,
     count exceeds DEFAULT_INSTANTIATION_CAP or, with sliced, when the
     assignments the slicer enumerates do (GroundingCapError), and with
     LimitExceeded, which that extends, past the deadline (read per 1,024
-    assignments charged or rules built).  A spec's plan is built on its first grounding and kept in the
-    spec object."""
+    assignments charged or rules built).  A spec's plan is built on its
+    first grounding and kept in the spec object."""
     plan = spec._plan = spec._plan or _Plan(spec)
     join = _Join(plan, trace)
     charges = _Cap(spec, sliced, deadline)

@@ -74,9 +74,10 @@ def _noisy(text: str) -> str:
 
 def _inputs(work: pathlib.Path) -> tuple[list[str], ...]:
     """Copy the fixtures into work, write the pair traces, the stuck
-    programs, the programs that do not parse, the over-cap spec and trace, the
-    n = 300 pair trace and the rewritten and malformed fixture traces, and return the spec,
-    trace, program, schedule and failing program names."""
+    programs, the programs that do not parse, the over-cap spec and trace,
+    the n = 300 pair trace and the rewritten and malformed fixture traces,
+    and return the spec, trace, program, schedule and failing program
+    names."""
     fixtures = REPO / "fixtures"
     for path in fixtures.iterdir():
         shutil.copy(path, work / path.name)
